@@ -91,6 +91,15 @@ def dnp_algebra(n: int, p: int) -> GenAlgebra:
     return GenAlgebra(n, FLAVOR_DP, p)
 
 
+def generator_tuples(n: int, level: int) -> list:
+    """Index triples (i, j, k) of the generators up to *level*: i < j at
+    level 0, every ordered pair at each level k >= 1."""
+    gens = [(i, j, 0) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for k in range(1, level + 1):
+        gens += [(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return gens
+
+
 def _pair_bracket(alg: GenAlgebra, a, b) -> Expr:
     """{G^(m)_{j,i}, G^(k)_{p,l}} from the closed-form tables."""
     (j, i, m), (p, l, k) = a, b

@@ -35,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .poly_core import Expr, Mat, E, ZERO, ONE, const, parse_gen
-from .dn_algebra import dn_algebra, _pair_bracket
-from .ks_calculus import ks_bracket_numeric
+from .dn_algebra import dn_algebra, generator_tuples, _pair_bracket
+from .ks_calculus import ks_brackets_numeric
 from .fatgraph import geodesic_function
 from .braid import act_An, adjacent
 
@@ -326,15 +326,17 @@ REALIZATION_FACTOR = Fraction(1, 4)
 
 
 def _trace_scalar(i: int, j: int, k: int, nt: int):
-    """Tr(M_i M_h^k M_j M_h^{-k}), an invariant equal to n-4+(G^{(k)}_ij)^2."""
+    """Tr(M_i M_h^k M_j M_h^{-k}), an invariant equal to n-4+(G^{(k)}_ij)^2.
+
+    Batch-aware: the matrices may carry leading batch axes."""
 
     def f(mats):
-        n = len(mats)
-        mh = np.eye(n, dtype=complex)
-        for r in range(nt - 1, n):
+        mh = mats[nt - 1]
+        for r in range(nt, len(mats)):
             mh = mh @ mats[r]
         return np.trace(mats[i - 1] @ np.linalg.matrix_power(mh, k)
-                        @ mats[j - 1] @ np.linalg.matrix_power(mh, -k))
+                        @ mats[j - 1] @ np.linalg.matrix_power(mh, -k),
+                        axis1=-2, axis2=-1)
 
     return f
 
@@ -349,6 +351,10 @@ def _eval_generator_expr(e: Expr, values) -> float:
     return total
 
 
+def _float_matrix(m: Mat) -> np.ndarray:
+    return np.array([[float(x.as_rational()) for x in row] for row in m.rows])
+
+
 _PAIR_CACHE: dict = {}
 
 
@@ -361,19 +367,23 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     side differentiates the invariant trace functions numerically and
     divides out the chain-rule factor 2 G^{(k)}_{i,j} per slot; the right
     side evaluates the closed-form structure constants at the exact
-    G^{(k)} values.
+    G^{(k)} values.  Each generator's gradient is computed once at the
+    point, and all pairs are contracted together.
+
+    The gate is relative: a pair passes when |lhs - rhs| <= tol *
+    max(1, |lhs|, |rhs|).  Float rounding in the products of n x n
+    matrices grows with their entries, and the generator values reach
+    thousands at some rational points, so an absolute tolerance fails
+    there although the identity holds.  max_deviation is the largest
+    |lhs - rhs| / max(1, |lhs|, |rhs|) over the pairs.
     """
     n = s.n
     if not 1 <= rank < n:
         raise ValueError("rank must leave a nonempty trailing block")
     nt = rank + 1
     alg = dn_algebra(rank)
-    gens = [(i, j, 0) for i in range(1, rank + 1)
-            for j in range(i + 1, rank + 1)]
-    for k in range(1, levels + 1):
-        gens += [(i, j, k) for i in range(1, rank + 1)
-                 for j in range(1, rank + 1)]
     if pairs is None:
+        gens = generator_tuples(rank, levels)
         pairs = [(a, b) for idx, a in enumerate(gens) for b in gens[idx:]]
     exact = {}
     for k in range(2 * levels + 1):
@@ -383,9 +393,10 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
                 exact[(i, j, k)] = gk[i - 1, j - 1].as_rational()
     if any(v == 0 for v in exact.values()):
         raise ValueError("degenerate point: a generator value vanishes")
-    mats = [np.array([[float(monodromy_from_stokes(s, k)[i, j].as_rational())
-                       for j in range(n)] for i in range(n)])
-            for k in range(1, n + 1)]
+    index = {g: p for p, g in enumerate(
+        dict.fromkeys(g for pair in pairs for g in pair))}
+    brackets = ks_brackets_numeric([_trace_scalar(*g, nt) for g in index],
+                                   [_float_matrix(m) for m in monodromies(s)])
     factor = float(REALIZATION_FACTOR)
     worst = 0.0
     for a, b in pairs:
@@ -393,35 +404,43 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
         if key not in _PAIR_CACHE:
             _PAIR_CACHE[key] = _pair_bracket(alg, a, b)
         rhs = factor * _eval_generator_expr(_PAIR_CACHE[key], exact)
-        ga = float(exact[a if not (a[2] == 0 and a[0] > a[1])
-                         else (a[1], a[0], 0)])
-        gb = float(exact[b if not (b[2] == 0 and b[0] > b[1])
-                         else (b[1], b[0], 0)])
-        lhs = ks_bracket_numeric(_trace_scalar(*a, nt), _trace_scalar(*b, nt),
-                                 mats) / (4 * ga * gb)
-        worst = max(worst, abs(lhs - rhs))
-    return {"pairs": len(pairs), "max_deviation": worst, "ok": worst < tol}
+        lhs = float(brackets[index[a], index[b]]) / (
+            4 * float(exact[a]) * float(exact[b]))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    return {"pairs": len(pairs), "max_deviation": worst, "ok": worst <= tol}
+
+
+# Degenerate draws are rare (about one in ten), so a suite that needs more
+# than this many draws per trial is stuck on its input, not unlucky.
+DRAWS_PER_TRIAL = 10
 
 
 def realization_suite(trials: int, rank: int = 3, clash: int = 2,
                       levels: int = 1, tol: float = 1e-9,
                       seed: int = 0) -> dict:
     """Run realization_check at random rational points (resampling the rare
-    degenerate draws) and aggregate the worst deviation."""
+    degenerate draws, at most DRAWS_PER_TRIAL * trials draws in all) and
+    aggregate the worst deviation."""
     import random
 
     rng = random.Random(seed)
     worst = 0.0
     done = 0
-    while done < trials:
+    for _ in range(DRAWS_PER_TRIAL * trials):
+        if done == trials:
+            break
         s = random_stokes(rank + clash, rng)
         try:
             rep = realization_check(s, rank, levels=levels, tol=tol)
-        except ValueError:
+        except ValueError as exc:
+            rejected = exc
             continue
         worst = max(worst, rep["max_deviation"])
         done += 1
-    return {"trials": done, "max_deviation": worst, "ok": worst < tol}
+    if done < trials:
+        raise ValueError(f"only {done} of {trials} Stokes points were usable "
+                         f"in {DRAWS_PER_TRIAL * trials} draws ({rejected})")
+    return {"trials": done, "max_deviation": worst, "ok": worst <= tol}
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ Two independent realizations:
   skein relation Tr A Tr B = Tr(AB) + Tr(AB^-1).
 
 * numeric -- the entrywise structure constants on concrete matrices of any
-  size, with complex-step differentiation for the chain rule.  This serves
-  as a dimension-agnostic oracle (it is the only route available for the
-  n x n monodromy realization).
+  size, with batched complex-step differentiation for the chain rule.
+  This serves as a dimension-agnostic oracle (it is the only route
+  available for the n x n monodromy realization).
 """
 
 from __future__ import annotations
@@ -420,66 +420,79 @@ def skein_reduce(e: TraceExpr, rng=None) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_tensor(mi: np.ndarray, mj: np.ndarray, rel: int) -> np.ndarray:
-    """(m^2 x m^2) matrix T with {(M_i)_ab, (M_j)_cd} = T[(a,c),(b,d)].
+STEP = 1e-100  # complex step: no subtraction, so no cancellation to balance
 
-    rel: -1, 0, +1 for i<j, i=j, i>j.
+
+def complex_step_gradient(f, mats: np.ndarray) -> np.ndarray:
+    """df / d(M_i)_ab for every i, a, b, as an (N, m, m) array.
+
+    *mats* is an (N, m, m) real array.  f maps a list of N matrix stacks,
+    each of shape (..., m, m), to the (...)-shaped array of its values.
+    The N m^2 perturbed points M_i + i STEP E_ab are stacked on a leading
+    batch axis and f is called once on them (Squire & Trapp 1998).  A
+    function that is not batch-aware returns the wrong shape and is
+    rejected, rather than read wrongly.
     """
-    m = mi.shape[0]
+    nmat, m, _ = mats.shape
+    size = nmat * m * m
+    pert = np.broadcast_to(mats.astype(complex), (size, nmat, m, m)).copy()
+    pert.reshape(size, size)[np.arange(size), np.arange(size)] += 1j * STEP
+    vals = np.asarray(f([pert[:, i] for i in range(nmat)]))
+    if vals.shape != (size,):
+        raise ValueError(f"f returned shape {vals.shape} on a stack of "
+                         f"{size} points; it must map (..., m, m) stacks "
+                         "to a (...) array")
+    return (vals.imag / STEP).reshape(nmat, m, m)
+
+
+def exchange_tensors(mats: np.ndarray) -> np.ndarray:
+    """T[i, j, a, c, b, d] = {(M_i)_ab, (M_j)_cd} for all i, j at once.
+
+    With X = M_i, Y = M_j and U = the four-term exchange combination
+
+        2 U = d_cb (XY)_ad + d_ad (YX)_cb - X_cb Y_ad - X_ad Y_cb,
+
+    the bracket is U for i < j and -U for i > j (the space-swapped rule);
+    on the diagonal it is (d_ad (XX)_cb - d_cb (XX)_ad) / 2.
+    """
+    nmat, m, _ = mats.shape
     eye = np.eye(m)
-    omega = np.kron(eye, eye).reshape(m, m, m, m).transpose(0, 1, 3, 2).reshape(m * m, m * m)
-    # omega[(a,c),(b,d)] = delta_ad delta_cb  (the exchange/permutation matrix)
-    a1 = np.kron(mi, eye)
-    b2 = np.kron(eye, mj)
-    ab = np.kron(mi, mj)
-    if rel == 0:
-        return 0.5 * (b2 @ omega @ a1 - a1 @ omega @ b2)
-    t = 0.5 * (a1 @ omega @ b2 + b2 @ omega @ a1 - omega @ ab - ab @ omega)
-    if rel > 0:
-        # {M_i (x), M_j} for i > j: minus the space-swapped i < j rule
-        t_lt = _bracket_tensor(mj, mi, -1)
-        m2 = m * m
-        t = -t_lt.reshape(m, m, m, m).transpose(1, 0, 3, 2).reshape(m2, m2)
-    return t
-
-
-def _grad(f, mats, i):
-    """Complex-step gradient of f with respect to the entries of mats[i]."""
-    m = mats[i].shape[0]
-    out = np.zeros((m, m), dtype=float)
-    step = 1e-100
-    base = [mat.astype(complex) for mat in mats]
-    for a in range(m):
-        for b in range(m):
-            pert = [mat.copy() for mat in base]
-            pert[i][a, b] += 1j * step
-            out[a, b] = np.imag(f(pert)) / step
+    idx = np.arange(nmat)
+    prod = np.einsum("iab,jbc->ijac", mats, mats)
+    # summed in place: one full-size temporary at a time
+    out = np.einsum("ad,jicb->ijacbd", eye, prod)
+    swap_right = np.einsum("cb,ijad->ijacbd", eye, prod)
+    diag = out[idx, idx] - swap_right[idx, idx]
+    out += swap_right
+    del swap_right
+    out -= np.einsum("icb,jad->ijacbd", mats, mats)
+    out -= np.einsum("iad,jcb->ijacbd", mats, mats)
+    sign = np.sign(idx[None, :] - idx[:, None])  # +1 for i < j, -1 for i > j
+    out *= 0.5 * sign[:, :, None, None, None, None]
+    out[idx, idx] = 0.5 * diag
     return out
+
+
+def ks_brackets_numeric(fs, mats) -> np.ndarray:
+    """{f_p, f_q} for every pair of *fs* at one point, as a (K, K) array.
+
+    *mats* is a list of invertible m x m matrices; each f is batch-aware
+    (see complex_step_gradient).  Each gradient is computed once and all
+    pairs are contracted with the exchange tensors in one step.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if np.any(np.abs(np.linalg.det(mats)) < 1e-12):
+        raise ValueError("singular matrix in evaluation point")
+    grads = np.stack([complex_step_gradient(f, mats) for f in fs])
+    return np.einsum("pIab,IJacbd,qJcd->pq", grads, exchange_tensors(mats),
+                     grads, optimize=True)
 
 
 def ks_bracket_numeric(f, g, mats) -> float:
     """{f, g} at a concrete point (list of invertible square matrices).
 
-    f and g map a list of matrices to a scalar; the bracket is assembled
-    from the entrywise structure constants and the chain rule.
+    f and g map a list of matrix stacks to the array of their values (see
+    complex_step_gradient); the bracket is assembled from the entrywise
+    structure constants and the chain rule.
     """
-    mats = [np.asarray(mat, dtype=float) for mat in mats]
-    for mat in mats:
-        if abs(np.linalg.det(mat)) < 1e-12:
-            raise ValueError("singular matrix in evaluation point")
-    m = mats[0].shape[0]
-    total = 0.0
-    grads_f = [_grad(f, mats, i) for i in range(len(mats))]
-    grads_g = [_grad(g, mats, i) for i in range(len(mats))]
-    for i in range(len(mats)):
-        if not np.any(grads_f[i]):
-            continue
-        for j in range(len(mats)):
-            if not np.any(grads_g[j]):
-                continue
-            rel = -1 if i < j else (0 if i == j else 1)
-            t = _bracket_tensor(mats[i], mats[j], rel)
-            t4 = t.reshape(m, m, m, m)  # [(a,c),(b,d)]
-            # contract: sum_ab sum_cd df[a,b] {M_i[a,b], M_j[c,d]} dg[c,d]
-            total += np.einsum("ab,acbd,cd->", grads_f[i], t4, grads_g[j])
-    return float(total)
+    return float(ks_brackets_numeric([f, g], mats)[0, 1])

@@ -95,7 +95,8 @@ def test_clash_independence_numeric(m):
 
     def f(i, j, k):
         return lambda ms: -np.trace(
-            ms[i - 1] @ hpow(ms, k) @ ms[j - 1] @ hpow(ms, -k))
+            ms[i - 1] @ hpow(ms, k) @ ms[j - 1] @ hpow(ms, -k),
+            axis1=-2, axis2=-1)
 
     vals = {}
     for i in range(1, 4):

@@ -21,6 +21,12 @@ def test_verify_single_suite(capsys):
         reports[0])
 
 
+def test_verify_frobenius_seed5_passes(capsys):
+    # generator values reach thousands at this seed's first Stokes point
+    assert main(["verify", "--suite", "frobenius", "--seed", "5"]) == 0
+    assert all(r["status"] == "pass" for r in _json_lines(capsys))
+
+
 def test_verify_braid_text_format(capsys):
     assert main(["verify", "--suite", "braid", "--format", "text",
                  "--n", "3"]) == 0

@@ -104,6 +104,24 @@ def test_realization_at_random_points():
     assert rep["ok"], rep
 
 
+def test_realization_gate_catches_a_wrong_factor(monkeypatch):
+    # the relative gate still sees a 1e-6 error in the 1/4 factor at every
+    # seed the command line suite runs
+    monkeypatch.setattr(fro, "REALIZATION_FACTOR",
+                        Fraction(1, 4) * (1 + Fraction(1, 10 ** 6)))
+    for seed in range(6):
+        assert not fro.realization_suite(3, seed=seed)["ok"], seed
+
+
+def test_realization_suite_bounds_resampling(monkeypatch):
+    # G_{1,2} = 0 at the identity Stokes matrix: every draw is degenerate
+    flat = fro.StokesMatrix.from_rows(
+        [[1 if i == j else 0 for j in range(5)] for i in range(5)])
+    monkeypatch.setattr(fro, "random_stokes", lambda n, rng: flat)
+    with pytest.raises(ValueError, match="usable in 20 draws"):
+        fro.realization_suite(2, seed=0)
+
+
 def test_realization_rejects_bad_rank():
     with pytest.raises(ValueError):
         fro.realization_check(_rand(8, 3), 3)
