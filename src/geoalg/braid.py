@@ -537,16 +537,6 @@ def Dn_substitution(b: BraidGen, n: int) -> dict:
             for i in range(1, n + 1) for j in range(1, n + 1)}
 
 
-def act_expr(b: BraidGen, e: Expr, n: int, cap: int = 0,
-             flavor: str = "frakD") -> Expr:
-    """Act on a polynomial in the generators by substitution."""
-    if flavor == "frakD":
-        return e.subst(frakDn_substitution(b, n, cap))
-    if flavor == "D":
-        return e.subst(Dn_substitution(b, n))
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
 # ---------------------------------------------------------------------------
 # relation verifiers
 # ---------------------------------------------------------------------------

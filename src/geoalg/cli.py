@@ -12,18 +12,16 @@ stokes    print a Stokes matrix (special points or seeded random)
 
 Reports are line-delimited JSON by default (`--format text` for a human
 view).  Exit code 0 = all pass, 1 = at least one failing case, 2 = usage
-error.  `GEOALG_THREADS` caps the worker count for independent suite
-cases; output order is by case id regardless of completion order.
+error.  A suite's cases run one after another, in case order, and each
+report is written as soon as its case finishes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import braid as braid_mod
@@ -90,15 +88,7 @@ def _emit(reports, fmt, stream=None):
 
 
 def _run_suite(suite, cases, fmt):
-    workers = max(1, int(os.environ.get("GEOALG_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {cid: pool.submit(_run_case, suite, cid, fn)
-                       for cid, fn in cases}
-        reports = [futures[cid].result() for cid, _ in cases]
-    else:
-        reports = [_run_case(suite, cid, fn) for cid, fn in cases]
-    return _emit(reports, fmt)
+    return _emit((_run_case(suite, cid, fn) for cid, fn in cases), fmt)
 
 
 def _bool_case(value, detail=""):
@@ -602,8 +592,8 @@ def _apply_config(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args)
     try:
+        _apply_config(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -24,7 +24,7 @@ reflection equation); both forms are compared coefficientwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 from .poly_core import Expr, E, ZERO, ONE, const, gen, parse_gen, is_generator
 
@@ -100,8 +100,14 @@ def generator_tuples(n: int, level: int) -> list:
     return gens
 
 
+@cache
 def _pair_bracket(alg: GenAlgebra, a, b) -> Expr:
-    """{G^(m)_{j,i}, G^(k)_{p,l}} from the closed-form tables."""
+    """{G^(m)_{j,i}, G^(k)_{p,l}} from the closed-form tables.
+
+    Memoized once per process by (alg, a, b): the algebra is a frozen
+    dataclass and every Expr is immutable, so a cached value can be shared
+    by all callers.  Callers check the indices (alg.check_index) first.
+    """
     (j, i, m), (p, l, k) = a, b
     if m < 0:
         j, i, m = i, j, -m
@@ -135,28 +141,29 @@ def _pair_bracket(alg: GenAlgebra, a, b) -> Expr:
     return out
 
 
+def _generator_partials(alg: GenAlgebra, f: Expr) -> list:
+    """[(index triple, df/dG)] over the generators G that f depends on."""
+    out = []
+    for s in f.symbols():
+        if is_generator(s):
+            df = f.diff(s)
+            if not df.is_zero():
+                a = parse_gen(s)
+                alg.check_index(*a)
+                out.append((a, df))
+    return out
+
+
 def bracket(alg: GenAlgebra, f: Expr, g: Expr) -> Expr:
     """Leibniz extension of the structure constants to polynomials."""
-    syms_f = [s for s in f.symbols() if is_generator(s)]
-    syms_g = [s for s in g.symbols() if is_generator(s)]
+    dfs = _generator_partials(alg, f)
+    if not dfs:
+        return ZERO
+    dgs = _generator_partials(alg, g)
     out = ZERO
-    cache = {}
-    for sf in syms_f:
-        df = f.diff(sf)
-        if df.is_zero():
-            continue
-        a = parse_gen(sf)
-        alg.check_index(*a)
-        for sg in syms_g:
-            dg = g.diff(sg)
-            if dg.is_zero():
-                continue
-            b = parse_gen(sg)
-            alg.check_index(*b)
-            key = (a, b)
-            if key not in cache:
-                cache[key] = _pair_bracket(alg, a, b)
-            out = out + df * dg * cache[key]
+    for a, df in dfs:
+        for b, dg in dgs:
+            out = out + df * dg * _pair_bracket(alg, a, b)
     return out
 
 

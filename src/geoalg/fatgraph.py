@@ -213,9 +213,7 @@ def _reduce_quadratic(e: Expr, var: str, csum: Expr) -> Expr:
     out = ZERO
     for k, coeff in e.coeffs_in(var).items():
         if k >= 0:
-            power = v ** 0
-            base = v
-            factor = base ** k
+            factor = v ** k
         else:
             factor = v_inv_poly ** (-k)
         out = out + coeff * factor

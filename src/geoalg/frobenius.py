@@ -355,9 +355,6 @@ def _float_matrix(m: Mat) -> np.ndarray:
     return np.array([[float(x.as_rational()) for x in row] for row in m.rows])
 
 
-_PAIR_CACHE: dict = {}
-
-
 def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
                       tol: float = 1e-9, pairs=None) -> dict:
     """Brackets of G^{(k)}_{i,j} vs 1/4 x level-graded structure constants.
@@ -400,10 +397,7 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     factor = float(REALIZATION_FACTOR)
     worst = 0.0
     for a, b in pairs:
-        key = (rank, a, b)
-        if key not in _PAIR_CACHE:
-            _PAIR_CACHE[key] = _pair_bracket(alg, a, b)
-        rhs = factor * _eval_generator_expr(_PAIR_CACHE[key], exact)
+        rhs = factor * _eval_generator_expr(_pair_bracket(alg, a, b), exact)
         lhs = float(brackets[index[a], index[b]]) / (
             4 * float(exact[a]) * float(exact[b]))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))

@@ -114,9 +114,10 @@ def normalize_word(letters, sign=1):
         return ZERO, None  # Tr M_i = 0
     if len(work) == 2 and work[0][0] == "M" and work[1][0] == "H":
         pass  # Tr(M_i H^k): kept; reducible only through skein context
-    rotations = [tuple(work[r:] + work[:r]) for r in range(len(work))]
-    word = min(rotations, key=lambda w: tuple(_letter_key(l) for l in w))
-    return const(sign), word
+    keys = [_letter_key(l) for l in work]
+    # the first rotation whose key sequence is least
+    r = min(range(len(work)), key=lambda r: keys[r:] + keys[:r])
+    return const(sign), tuple(work[r:] + work[:r])
 
 
 class TraceExpr:
@@ -290,16 +291,18 @@ def ks_bracket_symbolic(w1, w2) -> TraceExpr:
     c2, w2 = normalize_word(w2)
     if w1 is None or w2 is None:
         return TraceExpr()  # scalars and Casimir parameters are central
-    out = TraceExpr()
-    coeff = c1 * c2
+    # sum the rule coefficients per resulting trace, then scale once
+    sums = {}
     for p, a in enumerate(w1):
         u = w1[p + 1:] + w1[:p]
         for q, b in enumerate(w2):
             v = w2[q + 1:] + w2[:q]
             for c, l1, l2, r1, r2 in _elementary_rule(a, b):
                 word = tuple(l1) + tuple(r2) + v + tuple(l2) + tuple(r1) + u
-                out = out + TraceExpr.tr(word).scale(coeff * const(c))
-    return out
+                coeff, word = normalize_word(word)
+                key = () if word is None else (word,)
+                sums[key] = sums.get(key, ZERO) + coeff * c
+    return TraceExpr(sums).scale(c1 * c2)
 
 
 def ks_bracket_expr(e1: TraceExpr, e2: TraceExpr) -> TraceExpr:
@@ -387,18 +390,20 @@ def _reduce_word(word, memo, rng=None):
         else:
             letters.append((letter[1], c))
     positions = list(range(len(letters)))
-    half = const(Fraction(-1, 2))
     out = ZERO
     pairings = list(_matchings(positions))
     if rng is not None:
         rng.shuffle(pairings)
     for sign, pairs in pairings:
-        term = const(2 * sign)
+        term = const(sign)
         for s, t in pairs:
             i_s, c_s = letters[s]
             i_t, c_t = letters[t]
-            term = term * half * _canonical_generator(i_s, i_t, c_t - c_s)
+            term = term * _canonical_generator(i_s, i_t, c_t - c_s)
         out = out + term
+    # the factor 2 in front and (1/2) Tr(N_a N_b) = -G/2 for each pair
+    r = len(letters) // 2
+    out = out * const(Fraction(2 * (-1) ** r, 2 ** r))
     memo[word] = out
     return out
 

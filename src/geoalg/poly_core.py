@@ -6,7 +6,7 @@ finite sum of monomials; a monomial is an integer exponent vector over named
 symbols.  Negative exponents are first class, so e.g. ``s1 + s1^-1`` is a
 perfectly good element.
 
-Symbols are plain interned strings.  The conventional names are
+Symbols are plain strings.  The conventional names are
 
 * ``s1, s2, ...``  -- exponentiated pending shear halves  e^{Z_i/2}
 * ``t1, t2, ...``  -- exponentiated inner shear halves    e^{Y_j/2}
@@ -16,8 +16,10 @@ Symbols are plain interned strings.  The conventional names are
 * ``G[i,j,k]``, ``Ghat[i,j]`` -- abstract algebra generators, treated as
   opaque commuting symbols by the ring (the algebra modules give them life).
 
-Coefficients are ``fractions.Fraction``; there is no floating point anywhere
-in this module.
+Coefficients are exact rationals: an ``int`` when the value is integral and
+a ``fractions.Fraction`` only when its denominator is not 1, so the common
+integral arithmetic runs on machine-sized ints.  There is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -32,9 +34,18 @@ _GEN_RE = re.compile(r"^G\[(-?\d+),(-?\d+),(-?\d+)\]$")
 _GHAT_RE = re.compile(r"^Ghat\[(-?\d+),(-?\d+)\]$")
 
 
+# Generator names are built once and shared: every monomial holding
+# G[i,j,k] refers to the same string, and parsing a name is a dict lookup.
+_GEN_NAMES: dict = {}
+_PARSED_GENS: dict = {}
+
+
 def gen(i: int, j: int, k: int) -> str:
     """Symbol name for the level-k generator G^{(k)}_{i,j}."""
-    return f"G[{i},{j},{k}]"
+    name = _GEN_NAMES.get((i, j, k))
+    if name is None:
+        name = _GEN_NAMES[(i, j, k)] = f"G[{i},{j},{k}]"
+    return name
 
 
 def ghat(i: int, j: int) -> str:
@@ -44,10 +55,13 @@ def ghat(i: int, j: int) -> str:
 
 def parse_gen(name: str):
     """Return (i, j, k) if *name* is a G-generator symbol, else None."""
-    m = _GEN_RE.match(name)
-    if m:
-        return tuple(int(g) for g in m.groups())
-    return None
+    try:
+        return _PARSED_GENS[name]
+    except KeyError:
+        m = _GEN_RE.match(name)
+        out = tuple(int(g) for g in m.groups()) if m else None
+        _PARSED_GENS[name] = out
+        return out
 
 
 def parse_ghat(name: str):
@@ -66,18 +80,20 @@ class Expr:
     """Immutable Laurent polynomial in canonical normal form.
 
     Stored as a dict mapping monomials (sorted tuples of (symbol, exponent)
-    pairs with nonzero exponents) to nonzero Fractions.  Structural equality
-    of the dicts is semantic equality of the polynomials.
+    pairs with nonzero exponents) to nonzero rationals, each an ``int`` when
+    integral and a ``Fraction`` otherwise.  Structural equality of the dicts
+    is semantic equality of the polynomials.  A constant hashes as its
+    rational value, so ``const(2) == 2`` and ``hash(const(2)) == hash(2)``.
     """
 
     __slots__ = ("_d", "_hash")
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, terms: Mapping[tuple, Rat] | None = None):
         d = {}
         if terms:
             for mono, c in terms.items():
                 if c:
-                    d[mono] = c
+                    d[mono] = _rat(c)
         self._d = d
         self._hash = None
 
@@ -85,14 +101,14 @@ class Expr:
 
     @staticmethod
     def const(c: Rat) -> "Expr":
-        c = Fraction(c)
-        return Expr({(): c} if c else {})
+        c = _rat(c)
+        return _expr({(): c} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Expr":
         if power == 0:
             return ONE
-        return Expr({((name, power),): Fraction(1)})
+        return _expr({(_letter(name, power),): 1})
 
     # -- ring structure ---------------------------------------------------
 
@@ -100,19 +116,22 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = dict(self._d)
-        for mono, c in other._d.items():
-            v = d.get(mono, _ZERO_FRAC) + c
+        a, b = self._d, other._d
+        if len(a) < len(b):
+            a, b = b, a
+        d = dict(a)
+        for mono, c in b.items():
+            v = d.get(mono, 0) + c
             if v:
                 d[mono] = v
-            elif mono in d:
+            else:
                 del d[mono]
-        return Expr(d)
+        return _normalized(d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self._d.items()})
+        return _expr({m: -c for m, c in self._d.items()})
 
     def __sub__(self, other) -> "Expr":
         other = _coerce(other)
@@ -134,12 +153,12 @@ class Expr:
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
-                v = d.get(mono, _ZERO_FRAC) + c1 * c2
+                v = d.get(mono, 0) + c1 * c2
                 if v:
                     d[mono] = v
-                elif mono in d:
+                else:
                     del d[mono]
-        return Expr(d)
+        return _normalized(d)
 
     __rmul__ = __mul__
 
@@ -168,8 +187,8 @@ class Expr:
                 f"not invertible in the Laurent ring: {self}"
             )
         ((mono, c),) = self._d.items()
-        inv = tuple((v, -e) for v, e in mono)
-        return Expr({inv: Fraction(1) / c})
+        inv = tuple(_letter(v, -e) for v, e in mono)
+        return _expr({inv: _rat(Fraction(1) / c)})
 
     def __truediv__(self, other) -> "Expr":
         other = _coerce(other)
@@ -187,7 +206,12 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
+            d = self._d
+            if self.is_rational():
+                # equal to its value, so it must hash as that value
+                self._hash = hash(d.get((), 0))
+            else:
+                self._hash = hash(frozenset(d.items()))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -200,11 +224,11 @@ class Expr:
         return not self._d or (len(self._d) == 1 and () in self._d)
 
     def as_rational(self) -> Fraction:
-        if not self._d:
-            return Fraction(0)
-        if len(self._d) == 1 and () in self._d:
-            return self._d[()]
-        raise ValueError(f"not a constant: {self}")
+        """The constant's value, always as a Fraction (so that dividing two
+        values stays exact even when both are integral)."""
+        if not self.is_rational():
+            raise ValueError(f"not a constant: {self}")
+        return Fraction(self._d.get((), 0))
 
     def symbols(self) -> set:
         out = set()
@@ -224,15 +248,16 @@ class Expr:
         for mono, c in self._d.items():
             for idx, (v, e) in enumerate(mono):
                 if v == name:
-                    rest = mono[:idx] + (((v, e - 1),) if e != 1 else ()) + mono[idx + 1:]
-                    rest = tuple(sorted(rest))
-                    val = d.get(rest, _ZERO_FRAC) + c * e
+                    # the lowered letter keeps its place in the sorted tuple
+                    rest = (mono[:idx] + ((_letter(v, e - 1),) if e != 1 else ())
+                            + mono[idx + 1:])
+                    val = d.get(rest, 0) + c * e
                     if val:
                         d[rest] = val
-                    elif rest in d:
+                    else:
                         del d[rest]
                     break
-        return Expr(d)
+        return _normalized(d)
 
     def subst(self, bindings: Mapping[str, "Expr | Rat"]) -> "Expr":
         """Simultaneous substitution, then normalization.
@@ -245,11 +270,12 @@ class Expr:
         out = ZERO
         for mono, c in self._d.items():
             term = Expr.const(c)
-            for name, e in mono:
+            for letter in mono:
+                name, e = letter
                 if name in bnd:
                     term = term * (bnd[name] ** e)
                 else:
-                    term = term * Expr({((name, e),): Fraction(1)})
+                    term = term * _expr({(letter,): 1})
             out = out + term
         return out
 
@@ -310,26 +336,65 @@ def _coerce(x) -> "Expr":
     return NotImplemented
 
 
+def _rat(c: Rat) -> Rat:
+    """*c* as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _expr(d: dict) -> Expr:
+    """Wrap *d* (nonzero, normalized coefficients; not copied) as an Expr."""
+    e = object.__new__(Expr)
+    e._d = d
+    e._hash = None
+    return e
+
+
+def _normalized(d: dict) -> Expr:
+    """_expr(d) after turning integral Fraction coefficients into ints."""
+    for mono, c in d.items():
+        if type(c) is Fraction and c.denominator == 1:
+            d[mono] = c.numerator
+    return _expr(d)
+
+
+# One shared tuple per (symbol, exponent) letter, so that the monomials of
+# many expressions hold references rather than copies.
+_LETTERS: dict = {}
+
+
+def _letter(name: str, e: int) -> tuple:
+    key = (name, e)
+    return _LETTERS.setdefault(key, key)
+
+
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     if not m1:
         return m2
     if not m2:
         return m1
-    d = dict(m1)
-    for v, e in m2:
-        n = d.get(v, 0) + e
-        if n:
-            d[v] = n
-        elif v in d:
-            del d[v]
-    return tuple(sorted(d.items()))
+    d = {letter[0]: letter for letter in m1}
+    for letter in m2:
+        v = letter[0]
+        old = d.get(v)
+        if old is None:
+            d[v] = letter
+        else:
+            e = old[1] + letter[1]
+            if e:
+                d[v] = _letter(v, e)
+            else:
+                del d[v]
+    return tuple(sorted(d.values()))
 
 
 def _mono_sort_key(mono: tuple):
     return (len(mono), mono)
 
 
-_ZERO_FRAC = Fraction(0)
 ZERO = Expr()
 ONE = Expr.const(1)
 
@@ -341,23 +406,6 @@ def E(name: str, power: int = 1) -> Expr:
 
 def const(c: Rat) -> Expr:
     return Expr.const(c)
-
-
-# -- the spec-level operation names --------------------------------------
-
-
-def poly_mul(a: Expr, b: Expr) -> Expr:
-    return a * b
-
-
-def poly_diff(a: Expr, v: str) -> Expr:
-    if is_generator(v):
-        raise ValueError(f"cannot differentiate by abstract generator {v}")
-    return a.diff(v)
-
-
-def poly_subst(a: Expr, bindings: Mapping[str, Expr | Rat]) -> Expr:
-    return a.subst(bindings)
 
 
 # -- parser ---------------------------------------------------------------
@@ -593,12 +641,3 @@ class Mat:
                                  for row in self.rows) + "]"
 
     __repr__ = __str__
-
-
-# Spec-level aliases.
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    return a * b
-
-
-def mat_det(a: Mat) -> Expr:
-    return a.det()

@@ -20,30 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, gen, ghat, parse_gen
-from .dn_algebra import GenAlgebra, dnp_algebra, dn_algebra, _pair_bracket
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, gen
+from .dn_algebra import dnp_algebra, dn_algebra, _pair_bracket
 from . import braid as _braid
 
 # ---------------------------------------------------------------------------
 # level-p reduction
 # ---------------------------------------------------------------------------
-
-
-def level_p_canonicalize(g, p: int):
-    """Canonical representative of a generator index under the level-p
-    identification G^(k)_{i,j} = G^(p-k)_{j,i} and k = k mod p.
-
-    Idempotent; p = 1 collapses everything to level 0.
-    """
-    if p < 1:
-        raise ValueError("period must be >= 1")
-    i, j, k = g
-    k %= p
-    if k and (2 * k > p or (2 * k == p and i > j)):
-        i, j, k = j, i, p - k
-    if k == 0 and i > j:
-        i, j = j, i
-    return (i, j, k)
 
 
 def build_Gp(n: int, p: int, values=None) -> "_braid.LambdaMatrix":
@@ -224,10 +207,6 @@ def reduction_substitution(n: int, cap: int) -> dict:
             for j in range(1, n + 1):
                 sub[gen(i, j, k)] = m[i - 1, j - 1]
     return sub
-
-
-def reduce_expr(e: Expr, n: int, cap: int) -> Expr:
-    return e.subst(reduction_substitution(n, cap))
 
 
 def th_dn_check(n: int, cap: int = 4, levels: int = 2) -> dict:

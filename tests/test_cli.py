@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, JSON reports, option handling."""
 
+import io
 import json
+import sys
 
 import pytest
 
+from geoalg import cli
 from geoalg.cli import main
 
 
@@ -113,11 +116,37 @@ def test_config_file(tmp_path, capsys):
     assert all(r["suite"] == "goldman" for r in reports)
 
 
-def test_threaded_suite_order(capsys, monkeypatch):
-    monkeypatch.setenv("GEOALG_THREADS", "2")
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "missing.cfg"), "verify"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_suite_order(capsys):
     assert main(["verify", "--suite", "braid", "--n", "3"]) == 0
     reports = _json_lines(capsys)
-    assert reports == sorted(reports, key=lambda r: r["case"])
+    assert [r["case"] for r in reports] == [
+        f"relations[{flavor}] n=3" for flavor in ("A", "D", "frakD")]
+
+
+def test_reports_stream_in_case_order(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []
+
+    def case(tag):
+        def run():
+            # the reports of all earlier cases are already written
+            written.append(out.getvalue().count("\n"))
+            return True, tag, ""
+        return run
+
+    cases = [(f"case {tag}", case(tag)) for tag in ("c", "a", "b")]
+    assert cli._run_suite("demo", cases, "json") == 0
+    reports = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["case"] for r in reports] == ["case c", "case a", "case b"]
+    assert written == [0, 1, 2]
 
 
 def test_invalid_subcommand_exit_code():

@@ -128,3 +128,18 @@ def test_matrix_det_laplace_vs_permutation():
             term = term * m[i, perm[i]]
         total = total + term
     assert m.det() == total
+
+
+def test_constants_hash_as_their_value():
+    # equal values must hash alike, so a constant Expr, an int and a
+    # Fraction of the same value are one set element and one dict key
+    assert const(2) == 2 and hash(const(2)) == hash(2)
+    assert 2 in {const(2)} and const(2) in {2}
+    assert 0 in {ZERO} and ZERO in {0}
+    assert Fraction(1, 2) in {const(Fraction(1, 2))}
+    assert len({const(2), 2, Fraction(2), const(1) + const(1)}) == 1
+    table = {const(3): "three", ZERO: "zero", E("x"): "x"}
+    assert table[3] == table[Fraction(3)] == "three"
+    assert table[0] == "zero"
+    assert table[parse("x")] == "x"
+    assert E("x") not in {2} and 2 not in {E("x")}
