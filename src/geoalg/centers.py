@@ -92,8 +92,8 @@ def an_generating_polynomial(n: int, a_mat: Mat | None = None) -> Expr:
 
 def centers_An(n: int) -> CenterSet:
     """The floor(n/2) nontrivial Casimirs of the level-0 algebra."""
-    p = an_generating_polynomial(n)
-    coeffs = [p.coeff_of("lam", -2 * m) for m in range(1, n // 2 + 1)]
+    by_power = an_generating_polynomial(n).coeffs_in("lam")
+    coeffs = [by_power.get(-2 * m, ZERO) for m in range(1, n // 2 + 1)]
     return CenterSet("A", coeffs, {"n": n, "count": n // 2})
 
 

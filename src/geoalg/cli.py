@@ -91,6 +91,12 @@ def _run_suite(suite, cases, fmt):
     return _emit((_run_case(suite, cid, fn) for cid, fn in cases), fmt)
 
 
+def _given(value, default):
+    """An option's value, or *default* when the option was not given; an
+    explicit 0 is kept (`_check_options` rejects sizes below 1)."""
+    return default if value is None else value
+
+
 def _bool_case(value, detail=""):
     return bool(value), detail or repr(value), "expected truthy"
 
@@ -108,7 +114,7 @@ def _gen_word(i, j, k):
 
 
 def _suite_goldman(args):
-    n = args.n or 4
+    n = _given(args.n, 4)
     graph = fatgraph.canonical_disc_graph(n)
     alg = dn_algebra.an_algebra(n)
     geo = {}
@@ -136,8 +142,8 @@ def _suite_goldman(args):
 
 
 def _suite_ks(args):
-    n = args.n or 3
-    level = args.level if args.level is not None else 1
+    n = _given(args.n, 3)
+    level = _given(args.level, 1)
     alg = dn_algebra.dn_algebra(n)
     gens = dn_algebra.generator_tuples(n, level)
 
@@ -154,8 +160,8 @@ def _suite_ks(args):
 
 
 def _suite_jacobi(args):
-    n = args.n or 3
-    level = args.level if args.level is not None else 1
+    n = _given(args.n, 3)
+    level = _given(args.level, 1)
     alg = dn_algebra.dn_algebra(n)
     gens = dn_algebra.generator_tuples(n, level)
 
@@ -176,7 +182,7 @@ def _suite_jacobi(args):
 
 
 def _suite_braid(args):
-    n = args.n or 3
+    n = _given(args.n, 3)
     cases = []
     for flavor, cap in (("A", 0), ("D", 0), ("frakD", 4)):
         def run(flavor=flavor, cap=cap):
@@ -190,7 +196,7 @@ def _suite_braid(args):
 
 def _suite_yangian(args):
     specs = [(2, 3), (3, 2)] if args.n is None else \
-        [(args.n, args.level or 2)]
+        [(args.n, _given(args.level, 2))]
 
     def run(n, order):
         def inner():
@@ -204,7 +210,7 @@ def _suite_yangian(args):
 
 
 def _suite_centers(args):
-    seed = args.seed or 0
+    seed = _given(args.seed, 0)
     cases = []
 
     def an_case(n):
@@ -266,7 +272,7 @@ def _suite_reduction(args):
 
 
 def _suite_frobenius(args):
-    seed = args.seed or 0
+    seed = _given(args.seed, 0)
     cases = []
 
     def matrix_identities():
@@ -327,13 +333,13 @@ def cmd_verify(args) -> int:
 
 
 def _algebra(args):
-    n = args.n or 3
+    n = _given(args.n, 3)
     if args.alg == "an":
         return dn_algebra.an_algebra(n)
     if args.alg == "dn":
         return dn_algebra.dn_algebra(n)
     if args.alg == "dnp":
-        return dn_algebra.dnp_algebra(n, args.p or 2)
+        return dn_algebra.dnp_algebra(n, _given(args.p, 2))
     raise SystemExit(2)
 
 
@@ -399,7 +405,7 @@ def _parse_braid_word(text: str, n: int):
 
 def cmd_braid(args) -> int:
     clock = _Stopwatch()
-    n = args.n or 3
+    n = _given(args.n, 3)
     word = _parse_braid_word(args.word, n)
     reports = []
     if args.alg == "an":
@@ -417,7 +423,7 @@ def cmd_braid(args) -> int:
         for (i, j), val in sorted(fam.items()):
             reports.append(clock.report("braid", f"Ghat[{i},{j}]", val))
     else:  # level-graded family
-        cap = args.cap or 4
+        cap = _given(args.cap, 4)
         fam = braid_mod.LevelFamily.generic(n, cap)
         if args.matrix:
             gm = braid_mod.gcal_matrix(fam)
@@ -437,11 +443,12 @@ def cmd_braid(args) -> int:
 
 def cmd_centers(args) -> int:
     clock = _Stopwatch()
-    n = args.n or 3
+    n = _given(args.n, 3)
     if args.alg == "an":
         cs = centers_mod.centers_An(n)
     elif args.alg == "dnp":
-        cs = centers_mod.centers_Dnp(n, args.p or 2, seed=args.seed or 0)
+        cs = centers_mod.centers_Dnp(n, _given(args.p, 2),
+                                     seed=_given(args.seed, 0))
     else:
         cs = centers_mod.centers_Dn(n)
     reports = [clock.report("centers", f"{cs.flavor}[{idx}]", c)
@@ -463,7 +470,7 @@ def cmd_reduce(args) -> int:
             reports.append(clock.report("reduce", f"k={args.k} {name}",
                                         coeff))
     elif args.level_p is not None:
-        n = args.n or 2
+        n = _given(args.n, 2)
         gm = reductions.build_Gp(n, args.level_p)
         for k in range(args.level_p + 1):
             reports.append(clock.report(
@@ -476,6 +483,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_geodesic(args) -> int:
     clock = _Stopwatch()
+    if args.n is None:
+        raise ValueError("geodesic needs --n")
     e = fatgraph.geodesic_function(args.n, args.i, args.j)
     if args.at:
         bindings = {}
@@ -495,8 +504,8 @@ def cmd_stokes(args) -> int:
         s = frobenius.a4_star()
     else:
         import random
-        s = frobenius.random_stokes(args.n or 3,
-                                    random.Random(args.seed or 0))
+        s = frobenius.random_stokes(_given(args.n, 3),
+                                    random.Random(_given(args.seed, 0)))
     reports = [clock.report("stokes", f"row {i + 1}",
                             [str(s.mat[i, j]) for j in range(s.n)])
                for i in range(s.n)]
@@ -589,13 +598,26 @@ def _apply_config(args):
                     setattr(args, key, val)
 
 
+def _check_options(args):
+    """Sizes must be positive, whether given on the line or in --config."""
+    for key in ("n", "p"):
+        value = getattr(args, key, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{key} must be at least 1, not {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
+        _check_options(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError,
+            braid_mod.CertificationError) as exc:
+        # bad input: a malformed or out-of-range value, a division by
+        # zero in it, an exponent past the ring's limit, a missing file or
+        # a level beyond what a braid word certifies
         parser.exit(2, f"error: {exc}\n")
 
 

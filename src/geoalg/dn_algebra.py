@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .poly_core import Expr, E, ZERO, ONE, const, gen, parse_gen, is_generator
+from .poly_core import (Expr, E, ZERO, ONE, const, gen, is_generator,
+                        parse_gen, shared)
 
 FLAVOR_A = "A"
 FLAVOR_D = "D"
@@ -106,8 +107,13 @@ def _pair_bracket(alg: GenAlgebra, a, b) -> Expr:
 
     Memoized once per process by (alg, a, b): the algebra is a frozen
     dataclass and every Expr is immutable, so a cached value can be shared
-    by all callers.  Callers check the indices (alg.check_index) first.
+    by all callers, and the table's equal monomials are one object each.
+    Callers check the indices (alg.check_index) first.
     """
+    return shared(_structure_constant(alg, a, b))
+
+
+def _structure_constant(alg: GenAlgebra, a, b) -> Expr:
     (j, i, m), (p, l, k) = a, b
     if m < 0:
         j, i, m = i, j, -m

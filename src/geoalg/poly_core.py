@@ -6,6 +6,13 @@ finite sum of monomials; a monomial is an integer exponent vector over named
 symbols.  Negative exponents are first class, so e.g. ``s1 + s1^-1`` is a
 perfectly good element.
 
+A monomial is stored packed into one int: every symbol gets an id when it is
+first used in the process, and the exponent of symbol i is the signed
+16-bit digit at position i, so multiplying monomials is adding ints.  An
+exponent must stay within +-(2^15 - 1); an operation that could leave that
+range raises ``OverflowError``.  Names are decoded only where they are
+shown (``terms()``, ``str``, ``symbols()``).
+
 Symbols are plain strings.  The conventional names are
 
 * ``s1, s2, ...``  -- exponentiated pending shear halves  e^{Z_i/2}
@@ -25,7 +32,10 @@ anywhere in this module.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
+from itertools import combinations, compress
 from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -79,36 +89,68 @@ def is_generator(name: str) -> bool:
 class Expr:
     """Immutable Laurent polynomial in canonical normal form.
 
-    Stored as a dict mapping monomials (sorted tuples of (symbol, exponent)
-    pairs with nonzero exponents) to nonzero rationals, each an ``int`` when
-    integral and a ``Fraction`` otherwise.  Structural equality of the dicts
-    is semantic equality of the polynomials.  A constant hashes as its
-    rational value, so ``const(2) == 2`` and ``hash(const(2)) == hash(2)``.
+    Stored as a dict mapping monomials to nonzero rationals, each an
+    ``int`` when integral and a ``Fraction`` otherwise.  A monomial is one
+    packed int (see "monomials" below): the exponent of the symbol with id
+    i is the signed base-2^16 digit at position i, so the constant monomial
+    is 0, a product of monomials is their sum and an inverse is the
+    negation.  The packing is canonical, so structural equality of the
+    dicts is semantic equality of the polynomials.  A constant hashes as
+    its rational value, so ``const(2) == 2`` and
+    ``hash(const(2)) == hash(2)``.
+
+    Every exponent must satisfy |e| < 2^15.  Each value carries an upper
+    bound on its |exponent|s; an operation whose result could leave that
+    range raises ``OverflowError`` instead of carrying into the next digit.
+    ``terms()`` hands out the decoded view: ((symbol, exponent), ...)
+    tuples sorted by symbol, with their coefficients.
     """
 
-    __slots__ = ("_d", "_hash")
+    # two slots keep an Expr in the 48-byte allocation class
+    __slots__ = ("_d", "_bound")
 
     def __init__(self, terms: Mapping[tuple, Rat] | None = None):
+        # terms as terms() yields them; a symbol may repeat in a monomial
+        # and terms with equal monomials add up
         d = {}
+        bound = 0
         if terms:
             for mono, c in terms.items():
-                if c:
-                    d[mono] = _rat(c)
+                if not c:
+                    continue
+                exps: dict = {}
+                for name, e in mono:
+                    exps[name] = exps.get(name, 0) + e
+                m = 0
+                for name, e in exps.items():
+                    if e:
+                        bound = max(bound, _checked(abs(e)))
+                        m += e * _symbol(name)[0]
+                v = d.get(m, 0) + _rat(c)
+                if v:
+                    d[m] = _rat(v)
+                else:
+                    del d[m]
         self._d = d
-        self._hash = None
+        self._bound = bound
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def const(c: Rat) -> "Expr":
         c = _rat(c)
-        return _expr({(): c} if c else {})
+        return _expr({0: c} if c else {}, 0)
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Expr":
-        if power == 0:
-            return ONE
-        return _expr({(_letter(name, power),): 1})
+        e = _VARS.get((name, power))
+        if e is None:
+            if power == 0:
+                return ONE
+            bound = _checked(abs(power))
+            e = _VARS[name, power] = _expr({power * _symbol(name)[0]: 1},
+                                           bound)
+        return e
 
     # -- ring structure ---------------------------------------------------
 
@@ -126,12 +168,15 @@ class Expr:
                 d[mono] = v
             else:
                 del d[mono]
-        return _normalized(d)
+        bound = self._bound
+        if other._bound > bound:
+            bound = other._bound
+        return _normalized(d, bound)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return _expr({m: -c for m, c in self._d.items()})
+        return _expr({m: -c for m, c in self._d.items()}, self._bound)
 
     def __sub__(self, other) -> "Expr":
         other = _coerce(other)
@@ -146,19 +191,31 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        bound = self._bound + other._bound
+        if bound >= _LIMIT:
+            bound = _product_bound(self._d, other._d)
         a, b = self._d, other._d
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a single monomial shifts the other side's monomials apart
+            ((m1, c1),) = a.items()
+            if not m1:  # a constant: share the other side's monomials
+                return _normalized({m2: c2 * c1 for m2, c2 in b.items()},
+                                   bound)
+            return _normalized({m2 + m1: c2 * c1 for m2, c2 in b.items()},
+                               bound)
         d = {}
+        get = d.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                mono = _mono_mul(m1, m2)
-                v = d.get(mono, 0) + c1 * c2
+                mono = m1 + m2
+                v = get(mono, 0) + c1 * c2
                 if v:
                     d[mono] = v
                 else:
                     del d[mono]
-        return _normalized(d)
+        return _normalized(d, bound)
 
     __rmul__ = __mul__
 
@@ -187,8 +244,7 @@ class Expr:
                 f"not invertible in the Laurent ring: {self}"
             )
         ((mono, c),) = self._d.items()
-        inv = tuple(_letter(v, -e) for v, e in mono)
-        return _expr({inv: _rat(Fraction(1) / c)})
+        return _expr({-mono: _rat(Fraction(1) / c)}, self._bound)
 
     def __truediv__(self, other) -> "Expr":
         other = _coerce(other)
@@ -205,14 +261,10 @@ class Expr:
         return self._d == other._d
 
     def __hash__(self):
-        if self._hash is None:
-            d = self._d
-            if self.is_rational():
-                # equal to its value, so it must hash as that value
-                self._hash = hash(d.get((), 0))
-            else:
-                self._hash = hash(frozenset(d.items()))
-        return self._hash
+        if self.is_rational():
+            # equal to its value, so it must hash as that value
+            return hash(self._d.get(0, 0))
+        return hash(frozenset(self._d.items()))
 
     def __bool__(self) -> bool:
         return bool(self._d)
@@ -221,43 +273,63 @@ class Expr:
         return not self._d
 
     def is_rational(self) -> bool:
-        return not self._d or (len(self._d) == 1 and () in self._d)
+        return not self._d or (len(self._d) == 1 and 0 in self._d)
 
     def as_rational(self) -> Fraction:
         """The constant's value, always as a Fraction (so that dividing two
         values stays exact even when both are integral)."""
         if not self.is_rational():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self._d.get((), 0))
+        return Fraction(self._d.get(0, 0))
 
     def symbols(self) -> set:
+        # added in the order the monomials, each read in name order, first
+        # show them; only the digits of names not yet seen are read
         out = set()
+        bias = _BIASES[len(_NAMES)]
+        unseen = -1  # all ones but in the digits of the names in out
         for mono in self._d:
-            for name, _ in mono:
-                out.add(name)
+            x = ((mono + bias) ^ bias) & unseen
+            if x:
+                new = []
+                i = 0
+                while x:
+                    skip = ((x & -x).bit_length() - 1) // _BITS
+                    i += skip
+                    new.append(_NAMES[i])
+                    unseen &= ~(_MASK << (_BITS * i))
+                    x >>= _BITS * (skip + 1)
+                    i += 1
+                new.sort()
+                out.update(new)
         return out
 
     def terms(self):
-        return self._d.items()
+        """(((symbol, exponent), ...) sorted by symbol, coefficient) pairs."""
+        return zip(_decode_all(list(self._d)), self._d.values())
 
     # -- calculus ---------------------------------------------------------
 
     def diff(self, name: str) -> "Expr":
         """Formal partial derivative with respect to any symbol."""
+        sym = _SYMBOLS.get(name)
+        if sym is None:
+            return ZERO
+        unit, shift, bias = sym
         d = {}
         for mono, c in self._d.items():
-            for idx, (v, e) in enumerate(mono):
-                if v == name:
-                    # the lowered letter keeps its place in the sorted tuple
-                    rest = (mono[:idx] + ((_letter(v, e - 1),) if e != 1 else ())
-                            + mono[idx + 1:])
-                    val = d.get(rest, 0) + c * e
-                    if val:
-                        d[rest] = val
-                    else:
-                        del d[rest]
-                    break
-        return _normalized(d)
+            e = ((mono + bias) >> shift & _MASK) - _LIMIT
+            if e:
+                rest = mono - unit
+                val = d.get(rest, 0) + c * e
+                if val:
+                    d[rest] = val
+                else:
+                    del d[rest]
+        bound = self._bound + 1
+        if bound >= _LIMIT:
+            bound = _checked(_max_exponent(d))
+        return _normalized(d, bound)
 
     def subst(self, bindings: Mapping[str, "Expr | Rat"]) -> "Expr":
         """Simultaneous substitution, then normalization.
@@ -266,16 +338,27 @@ class Expr:
         invertible in the Laurent ring (a nonzero monomial); otherwise this
         raises ZeroDivisionError rather than guessing a limit.
         """
-        bnd = {k: _coerce(v) for k, v in bindings.items()}
+        # in name order, as the letters of a monomial were multiplied in
+        targets = []
+        for name, value in sorted(bindings.items(), key=lambda kv: kv[0]):
+            value = _coerce(value)
+            sym = _SYMBOLS.get(name)
+            if sym is not None:  # else no monomial holds the name
+                targets.append((sym, value, {}))
         out = ZERO
         for mono, c in self._d.items():
-            term = Expr.const(c)
-            for letter in mono:
-                name, e = letter
-                if name in bnd:
-                    term = term * (bnd[name] ** e)
-                else:
-                    term = term * _expr({(letter,): 1})
+            factors = []
+            for (unit, shift, bias), value, powers in targets:
+                e = ((mono + bias) >> shift & _MASK) - _LIMIT
+                if e:
+                    mono -= e * unit
+                    p = powers.get(e)
+                    if p is None:
+                        p = powers[e] = value ** e
+                    factors.append(p)
+            term = _expr({mono: c}, self._bound)
+            for p in factors:
+                term = term * p
             out = out + term
         return out
 
@@ -284,17 +367,15 @@ class Expr:
 
         Returns {exponent: Expr-without-name}.
         """
+        sym = _SYMBOLS.get(name)
+        if sym is None:
+            return {0: self} if self._d else {}
+        unit, shift, bias = sym
         out: dict[int, dict] = {}
         for mono, c in self._d.items():
-            k = 0
-            rest = []
-            for v, e in mono:
-                if v == name:
-                    k = e
-                else:
-                    rest.append((v, e))
-            out.setdefault(k, {})[tuple(rest)] = c
-        return {k: Expr(d) for k, d in out.items()}
+            k = ((mono + bias) >> shift & _MASK) - _LIMIT
+            out.setdefault(k, {})[mono - k * unit if k else mono] = c
+        return {k: _expr(d, self._bound) for k, d in out.items()}
 
     def coeff_of(self, name: str, k: int) -> "Expr":
         return self.coeffs_in(name).get(k, ZERO)
@@ -305,8 +386,7 @@ class Expr:
         if not self._d:
             return "0"
         parts = []
-        for mono in sorted(self._d, key=_mono_sort_key):
-            c = self._d[mono]
+        for mono, c in sorted(self.terms(), key=_mono_sort_key):
             factors = []
             for v, e in mono:
                 factors.append(v if e == 1 else f"{v}^{e}")
@@ -328,6 +408,14 @@ class Expr:
     __repr__ = __str__
 
 
+def shared(e: Expr) -> Expr:
+    """*e* over process-wide single copies of its monomials, for values
+    kept in long-lived tables: a product builds a new int per monomial, so
+    equal monomials of different table entries would otherwise be copies."""
+    one = _SHARED.setdefault
+    return _expr({one(m, m): c for m, c in e._d.items()}, e._bound)
+
+
 def _coerce(x) -> "Expr":
     if isinstance(x, Expr):
         return x
@@ -345,53 +433,108 @@ def _rat(c: Rat) -> Rat:
     return c.numerator if c.denominator == 1 else c
 
 
-def _expr(d: dict) -> Expr:
-    """Wrap *d* (nonzero, normalized coefficients; not copied) as an Expr."""
+def _expr(d: dict, bound: int) -> Expr:
+    """Wrap *d* (nonzero, normalized coefficients; not copied) as an Expr
+    whose exponents are at most *bound* in absolute value."""
     e = object.__new__(Expr)
     e._d = d
-    e._hash = None
+    e._bound = bound
     return e
 
 
-def _normalized(d: dict) -> Expr:
-    """_expr(d) after turning integral Fraction coefficients into ints."""
+def _normalized(d: dict, bound: int) -> Expr:
+    """_expr(d, bound) after turning integral Fraction coefficients into
+    ints."""
     for mono, c in d.items():
         if type(c) is Fraction and c.denominator == 1:
             d[mono] = c.numerator
-    return _expr(d)
+    return _expr(d, bound)
 
 
-# One shared tuple per (symbol, exponent) letter, so that the monomials of
-# many expressions hold references rather than copies.
-_LETTERS: dict = {}
+# -- monomials ---------------------------------------------------------------
+#
+# Each symbol gets an id on first use, process-wide; a monomial is the int
+#     sum_s e_s * 2^(_BITS * id_s)
+# with signed digits |e_s| < _LIMIT.  Adding _LIMIT to every digit (the
+# bias) makes them all nonnegative, after which shifts and masks read them.
+
+_BITS = 16  # the width of an "h" array item, as _exponents reads digits
+_LIMIT = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+
+_NAMES: list = []     # symbol id -> name
+_SYMBOLS: dict = {}   # name -> (unit, shift, bias over digits 0..id)
+_BIASES: list = [0]   # n -> the bias of digits 0..n-1
+_ORDER = sys.byteorder  # that of the "h" array
+_VARS: dict = {}      # (name, power) -> Expr.var(name, power)
+_SHARED: dict = {}    # monomial -> its shared copy (see shared())
 
 
-def _letter(name: str, e: int) -> tuple:
-    key = (name, e)
-    return _LETTERS.setdefault(key, key)
+def _symbol(name: str) -> tuple:
+    sym = _SYMBOLS.get(name)
+    if sym is None:
+        shift = _BITS * len(_NAMES)
+        _NAMES.append(name)
+        _BIASES.append(_BIASES[-1] + (_LIMIT << shift))
+        sym = _SYMBOLS[name] = (1 << shift, shift, _BIASES[-1])
+    return sym
 
 
-def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = {letter[0]: letter for letter in m1}
-    for letter in m2:
-        v = letter[0]
-        old = d.get(v)
-        if old is None:
-            d[v] = letter
-        else:
-            e = old[1] + letter[1]
-            if e:
-                d[v] = _letter(v, e)
-            else:
-                del d[v]
-    return tuple(sorted(d.values()))
+def _checked(bound: int) -> int:
+    if bound >= _LIMIT:
+        raise OverflowError(f"exponent beyond +-{_LIMIT - 1}")
+    return bound
 
 
-def _mono_sort_key(mono: tuple):
+def _exponents(monos) -> tuple:
+    """The exponents of each monomial of *monos*, as one flat array that
+    holds a row of len(_NAMES) or fewer entries (indexed by symbol id)
+    per monomial, and the row length."""
+    # a monomial's top nonzero digit lies in the last two fields its bit
+    # length reaches into
+    n = min(len(_NAMES),
+            max(max(monos), -min(monos)).bit_length() // _BITS + 1)
+    bias = _BIASES[n]
+    # biased digits are e + 2^15 in [0, 2^16); flipping their top bit
+    # leaves e as a 16-bit two's complement number
+    size = _BITS // 8 * n
+    return array("h", b"".join([((m + bias) ^ bias).to_bytes(size, _ORDER)
+                                for m in monos])), n
+
+
+def _max_exponent(d) -> int:
+    """The largest |exponent| among the monomials of *d*."""
+    return max(map(abs, _exponents(list(d))[0]), default=0) if d else 0
+
+
+def _product_bound(a: dict, b: dict) -> int:
+    """The largest |exponent| among the products of a monomial of *a* with
+    one of *b*, read symbol by symbol; raises OverflowError past the
+    packed range."""
+    if not a or not b:
+        return 0
+    (fa, na), (fb, nb) = _exponents(list(a)), _exponents(list(b))
+    bound = 0
+    for j in range(max(na, nb)):
+        column_a = fa[j::na] if j < na else (0,)
+        column_b = fb[j::nb] if j < nb else (0,)
+        bound = max(bound, max(column_a) + max(column_b),
+                    -min(column_a) - min(column_b))
+    return _checked(bound)
+
+
+def _decode_all(monos) -> list:
+    """((symbol, exponent), ...) sorted by symbol, for each monomial."""
+    if not monos or not _NAMES:
+        return [()] * len(monos)
+    flat, n = _exponents(monos)
+    names = _NAMES
+    return [tuple(sorted(zip(compress(names, row), filter(None, row))))
+            for row in (flat[i:i + n] for i in range(0, len(flat), n))]
+
+
+def _mono_sort_key(term: tuple):
+    mono = term[0]
     return (len(mono), mono)
 
 
@@ -436,6 +579,9 @@ def parse(text: str) -> Expr:
         if m.group("gen"):
             tokens.append(("sym", m.group("gen")))
         elif m.group("num"):
+            num, _, den = m.group("num").partition("/")
+            if den and not int(den):
+                raise ValueError(f"zero denominator in {m.group('num')!r}")
             tokens.append(("num", Fraction(m.group("num"))))
         elif m.group("name"):
             tokens.append(("sym", m.group("name")))
@@ -611,30 +757,27 @@ class Mat:
         return sum((self.rows[i][i] for i in range(n)), ZERO)
 
     def det(self) -> Expr:
-        """Exact determinant by Laplace expansion with column-subset memoization."""
+        """Exact determinant by Laplace expansion along the top row, over
+        the minors of the bottom rows built one size at a time (each size
+        from the one below it, which is then dropped)."""
         n, m = self.shape
         if n != m:
             raise ValueError("square matrices only")
         if n == 0:
             return ONE
-        memo: dict[tuple, Expr] = {}
-
-        def minor(cols: tuple) -> Expr:
-            if len(cols) == 1:
-                return self.rows[n - 1][cols[0]]
-            got = memo.get(cols)
-            if got is not None:
-                return got
-            row = n - len(cols)
-            acc = ZERO
-            for pos, c in enumerate(cols):
-                sub = minor(cols[:pos] + cols[pos + 1:])
-                term = self.rows[row][c] * sub
-                acc = acc + term if pos % 2 == 0 else acc - term
-            memo[cols] = acc
-            return acc
-
-        return minor(tuple(range(n)))
+        # minors of the last k rows, keyed by their (sorted) columns
+        minors = {(c,): x for c, x in enumerate(self.rows[n - 1])}
+        for k in range(2, n + 1):
+            row = self.rows[n - k]
+            bigger = {}
+            for cols in combinations(range(n), k):
+                acc = ZERO
+                for pos, c in enumerate(cols):
+                    term = row[c] * minors[cols[:pos] + cols[pos + 1:]]
+                    acc = acc + term if pos % 2 == 0 else acc - term
+                bigger[cols] = acc
+            minors = bigger
+        return minors[tuple(range(n))]
 
     def __str__(self):
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]"

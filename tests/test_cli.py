@@ -153,3 +153,56 @@ def test_invalid_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "1/0", "G[1,2,0]"],
+    ["braid", "--alg", "frakdn", "--n", "3", "--cap", "1", "--word", "bn1"],
+    ["geodesic", "--n", "4", "--i", "1", "--j", "3", "--at", "s1=0"],
+    ["geodesic", "--i", "1", "--j", "2"],
+    ["bracket", "x^40000", "G[1,2,0]"],
+])
+def test_input_errors_exit_2(argv, capsys):
+    # a bad value, not a crash: no traceback, one `error:` line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "--alg", "dnp", "--p", "0", "G[1,2,0]", "G[1,3,1]"],
+    ["stokes", "--point", "random", "--n", "0"],
+    ["centers", "--alg", "an", "--n", "-1"],
+])
+def test_zero_sizes_are_rejected_not_defaulted(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_zero_sizes_from_config_are_rejected(tmp_path, capsys):
+    cfg = tmp_path / "geoalg.cfg"
+    cfg.write_text("n=0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "stokes", "--point", "random"])
+    assert exc.value.code == 2
+
+
+def test_explicit_zeros_are_used(capsys):
+    # level 0 is an order, cap 0 a level and seed 0 a seed: none of them
+    # may be swapped for a default
+    assert main(["verify", "--suite", "yangian", "--n", "2",
+                 "--level", "0"]) == 0
+    assert _json_lines(capsys)[0]["case"] == "reflection-limit n=2 order=0"
+    assert main(["braid", "--alg", "frakdn", "--n", "3", "--cap", "0",
+                 "--word", "b12"]) == 0
+    assert {r["case"][-3:] for r in _json_lines(capsys)} == {",0]"}
+    assert main(["stokes", "--point", "random", "--n", "3",
+                 "--seed", "0"]) == 0
+    zero = _json_lines(capsys)
+    assert main(["stokes", "--point", "random", "--n", "3"]) == 0
+    assert [r["left"] for r in _json_lines(capsys)] == \
+        [r["left"] for r in zero]

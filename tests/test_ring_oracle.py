@@ -1,30 +1,37 @@
 """The exact ring checked against sympy, which shares none of its code.
 
 Coefficients mix ints and Fractions, exponents may be negative.  Also the
-coefficient representation itself: an integral result is stored as an int,
-and `as_rational()` always hands back a Fraction.
+representations themselves: an integral result is stored as an int,
+`as_rational()` always hands back a Fraction, monomials decode to
+name-sorted letters whatever order their symbols were first used in, and
+an exponent past the packed range raises instead of wrapping.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 from geoalg import centers
-from geoalg.poly_core import E, Expr, ZERO, const, parse
+from geoalg.poly_core import E, Expr, Mat, ONE, ZERO, const, parse
 
 NAMES = ("x", "y", "z")
-SYMS = {name: sympy.Symbol(name) for name in NAMES}
+# names the parser reads back, not in alphabetical order of first use
+WIDE = ("z", "lam", "G[1,2,0]", "x", "Ghat[1,2]", "s1", "y", "G[1,10,2]")
+SYMS = {name: sympy.Symbol(name) for name in NAMES + WIDE}
 
 rationals = st.one_of(
     st.integers(-6, 6),
     st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
-def exprs(max_terms=4):
+def exprs(max_terms=4, names=NAMES, max_letters=3):
     monos = st.lists(
-        st.tuples(st.sampled_from(NAMES), st.integers(-3, 3)), max_size=3)
+        st.tuples(st.sampled_from(names), st.integers(-3, 3)),
+        max_size=max_letters)
     return st.lists(st.tuples(monos, rationals), max_size=max_terms).map(
         _build)
 
@@ -131,3 +138,92 @@ def test_casimir_fit_exact_at_integer_points():
     (fit,) = rep["fits"]
     assert rep["ok"] and fit["exact"]
     assert fit["alpha"] == Fraction(2, 3) and fit["beta"] == 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(names=WIDE), st.sampled_from(WIDE))
+def test_diff_and_coeffs_in_match_sympy(a, name):
+    s, x = to_sympy(a), SYMS[name]
+    assert same(a.diff(name), sympy.diff(s, x))
+    assert well_typed(a.diff(name))
+    # the split in one symbol is the unique one with coefficients free of it
+    parts = a.coeffs_in(name)
+    assert all(c and name not in c.symbols() for c in parts.values())
+    assert same(sum((c * E(name, k) for k, c in parts.items()), ZERO), s)
+    for k, c in parts.items():
+        assert a.coeff_of(name, k) == c
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(names=WIDE))
+def test_symbols_match_sympy(a):
+    want = {str(x) for x in sympy.expand(to_sympy(a)).free_symbols}
+    assert a.symbols() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(max_terms=1, names=WIDE), rationals)
+def test_inverse_matches_sympy(a, c):
+    m = a * const(c or 1) + (ONE if a.is_zero() else ZERO)
+    assert same(m.inverse(), 1 / to_sympy(m))
+    assert m * m.inverse() == ONE
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(names=WIDE, max_terms=5))
+def test_parse_round_trips_str(a):
+    text = str(a)
+    assert parse(text) == a
+    assert str(parse(text)) == text
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(exprs(max_terms=2, max_letters=2), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_with_laurent_entries_matches_sympy(rows):
+    # sympy's determinant runs over QQ[x, y, z], so every entry is first
+    # multiplied by a monomial that clears its negative powers
+    n, shift = len(rows), E("x", 6) * E("y", 6) * E("z", 6)
+    dm = DomainMatrix.from_list_sympy(
+        n, n, [[to_sympy(e * shift) for e in row] for row in rows])
+    got = Mat(rows).det()
+    assert same(got * shift ** n, dm.domain.to_sympy(dm.det()))
+    assert well_typed(got)
+
+
+def test_terms_are_sorted_by_name_not_by_first_use():
+    late, early = E("zq9"), E("aq9")  # "zq9" gets the smaller id
+    e = const(Fraction(-3, 2)) * early * late ** -2 + late
+    assert list(e.terms()) == [((("aq9", 1), ("zq9", -2)), Fraction(-3, 2)),
+                               ((("zq9", 1),), 1)]
+    assert str(e) == "zq9 - 3/2*aq9*zq9^-2"
+    assert Expr({(("zq9", -2), ("aq9", 1)): Fraction(-3, 2),
+                 (("zq9", 1),): 1}) == e
+
+
+def test_largest_exponents_round_trip():
+    top = 2 ** 15 - 1
+    e = E("x", top) * E("y", -top) + E("x", -top)
+    assert parse(str(e)) == e
+    assert dict(e.terms())[(("x", -top),)] == 1
+    # the range is checked symbol by symbol, not on the sum of the bounds
+    assert E("x", top) * E("x", -1) == E("x", top - 1)
+    assert E("x", top) * E("x", -top) == ONE
+
+
+@pytest.mark.parametrize("build", [
+    lambda: E("x", 2 ** 15),
+    lambda: E("x", -(2 ** 15)),
+    lambda: E("x", 20000) * E("x", 20000),
+    lambda: E("x", 200) ** 200,
+    lambda: E("x", -(2 ** 15 - 1)).diff("x"),
+    lambda: Expr({(("x", 40000),): 1}),
+    lambda: Expr({(("x", 20000), ("x", 20000)): 1}),
+    lambda: E("x", 20000).subst({"x": E("y", 2)}),
+    lambda: parse("x^40000"),
+])
+def test_exponent_overflow_raises(build):
+    # a carry would silently change the monomial: it must raise instead
+    with pytest.raises(OverflowError):
+        build()
