@@ -106,13 +106,6 @@ def _bool_case(value, detail=""):
 # ---------------------------------------------------------------------------
 
 
-def _gen_word(i, j, k):
-    if k == 0:
-        return (ks_calculus.M(i), ks_calculus.M(j))
-    return (ks_calculus.M(i), ks_calculus.H(k),
-            ks_calculus.M(j), ks_calculus.H(-k))
-
-
 def _suite_goldman(args):
     n = _given(args.n, 4)
     graph = fatgraph.canonical_disc_graph(n)
@@ -150,7 +143,8 @@ def _suite_ks(args):
     def pair_case(a, b):
         def run():
             lhs = ks_calculus.skein_reduce(
-                ks_calculus.ks_bracket_symbolic(_gen_word(*a), _gen_word(*b)))
+                ks_calculus.ks_bracket_symbolic(ks_calculus.gen_word(*a),
+                                                 ks_calculus.gen_word(*b)))
             rhs = dn_algebra._pair_bracket(alg, a, b)
             return lhs == rhs, lhs, rhs
         return run
@@ -225,10 +219,7 @@ def _suite_centers(args):
     def dnp_case(n, p):
         def run():
             cs = centers_mod.centers_Dnp(n, p, seed=seed)
-            want = (n * p) // 2
-            ranks = cs.meta["jacobian_ranks"]
-            ok = all(r == want for r in ranks) and len(cs.coefficients) >= want
-            return ok, f"ranks {ranks}", f"expected rank {want}"
+            return _rank_case(cs, (n * p) // 2)
         return run
 
     for n, p in ((2, 2), (3, 2), (2, 3)):
@@ -250,6 +241,13 @@ def _suite_centers(args):
 
     cases.append(("involution casimirs n=3", lambda: invariance_case()))
     return cases
+
+
+def _rank_case(cs, want):
+    """Verdict on *want* independent centers: the generic Jacobian rank is
+    the largest over the sample points (an unlucky point only lowers it)."""
+    ok = cs.meta["rank"] == want and len(cs.coefficients) >= want
+    return ok, f"ranks {cs.meta['jacobian_ranks']}", f"expected rank {want}"
 
 
 def _suite_reduction(args):
@@ -356,7 +354,7 @@ def cmd_bracket(args) -> int:
             status, right = "skipped", "oracle needs single-generator operands"
         elif args.oracle == "ks":
             right = ks_calculus.skein_reduce(ks_calculus.ks_bracket_symbolic(
-                _gen_word(*a), _gen_word(*b)))
+                ks_calculus.gen_word(*a), ks_calculus.gen_word(*b)))
             status = "pass" if right == result else "fail"
         elif args.oracle == "goldman":
             n = alg.n
@@ -525,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.set_defaults(command_parser=p)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
@@ -581,36 +580,47 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config(args):
-    if not args.config:
-        return
+def _read_config(args):
+    """Make the `key=value` lines of --config the defaults of the
+    command's options, so that a value given on the line wins; a key that
+    is not a value option of the command is an error."""
+    command = args.command_parser
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.nargs != 0}
+    defaults = {}
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if hasattr(args, key) and getattr(args, key) in (None, "all"):
-                try:
-                    setattr(args, key, int(val))
-                except ValueError:
-                    setattr(args, key, val)
+            key, eq, val = (part.strip() for part in line.partition("="))
+            action = options.get(key)
+            if not eq or action is None:
+                raise ValueError(f"config line {line!r} sets no option of "
+                                 f"{args.command!r}")
+            if action.choices is not None and val not in action.choices:
+                raise ValueError(f"config {key}={val!r} is not one of "
+                                 f"{', '.join(action.choices)}")
+            defaults[key] = val
+    command.set_defaults(**defaults)
 
 
 def _check_options(args):
-    """Sizes must be positive, whether given on the line or in --config."""
-    for key in ("n", "p"):
+    """Sizes must be positive and levels (a series order, a certified
+    cap) nonnegative, whether given on the line or in --config."""
+    for key, least in (("n", 1), ("p", 1), ("level", 0), ("cap", 0)):
         value = getattr(args, key, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{key} must be at least 1, not {value}")
+        if value is not None and value < least:
+            raise ValueError(f"--{key} must be at least {least}, not {value}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            _read_config(args)
+            args = parser.parse_args(argv)
         _check_options(args)
         return args.func(args)
     except (ValueError, OSError, ArithmeticError,

@@ -17,12 +17,17 @@ identity: with
     Gcal_{i,j}(lam) = A0_{i,j} + sum_{k>=1} G^(k)_{i,j} lam^-k,
 
 A0 upper-triangular with unit diagonal, the bracket of two matrix entries
-of Gcal is a rational-kernel quadratic expression (a classical twisted
-reflection equation); both forms are compared coefficientwise.
+of Gcal is a rational-kernel quadratic expression, the entry of a
+classical twisted reflection equation.  The generating-function form and
+the reflection form are one entrywise check (generating_bracket): both
+sides are Exprs in lam, mu, the kernels are the entries of
+classical_r_matrix over lam - mu and over 1/lam - mu, and the sides are
+compared coefficient by coefficient up to lam^-order mu^-order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -173,144 +178,6 @@ def bracket(alg: GenAlgebra, f: Expr, g: Expr) -> Expr:
     return out
 
 
-# ---------------------------------------------------------------------------
-# generating-function form
-# ---------------------------------------------------------------------------
-# A Series2 is a dict {(a, b): Expr} for the coefficient of lam^-a mu^-b;
-# exponents may be negative internally (positive powers of mu appear in the
-# kernel expansions) and are truncated at the end.
-
-
-def _series_add(s1, s2):
-    out = dict(s1)
-    for key, v in s2.items():
-        t = out.get(key, ZERO) + v
-        if t.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = t
-    return out
-
-
-def _series_scale(s, c):
-    return {k: const(c) * v for k, v in s.items()}
-
-
-def _series_mul(s1, s2, cap):
-    out = {}
-    for (a1, b1), v1 in s1.items():
-        for (a2, b2), v2 in s2.items():
-            a, b = a1 + a2, b1 + b2
-            if a > cap or b > cap:
-                continue
-            key = (a, b)
-            t = out.get(key, ZERO) + v1 * v2
-            if t.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = t
-    return out
-
-
-def _series_trunc(s, order):
-    return {(a, b): v for (a, b), v in s.items()
-            if 0 <= a <= order and 0 <= b <= order and not v.is_zero()}
-
-
-def gcal_entry(alg: GenAlgebra, i: int, j: int, order: int, var="lam"):
-    """Series of Gcal_{i,j} in the chosen spectral variable, to lam^-order."""
-    slot = 0 if var == "lam" else 1
-    out = {}
-    a0 = ONE if i == j else (alg.canonical(i, j, 0) if i < j else ZERO)
-    if not a0.is_zero():
-        out[(0, 0)] = a0
-    for k in range(1, order + 1):
-        key = (k, 0) if slot == 0 else (0, k)
-        v = alg.canonical(i, j, k)
-        if not v.is_zero():
-            out[key] = v
-    return out
-
-
-def _kernel_sum_diff(order):
-    """(lam+mu)/(lam-mu) = 1 + 2 sum_{r>=1} (mu/lam)^r  (|mu| < |lam|)."""
-    out = {(0, 0): 1}
-    for r in range(1, order + 1):
-        out[(r, -r)] = 2
-    return out
-
-
-def _kernel_prod(order):
-    """(1+lam mu)/(1-lam mu) = -1 - 2 sum_{r>=1} (lam mu)^-r."""
-    out = {(0, 0): -1}
-    for r in range(1, order + 1):
-        out[(r, r)] = -2
-    return out
-
-
-def _apply_kernel(kernel, series, cap):
-    out = {}
-    for (ka, kb), kc in kernel.items():
-        for (a, b), v in series.items():
-            aa, bb = a + ka, b + kb
-            if aa > cap or bb > cap:
-                continue
-            key = (aa, bb)
-            t = out.get(key, ZERO) + const(kc) * v
-            if t.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = t
-    return out
-
-
-def generating_bracket(alg: GenAlgebra, ji, pl, order: int):
-    """Both sides of the generating-function bracket identity, as Series2.
-
-    Left: {Gcal_{j,i}(lam), Gcal_{p,l}(mu)} from the structure constants.
-    Right: the rational-kernel quadratic expression.  Returns (lhs, rhs)
-    truncated to lam^-order mu^-order for coefficientwise comparison.
-    """
-    j, i = ji
-    p, l = pl
-    cap = 2 * order
-    lhs = {}
-    glam = gcal_entry(alg, j, i, cap, "lam")
-    gmu = gcal_entry(alg, p, l, cap, "mu")
-    for (a, _), va in glam.items():
-        for (_, b), vb in gmu.items():
-            br = bracket(alg, va, vb)
-            if not br.is_zero():
-                lhs = _series_add(lhs, {(a, b): br})
-
-    def gg(i1, j1, i2, j2, swap=False):
-        # Gcal_{i1,j1}(lam) Gcal_{i2,j2}(mu); swap uses (mu, lam) instead
-        s1 = gcal_entry(alg, i1, j1, cap, "mu" if swap else "lam")
-        s2 = gcal_entry(alg, i2, j2, cap, "lam" if swap else "mu")
-        return _series_mul(s1, s2, cap)
-
-    k_sd = _kernel_sum_diff(cap)
-    k_pr = _kernel_prod(cap)
-    rhs = {}
-    # (eps(j-p) - K_sd) Gcal_{p,i}(lam) Gcal_{j,l}(mu)
-    t = gg(p, i, j, l)
-    rhs = _series_add(rhs, _series_scale(t, _eps(j - p)))
-    rhs = _series_add(rhs, _series_scale(_apply_kernel(k_sd, t, cap), -1))
-    # (eps(i-l) + K_sd) Gcal_{p,i}(mu) Gcal_{j,l}(lam)
-    t = gg(p, i, j, l, swap=True)
-    rhs = _series_add(rhs, _series_scale(t, _eps(i - l)))
-    rhs = _series_add(rhs, _apply_kernel(k_sd, t, cap))
-    # (eps(i-p) - K_pr) Gcal_{j,p}(lam) Gcal_{i,l}(mu)
-    t = gg(j, p, i, l)
-    rhs = _series_add(rhs, _series_scale(t, _eps(i - p)))
-    rhs = _series_add(rhs, _series_scale(_apply_kernel(k_pr, t, cap), -1))
-    # (eps(j-l) + K_pr) Gcal_{l,i}(lam) Gcal_{p,j}(mu)
-    t = gg(l, i, p, j)
-    rhs = _series_add(rhs, _series_scale(t, _eps(j - l)))
-    rhs = _series_add(rhs, _apply_kernel(k_pr, t, cap))
-    return _series_trunc(lhs, order), _series_trunc(rhs, order)
-
-
 def jacobi_check(alg: GenAlgebra, f: Expr, g: Expr, h: Expr) -> Expr:
     """{{f,g},h} + {{g,h},f} + {{h,f},g}; zero iff Jacobi holds."""
     return (bracket(alg, bracket(alg, f, g), h)
@@ -319,156 +186,104 @@ def jacobi_check(alg: GenAlgebra, f: Expr, g: Expr, h: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# semiclassical reflection equation
+# generating-function / semiclassical reflection form
 # ---------------------------------------------------------------------------
-# Tensor-space objects are dicts {((i,al),(j,be)): Series2} on basis
-# E_{i,j} (x) E_{al,be} of End(C^n) (x) End(C^n), indices 1-based.
+# Series are Exprs in the spectral symbols lam, mu.  The kernels reach
+# positive powers of mu, so the kernel side is truncated to the window
+# lam^-a mu^-b, 0 <= a, b <= order, only at the end.
 
 
-def _tmat_mul(m1, m2, n, cap):
-    out = {}
-    for ((i, al), (j, be)), s1 in m1.items():
-        for ((j2, be2), (k, ga)), s2 in m2.items():
-            if j2 != j or be2 != be:
-                continue
-            key = ((i, al), (k, ga))
-            prod = _series_mul(s1, s2, cap)
-            out[key] = _series_add(out.get(key, {}), prod)
-    return {k: v for k, v in out.items() if v}
-
-
-def _tmat_add(m1, m2):
-    out = dict(m1)
-    for k, v in m2.items():
-        out[k] = _series_add(out.get(k, {}), v)
-    return {k: v for k, v in out.items() if v}
-
-
-def _tmat_scale(m, c):
-    return {k: _series_scale(v, c) for k, v in m.items()}
-
-
-def _gcal_tensor(alg: GenAlgebra, n: int, slot: int, cap: int):
-    """Gcal(lam) (x) 1 (slot 1) or 1 (x) Gcal(mu) (slot 2)."""
-    var = "lam" if slot == 1 else "mu"
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            s = gcal_entry(alg, i, j, cap, var)
-            if not s:
-                continue
-            for other in range(1, n + 1):
-                if slot == 1:
-                    key = ((i, other), (j, other))
-                else:
-                    key = ((other, i), (other, j))
-                out[key] = _series_add(out.get(key, {}), s)
+def gcal_entry(alg: GenAlgebra, i: int, j: int, order: int,
+               var="lam") -> Expr:
+    """Gcal_{i,j}(var) = A0_{i,j} + sum_{k=1..order} G^(k)_{i,j} var^-k."""
+    out = ONE if i == j else (alg.canonical(i, j, 0) if i < j else ZERO)
+    for k in range(1, order + 1):
+        out = out + alg.canonical(i, j, k) * E(var, -k)
     return out
 
 
-def _r_over_lam_minus_mu(n: int, cap: int):
-    """r(lam,mu)/(lam-mu) expanded for |mu| < |lam|.
+def _truncate(e: Expr, order: int) -> Expr:
+    """The terms lam^-a mu^-b of *e* with 0 <= a, b <= order."""
+    return e.window("lam", -order, 0).window("mu", -order, 0)
 
-    Diagonal (lam+mu)/(lam-mu) = 1 + 2 sum (mu/lam)^r; upper 2lam/(lam-mu)
-    = 2 sum_{r>=0} (mu/lam)^r; lower 2mu/(lam-mu) = 2 sum_{r>=1} (mu/lam)^r.
+
+def _geometric(x: Expr, order: int) -> Expr:
+    """1 + x + ... + x^order."""
+    return sum((x ** r for r in range(order + 1)), ZERO)
+
+
+def _reflection_tables(alg: GenAlgebra, order: int):
+    """The Gcal entries and kernels that generating_bracket combines.
+
+    Gcal(lam) to lam^-order, Gcal(mu) to mu^-order (the bracket side) and
+    to mu^-2order (the kernel side: a power (mu/lam)^r with r <= order
+    meets mu^-(b+r)).  r~(a,b) is the E_ab (x) E_ba entry r(lam, mu) of
+    classical_r_matrix over lam - mu, expanded in mu/lam; t~(a,b) is
+    r(1/lam, mu) over 1/lam - mu, expanded in 1/(lam mu).  order + 1
+    geometric terms give every coefficient of the window exactly.
     """
-    diag = {(0, 0): ONE}
-    upper = {(0, 0): const(2)}
-    lower = {}
-    for r in range(1, cap + 1):
-        diag[(r, -r)] = const(2)
-        upper[(r, -r)] = const(2)
-        lower[(r, -r)] = const(2)
-    out = {}
-    for i in range(1, n + 1):
-        out[((i, i), (i, i))] = dict(diag)
-        for j in range(1, n + 1):
-            if i < j:
-                out[((i, j), (j, i))] = dict(upper)
-            elif i > j:
-                out[((i, j), (j, i))] = dict(lower)
-    return out
+    n = alg.n
+    idx = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    glam = {ij: gcal_entry(alg, *ij, order, "lam") for ij in idx}
+    gmu = {ij: gcal_entry(alg, *ij, order, "mu") for ij in idx}
+    gmu2 = {ij: gcal_entry(alg, *ij, 2 * order, "mu") for ij in idx}
+    over = E("lam", -1) * _geometric(E("mu") * E("lam", -1), order)
+    over_t = -E("mu", -1) * _geometric(E("lam", -1) * E("mu", -1), order)
+    to_inverse = {"lam": E("lam", -1)}
+    r = classical_r_matrix(n)
+    rt = {(a, b): r[(a, b), (b, a)] * over for a, b in idx}
+    tt = {(a, b): r[(a, b), (b, a)].subst(to_inverse) * over_t
+          for a, b in idx}
+    return glam, gmu, gmu2, rt, tt
 
 
-def _rt1_over(n: int, cap: int):
-    """r(lam^-1, mu)^{T_1} / (lam^-1 - mu) expanded in (lam mu)^-1.
+def generating_bracket(alg: GenAlgebra, ji, pl, order: int, tables=None):
+    """Both sides of the generating-function bracket identity.
 
-    Writing x = lam mu: diagonal (lam^-1+mu)/(lam^-1-mu) = (1+x)/(1-x) =
-    -1 - 2 sum_{r>=1} x^-r; the i<j block carries 2 lam^-1/(lam^-1-mu) =
-    2/(1-x) = -2 sum_{r>=1} x^-r; the i>j block 2 mu/(lam^-1-mu) =
-    2x/(1-x) = -2 - 2 sum_{r>=1} x^-r.  T_1 transposes the first tensor
-    factor: E_ij (x) E_ji -> E_ji (x) E_ji, whose tensor-space matrix
-    entry sits at row (j,j), column (i,i).
+    Left: {Gcal_{j,i}(lam), Gcal_{p,l}(mu)} by Leibniz from the structure
+    constants (lam and mu are not generators).  Right: minus entry
+    ((j,p),(i,l)) of the reflection form
+
+        [r/(lam-mu), G1 G2] + G1 rT1/(lam^-1-mu) G2 - G2 rT1/(lam^-1-mu) G1,
+
+    that is r~(j,p) G_pi(lam) G_jl(mu) - r~(l,i) G_jl(lam) G_pi(mu)
+    + t~(i,p) G_jp(lam) G_il(mu) - t~(l,j) G_li(lam) G_pj(mu).  Returns
+    (lhs, rhs) up to lam^-order mu^-order: the left side has no other
+    terms, the right side is truncated.  *tables* is
+    _reflection_tables(alg, order), built once for many entries.
     """
-    diag = {(0, 0): const(-1)}
-    small = {}
-    big = {(0, 0): const(-2)}
-    for r in range(1, cap + 1):
-        diag[(r, r)] = const(-2)
-        small[(r, r)] = const(-2)
-        big[(r, r)] = const(-2)
-    out = {}
-    for i in range(1, n + 1):
-        out[((i, i), (i, i))] = dict(diag)
-        for j in range(1, n + 1):
-            if i < j:
-                out[((j, j), (i, i))] = dict(small)   # T1 of E_ij (x) E_ji
-            elif i > j:
-                out[((j, j), (i, i))] = dict(big)
-    return out
+    glam, gmu, gmu2, rt, tt = tables or _reflection_tables(alg, order)
+    j, i = ji
+    p, l = pl
+    lhs = bracket(alg, glam[j, i], gmu[p, l])
+    rhs = (rt[j, p] * glam[p, i] * gmu2[j, l]
+           - rt[l, i] * glam[j, l] * gmu2[p, i]
+           + tt[i, p] * glam[j, p] * gmu2[i, l]
+           - tt[l, j] * glam[l, i] * gmu2[p, j])
+    return lhs, -_truncate(rhs, order)
 
 
 def semiclassical_reflection_check(alg: GenAlgebra, order: int):
     """Entrywise comparison of the bracket with the reflection form.
 
-    Builds {Gcal(lam) (x), Gcal(mu)} entry by entry from the structure
-    constants and compares with the reflection-form right-hand side
-
-        [r/(lam-mu), G1 G2] + G1 rT1/(lam^-1-mu) G2 - G2 rT1/(lam^-1-mu) G1
-
-    to the requested series order.  With the commutator and exchange
-    terms oriented as above the assembled expression is the exact
-    entrywise *negative* of the bracket (the same orientation convention
+    Compares {Gcal(lam) (x), Gcal(mu)} with the reflection form entry by
+    entry (generating_bracket), to the requested series order.  With the
+    commutator and exchange terms oriented as there, the reflection form
+    is the exact entrywise *negative* of the bracket (the orientation
     that makes the hbar^0 term of the quantum R-matrix come out as
-    -(lam-mu) on the diagonal tensor part); the check therefore compares
-    against the orientation-corrected right-hand side and reports the
-    global sign separately.  Returns a report dict.
+    -(lam-mu) on the diagonal tensor part); the check compares against
+    the orientation-corrected side and reports the global sign
+    separately.  Returns a report dict.
     """
     n = alg.n
-    cap = 2 * order
-    g1 = _gcal_tensor(alg, n, 1, cap)
-    g2 = _gcal_tensor(alg, n, 2, cap)
-    g1g2 = _tmat_mul(g1, g2, n, cap)
-    r_sd = _r_over_lam_minus_mu(n, cap)
-    rt1 = _rt1_over(n, cap)
-    rhs = _tmat_add(_tmat_mul(r_sd, g1g2, n, cap),
-                    _tmat_scale(_tmat_mul(g1g2, r_sd, n, cap), -1))
-    rhs = _tmat_add(rhs, _tmat_mul(g1, _tmat_mul(rt1, g2, n, cap), n, cap))
-    rhs = _tmat_add(rhs, _tmat_scale(
-        _tmat_mul(g2, _tmat_mul(rt1, g1, n, cap), n, cap), -1))
+    tables = _reflection_tables(alg, order)
     mismatches = []
     checked = 0
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            for p in range(1, n + 1):
-                for l in range(1, n + 1):
-                    lhs = {}
-                    glam = gcal_entry(alg, j, i, cap, "lam")
-                    gmu = gcal_entry(alg, p, l, cap, "mu")
-                    for (a, _), va in glam.items():
-                        for (_, b), vb in gmu.items():
-                            br = bracket(alg, va, vb)
-                            if not br.is_zero():
-                                lhs = _series_add(lhs, {(a, b): br})
-                    entry = rhs.get(((j, p), (i, l)), {})
-                    lhs_t = _series_trunc(lhs, order)
-                    # orientation correction: the reflection form as
-                    # assembled is the entrywise negative of the bracket
-                    rhs_t = {key: -v for key, v in
-                             _series_trunc(entry, order).items()}
-                    checked += 1
-                    if lhs_t != rhs_t:
-                        mismatches.append(((j, i), (p, l), lhs_t, rhs_t))
+    for j, i, p, l in itertools.product(range(1, n + 1), repeat=4):
+        lhs, rhs = generating_bracket(alg, (j, i), (p, l), order, tables)
+        checked += 1
+        if lhs != rhs:
+            mismatches.append(((j, i), (p, l), lhs, rhs))
     return {"checked": checked, "mismatches": mismatches,
             "ok": not mismatches, "printed_orientation_sign": -1}
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, E, ZERO, ONE, const, gen
+from .poly_core import Expr, E, ZERO, const, gen
 
 HALF = Fraction(1, 2)
 
@@ -46,6 +46,13 @@ def M(i: int):
 
 def H(k: int = 1):
     return ("H", k)
+
+
+def gen_word(i: int, j: int, k: int):
+    """The trace word of G[i,j,k] = -Tr(M_i H^k M_j H^-k)."""
+    if k == 0:
+        return (M(i), M(j))
+    return (M(i), H(k), M(j), H(-k))
 
 
 def _letter_key(letter):
@@ -305,20 +312,6 @@ def ks_bracket_symbolic(w1, w2) -> TraceExpr:
     return TraceExpr(sums).scale(c1 * c2)
 
 
-def ks_bracket_expr(e1: TraceExpr, e2: TraceExpr) -> TraceExpr:
-    """Leibniz extension of the bracket to products of traces."""
-    out = TraceExpr()
-    for k1, c1 in e1.terms.items():
-        for k2, c2 in e2.terms.items():
-            for p, a in enumerate(k1):
-                rest1 = TraceExpr({k1[:p] + k1[p + 1:]: ONE})
-                for q, b in enumerate(k2):
-                    rest2 = TraceExpr({k2[:q] + k2[q + 1:]: ONE})
-                    br = ks_bracket_symbolic(a, b)
-                    out = out + (br * rest1 * rest2).scale(c1 * c2)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # skein reduction to generators
 # ---------------------------------------------------------------------------
@@ -329,7 +322,12 @@ class IrreducibleWord(Exception):
 
 
 def _canonical_generator(i: int, j: int, k: int) -> Expr:
-    """-Tr(M_i H^k M_j H^-k) as +- a canonical generator symbol."""
+    """-Tr(M_i H^k M_j H^-k) as +- a canonical generator symbol.
+
+    The oracle's own mirror rule, kept apart from GenAlgebra.canonical so
+    that the skein reduction shares no code with the structure constants
+    it checks.
+    """
     if k < 0:
         i, j, k = j, i, -k
     if k == 0:

@@ -380,6 +380,16 @@ class Expr:
     def coeff_of(self, name: str, k: int) -> "Expr":
         return self.coeffs_in(name).get(k, ZERO)
 
+    def window(self, name: str, lo: int, hi: int) -> "Expr":
+        """The terms whose exponent of *name* lies in lo..hi."""
+        sym = _SYMBOLS.get(name)
+        if sym is None:
+            return self if lo <= 0 <= hi else ZERO
+        _, shift, bias = sym
+        return _expr({m: c for m, c in self._d.items()
+                      if lo <= ((m + bias) >> shift & _MASK) - _LIMIT <= hi},
+                     self._bound)
+
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:

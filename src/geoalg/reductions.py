@@ -57,7 +57,7 @@ def build_Gp(n: int, p: int, values=None) -> "_braid.LambdaMatrix":
     return _braid.LambdaMatrix(Mat(rows), p)
 
 
-def gp_series_consistency(n: int, p: int, order: int) -> bool:
+def gp_expansion_consistency(n: int, p: int, order: int) -> bool:
     """(lam^p - 1) G(lam) = Gp(lam) as truncated series under the
     level-p identification."""
     alg = dnp_algebra(n, p)
@@ -171,6 +171,12 @@ def dn_reduce(k: int) -> ReductionMapDn:
         raise ValueError("negative levels via transposition of dn_reduce(-k)")
     if k == 0:
         return ReductionMapDn(0, ZERO, ZERO, ONE, ZERO)
+    return _closed_form(k)
+
+
+def _closed_form(k: int) -> ReductionMapDn:
+    """The closed-form streams at level k >= 0; at k = 0 they give the
+    symmetric level-0 matrix Ahat + Ahat^T (a_{-1} = -1)."""
     return ReductionMapDn(k, -rho_coeff(k), sigma_coeff(k),
                           a_coeff(k), -a_coeff(k - 1))
 
@@ -347,16 +353,9 @@ def periodicity_check(p: int, levels: int = 4) -> bool:
     x, xi = _X, _XI
     denoms = {"c_rhat": x - xi, "c_shat": (x - ONE) * (ONE - xi),
               "c_ahat": x - ONE, "c_ahat_t": x - ONE}
-
-    def streams(k):
-        # closed form for all k >= 0; at k = 0 this is the symmetric
-        # level-0 matrix Ahat + Ahat^T (a_{-1} = -1), which is the form
-        # the periodicity statement is about
-        return ReductionMapDn(k, -rho_coeff(k), sigma_coeff(k),
-                              a_coeff(k), -a_coeff(k - 1))
-
+    # at k = 0 the symmetric level-0 form, which the statement is about
     for k in range(levels + 1):
-        lo, hi = streams(k), streams(k + p)
+        lo, hi = _closed_form(k), _closed_form(k + p)
         for field, den in denoms.items():
             diff = getattr(hi, field) - getattr(lo, field)
             if _fold_h(diff * den, p) != ZERO:

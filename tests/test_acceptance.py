@@ -16,23 +16,10 @@ import pytest
 from geoalg import braid, centers, fatgraph, frobenius, ks_calculus as ks
 from geoalg import reductions
 from geoalg.dn_algebra import (
-    an_algebra, bracket, dn_algebra, jacobi_check,
+    an_algebra, bracket, dn_algebra, generator_tuples, jacobi_check,
     semiclassical_reflection_check, _pair_bracket,
 )
 from geoalg.poly_core import Mat, ONE, parse_gen
-
-
-def _gen_word(i, j, k):
-    if k == 0:
-        return (ks.M(i), ks.M(j))
-    return (ks.M(i), ks.H(k), ks.M(j), ks.H(-k))
-
-
-def _generators(n, levels):
-    gens = [(i, j, 0) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for k in range(1, levels + 1):
-        gens += [(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return gens
 
 
 # -- criterion 1: triple-oracle bracket agreement at n = 4 ------------------
@@ -54,7 +41,7 @@ def test_bracket_triple_oracle_n4():
             assert goldman == struct.subst(geo)
             # oracle 2: trace calculus + skein reduction
             skein = ks.skein_reduce(ks.ks_bracket_symbolic(
-                _gen_word(*a, 0), _gen_word(*b, 0)))
+                ks.gen_word(*a, 0), ks.gen_word(*b, 0)))
             assert skein == struct
 
 
@@ -63,11 +50,11 @@ def test_bracket_triple_oracle_n4():
 
 def test_graded_bracket_symbolic_n3_levels2():
     alg = dn_algebra(3)
-    gens = _generators(3, 2)
+    gens = generator_tuples(3, 2)
     for x, a in enumerate(gens):
         for b in gens[x:]:
             lhs = ks.skein_reduce(
-                ks.ks_bracket_symbolic(_gen_word(*a), _gen_word(*b)))
+                ks.ks_bracket_symbolic(ks.gen_word(*a), ks.gen_word(*b)))
             assert lhs == _pair_bracket(alg, a, b)
 
 
@@ -104,7 +91,7 @@ def test_clash_independence_numeric(m):
             for k in range(5):
                 vals[(i, j, k)] = f(i, j, k)(mats)
     alg = dn_algebra(3)
-    gens = _generators(3, 2)
+    gens = generator_tuples(3, 2)
     worst = 0.0
     for x, a in enumerate(gens):
         for b in gens[x:]:
@@ -127,7 +114,7 @@ def test_clash_independence_numeric(m):
 
 def test_jacobi_exhaustive_n3_levels2():
     alg = dn_algebra(3)
-    gens = [alg.canonical(*t) for t in _generators(3, 2)]
+    gens = [alg.canonical(*t) for t in generator_tuples(3, 2)]
     assert len(gens) == 21
     count = 0
     for f, g, h in itertools.combinations(gens, 3):

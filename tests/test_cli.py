@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from geoalg import cli
+from geoalg import centers, cli
 from geoalg.cli import main
 
 
@@ -206,3 +206,52 @@ def test_explicit_zeros_are_used(capsys):
     assert main(["stokes", "--point", "random", "--n", "3"]) == 0
     assert [r["left"] for r in _json_lines(capsys)] == \
         [r["left"] for r in zero]
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_level_p_centers_take_the_generic_rank(seed, capsys):
+    # one of the five points of (n, p) = (2, 3) has rank 2 at these seeds
+    assert main(["verify", "--suite", "centers", "--seed", str(seed)]) == 0
+    case = [r for r in _json_lines(capsys)
+            if r["case"] == "level-p centers (2,3)"][0]
+    ranks = json.loads(case["left"].removeprefix("ranks "))
+    assert (min(ranks), max(ranks)) == (2, 3)
+    assert case["right"] == "expected rank 3"
+
+
+def test_level_p_centers_fail_a_wrong_rank():
+    cs = centers.centers_Dnp(2, 3, seed=2)
+    assert cli._rank_case(cs, 3)[0]
+    assert not cli._rank_case(cs, 2)[0]
+    assert not cli._rank_case(cs, 4)[0]
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "geoalg.cfg"
+    cfg.write_text("suite=braid\nbogus=1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_config_format_is_honoured_unless_given(tmp_path, capsys):
+    cfg = tmp_path / "geoalg.cfg"
+    cfg.write_text("format=text\nsuite=braid\nn=3\n")
+    assert main(["--config", str(cfg), "verify"]) == 0
+    assert capsys.readouterr().out.startswith("[   pass] braid::")
+    assert main(["--config", str(cfg), "verify", "--format", "json"]) == 0
+    assert _json_lines(capsys)[0]["suite"] == "braid"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "yangian", "--n", "3", "--level", "-1"],
+    ["verify", "--suite", "jacobi", "--level", "-1"],
+    ["braid", "--alg", "frakdn", "--n", "3", "--cap", "-1", "--word", "b12"],
+])
+def test_negative_levels_are_rejected(argv, capsys):
+    # a negative series order made the reflection check vacuous
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err

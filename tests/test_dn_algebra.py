@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geoalg.dn_algebra as dn
 from geoalg.dn_algebra import (
     an_algebra, bracket, classical_r_matrix, dn_algebra, dnp_algebra,
     generating_bracket, jacobi_check, quantum_r_expansion,
@@ -104,3 +105,26 @@ def test_quantum_r_linear_term_is_classical_r():
     lam, mu = E("lam"), E("mu")
     assert h0[((1, 2), (1, 2))] == lam - mu
     assert h0[((1, 1), (1, 1))] == -(lam - mu)
+
+
+def test_reflection_check_catches_a_wrong_structure_constant(monkeypatch):
+    # +1 on one entry of the table, the other order of the pair untouched
+    true_bracket = dn._pair_bracket
+
+    def mutant(alg, a, b):
+        out = true_bracket(alg, a, b)
+        return out + const(1) if (a, b) == ((1, 2, 0), (1, 3, 1)) else out
+
+    monkeypatch.setattr(dn, "_pair_bracket", mutant)
+    rep = semiclassical_reflection_check(dn_algebra(3), 2)
+    assert not rep["ok"] and rep["mismatches"]
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_reflection_check_catches_a_short_kernel(monkeypatch, dropped):
+    # both kernels lose the geometric term x^dropped of 1 + x + ... + x^order
+    true_geometric = dn._geometric
+    monkeypatch.setattr(dn, "_geometric", lambda x, order: true_geometric(
+        x, order) - x ** dropped)
+    rep = semiclassical_reflection_check(dn_algebra(3), 2)
+    assert not rep["ok"] and rep["mismatches"]

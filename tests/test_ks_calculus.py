@@ -59,12 +59,6 @@ def test_skein_reduction_order_independent():
         assert ks.skein_reduce(e, rng) == base
 
 
-def _gen_word(i, j, k):
-    if k == 0:
-        return (ks.M(i), ks.M(j))
-    return (ks.M(i), ks.H(k), ks.M(j), ks.H(-k))
-
-
 GENS3 = [(1, 2, 0), (1, 3, 0), (2, 3, 0)] + [
     (i, j, 1) for i in range(1, 4) for j in range(1, 4)]
 
@@ -73,7 +67,8 @@ GENS3 = [(1, 2, 0), (1, 3, 0), (2, 3, 0)] + [
 @pytest.mark.parametrize("b", GENS3)
 def test_symbolic_bracket_matches_structure_constants(a, b):
     alg = dn_algebra(3)
-    lhs = ks.skein_reduce(ks.ks_bracket_symbolic(_gen_word(*a), _gen_word(*b)))
+    lhs = ks.skein_reduce(ks.ks_bracket_symbolic(ks.gen_word(*a),
+                                               ks.gen_word(*b)))
     assert lhs == _pair_bracket(alg, a, b)
 
 

@@ -50,7 +50,7 @@ def test_chebyshev_recursion_for_rho():
 
 @pytest.mark.parametrize("n,p", [(2, 2), (3, 2)])
 def test_series_consistency(n, p):
-    assert red.gp_series_consistency(n, p, 3)
+    assert red.gp_expansion_consistency(n, p, 3)
 
 
 def test_gp_u_symmetry():

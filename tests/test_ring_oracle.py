@@ -155,6 +155,18 @@ def test_diff_and_coeffs_in_match_sympy(a, name):
 
 
 @settings(max_examples=80, deadline=None)
+@given(exprs(names=WIDE), st.sampled_from(WIDE + ("absent",)),
+       st.integers(-4, 4), st.integers(0, 4))
+def test_window_matches_sympy(a, name, lo, width):
+    # the terms whose exponent of *name* lies in lo..lo+width
+    x = sympy.Symbol(name)
+    want = sum((t for t in sympy.Add.make_args(sympy.expand(to_sympy(a)))
+                if lo <= t.as_powers_dict().get(x, 0) <= lo + width),
+               sympy.Integer(0))
+    assert same(a.window(name, lo, lo + width), want)
+
+
+@settings(max_examples=80, deadline=None)
 @given(exprs(names=WIDE))
 def test_symbols_match_sympy(a):
     want = {str(x) for x in sympy.expand(to_sympy(a)).free_symbols}
