@@ -14,12 +14,26 @@ Reports are line-delimited JSON by default (`--format text` for a human
 view).  Exit code 0 = all pass, 1 = at least one failing case, 2 = usage
 error.  A suite's cases run one after another, in case order, and each
 report is written as soon as its case finishes.
+
+Braid words
+-----------
+`braid --word` takes space-separated tokens, each naming the generator
+that exchanges points i and j, with `^-1` appended for its inverse:
+
+  b<i><j>     one digit each, e.g. b12, b23^-1
+  b<i>,<j>    any number of digits, e.g. b10,11 (needed from n = 10 on)
+  bn1         the wrap generator, which carries point 1 round the hole;
+              b<n>1 (n < 10) and b<n>,1 name it too
+
+j must be i + 1 (an adjacent generator, 1 <= i < n) or the pair must be
+(n, 1) (the wrap); anything else is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -28,6 +42,9 @@ from . import braid as braid_mod
 from . import centers as centers_mod
 from . import dn_algebra, fatgraph, frobenius, ks_calculus, reductions
 from .poly_core import Expr, const, parse, parse_gen
+
+_BRAID_TOKEN = re.compile(
+    r"b(?:(?P<n1>n1)|(?P<i>[0-9]+),(?P<j>[0-9]+)|(?P<i1>[0-9])(?P<j1>[0-9]))")
 
 SUITES = ("goldman", "ks", "jacobi", "braid", "yangian", "centers",
           "reduction", "frobenius")
@@ -383,21 +400,25 @@ def _single_generator(e: Expr):
 
 
 def _parse_braid_word(text: str, n: int):
+    """Read a braid word: see "Braid words" in the module docstring."""
     word = []
     for token in text.split():
         inverse = token.endswith("^-1")
         if inverse:
             token = token[:-3]
-        if not token.startswith("b") or len(token) != 3:
+        m = _BRAID_TOKEN.fullmatch(token)
+        if m is None:
             raise ValueError(f"bad braid token {token!r}")
-        body = token[1:]
-        if body == "n1" or (body[0] == str(n) and body[1] == "1"):
+        if m["n1"]:
+            i, j = n, 1
+        else:
+            i, j = int(m["i"] or m["i1"]), int(m["j"] or m["j1"])
+        if (i, j) == (n, 1):
             word.append(braid_mod.wrap(inverse))
-            continue
-        i, j = int(body[0]), int(body[1])
-        if j != i + 1:
+        elif j == i + 1:
+            word.append(braid_mod.adjacent(i, inverse))
+        else:
             raise ValueError(f"braid token {token!r} is not adjacent or wrap")
-        word.append(braid_mod.adjacent(i, inverse))
     return word
 
 
@@ -547,7 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--alg", choices=("an", "dn", "frakdn"), default="an")
     p.add_argument("--word", required=True,
-                   help='space-separated tokens like "b12 b23^-1 bn1"')
+                   help='space-separated tokens b<i><j>, b<i>,<j> (any '
+                        'number of digits) or bn1, each optionally ending '
+                        'in ^-1, like "b12 b10,11^-1 bn1"')
     p.add_argument("--matrix", action="store_true")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_braid)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly_core import Expr, Mat, E, ZERO, ONE, const, gen
-from .dn_algebra import dnp_algebra, dn_algebra, _pair_bracket
+from .dn_algebra import dnp_algebra, gcal_entry, _pair_bracket
 from . import braid as _braid
 
 # ---------------------------------------------------------------------------
@@ -29,54 +29,27 @@ from . import braid as _braid
 # ---------------------------------------------------------------------------
 
 
-def build_Gp(n: int, p: int, values=None) -> "_braid.LambdaMatrix":
+def build_Gp(n: int, p: int) -> "_braid.LambdaMatrix":
     """The finite generating matrix Gp(lam) = A + G^(1)/lam + ... +
-    G^(p-1)/lam^(p-1) + A^T/lam^p in canonical level-p symbols.
-
-    *values* optionally maps canonical symbol names to Expr (used to
-    evaluate at a point); default is the generic symbols.
-    """
+    G^(p-1)/lam^(p-1) + A^T/lam^p in canonical level-p symbols."""
     alg = dnp_algebra(n, p)
-
-    def entry(i, j, k):
-        if k == 0:
-            return ONE if i == j else (alg.canonical(i, j, 0) if i < j else ZERO)
-        if k == p:
-            return ONE if i == j else (alg.canonical(j, i, 0) if i > j else ZERO)
-        return alg.canonical(i, j, k)
-
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            e = ZERO
-            for k in range(p + 1):
-                e = e + entry(i, j, k) * E("lam", -k)
-            row.append(e if values is None else e.subst(values))
-        rows.append(row)
-    return _braid.LambdaMatrix(Mat(rows), p)
+    return _braid.LambdaMatrix(Mat([
+        [gcal_entry(alg, i, j, p - 1) + gcal_entry(alg, j, i, 0) * E("lam", -p)
+         for j in range(1, n + 1)] for i in range(1, n + 1)]), p)
 
 
 def gp_expansion_consistency(n: int, p: int, order: int) -> bool:
     """(lam^p - 1) G(lam) = Gp(lam) as truncated series under the
     level-p identification."""
     alg = dnp_algebra(n, p)
-    lam_inv = E("lam", -1)
     gp = build_Gp(n, p)
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            g_series = (ONE if i == j else
-                        (alg.canonical(i, j, 0) if i < j else ZERO))
-            for k in range(1, order + 1):
-                g_series = g_series + alg.canonical(i, j, k) * lam_inv ** k
-            lhs = (E("lam", p) - ONE) * g_series
-            rhs = gp.mat[i - 1, j - 1] * E("lam", p)
-            # compare lam coefficients on the common certified window
-            for m in range(0, order - p + 1):
-                if lhs.coeff_of("lam", p - m) != rhs.coeff_of("lam", p - m):
-                    ok = False
-    return ok
+    lam_p = E("lam", p)
+    # the common certified window: lam^(2p - order) .. lam^p
+    lo = 2 * p - order
+    return all(
+        ((lam_p - ONE) * gcal_entry(alg, i, j, order)).window("lam", lo, p)
+        == (gp.mat[i - 1, j - 1] * lam_p).window("lam", lo, p)
+        for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 def gp_u_symmetry(n: int, p: int) -> bool:

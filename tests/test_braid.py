@@ -80,3 +80,28 @@ def test_quantum_matrix_shapes():
         m = braid.quantum_matrix(b, 3)
         assert m.shape == (3, 3)
         assert m != Mat.identity(3)
+
+
+@pytest.mark.parametrize("i,ip,x", [(1, 2, E("lam", 0)), (3, 1, E("lam")),
+                                    (1, 3, E("lam", -1))])
+def test_elementary_inverse_is_the_swapped_pair(i, ip, x):
+    g = E("g")
+    b = braid.elementary_matrix(3, i, ip, g, x)
+    assert b * braid.elementary_matrix(3, ip, i, g, x.inverse()) \
+        == Mat.identity(3)
+
+
+def test_lambda_window_holds_the_certified_coefficients():
+    fam = braid.LevelFamily.generic(3, cap=4)
+    gm = braid.act_matrix(braid.wrap(), braid.gcal_matrix(fam))
+    expected = Mat.zero(3)
+    for k in range(gm.cert + 1):
+        expected = expected + gm.coefficient(k).scale(E("lam", -k))
+    assert gm.window(gm.cert) == expected
+    with pytest.raises(braid.CertificationError):
+        gm.window(gm.cert + 1)
+
+
+def test_quantum_matrix_rejects_inverse():
+    with pytest.raises(ValueError):
+        braid.quantum_matrix(braid.wrap(True), 3)

@@ -82,6 +82,18 @@ def test_braid_rejects_non_adjacent():
     assert exc.value.code == 2
 
 
+def test_braid_multi_digit_tokens(capsys):
+    # at n = 12 the generators past b9,10 need the comma form
+    def run(word):
+        assert main(["braid", "--alg", "dn", "--n", "12", "--word", word]) == 0
+        return {r["case"]: r["left"] for r in _json_lines(capsys)}
+
+    assert run("b12,1") == run("bn1")
+    assert run("b12") == run("b1,2")
+    assert run("b10,11")["Ghat[11,1]"] == "Ghat[10,1]"
+    assert run("b11,12^-1")["Ghat[11,1]"] == "Ghat[12,1]"
+
+
 def test_centers_output(capsys):
     assert main(["centers", "--alg", "an", "--n", "4"]) == 0
     reports = _json_lines(capsys)
@@ -161,7 +173,10 @@ def test_invalid_subcommand_exit_code():
     ["geodesic", "--n", "4", "--i", "1", "--j", "3", "--at", "s1=0"],
     ["geodesic", "--i", "1", "--j", "2"],
     ["bracket", "x^40000", "G[1,2,0]"],
-])
+    ["braid", "--alg", "frakdn", "--matrix", "--n", "3", "--word", "b01"],
+    ["braid", "--alg", "frakdn", "--matrix", "--n", "3", "--word", "b34"],
+] + [["braid", "--alg", "dn", "--n", "12", "--word", word]
+     for word in ("b1011", "b10,12", "b1,3", "b10,", "b12,1,")])
 def test_input_errors_exit_2(argv, capsys):
     # a bad value, not a crash: no traceback, one `error:` line
     with pytest.raises(SystemExit) as exc:
