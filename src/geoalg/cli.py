@@ -370,8 +370,9 @@ def cmd_bracket(args) -> int:
         if a is None or b is None:
             status, right = "skipped", "oracle needs single-generator operands"
         elif args.oracle == "ks":
-            right = ks_calculus.skein_reduce(ks_calculus.ks_bracket_symbolic(
-                ks_calculus.gen_word(*a), ks_calculus.gen_word(*b)))
+            right = _in_algebra(alg, ks_calculus.skein_reduce(
+                ks_calculus.ks_bracket_symbolic(ks_calculus.gen_word(*a),
+                                                ks_calculus.gen_word(*b))))
             status = "pass" if right == result else "fail"
         elif args.oracle == "goldman":
             n = alg.n
@@ -387,6 +388,14 @@ def cmd_bracket(args) -> int:
     case = f"{{{args.exprs[0]}, {args.exprs[1]}}}"
     return _emit([clock.report("bracket", case, result, right, status)],
                  args.format)
+
+
+def _in_algebra(alg, e: Expr) -> Expr:
+    """*e* with every generator in *alg*'s storage form: the trace
+    oracle indexes generators freely, and the period relation of `dnp`
+    folds its levels (G[3,2,1] is G[2,3,1] at period 2)."""
+    return e.subst({name: alg.canonical(*idx) for name in e.symbols()
+                    if (idx := parse_gen(name))})
 
 
 def _single_generator(e: Expr):
@@ -425,6 +434,9 @@ def _parse_braid_word(text: str, n: int):
 def cmd_braid(args) -> int:
     clock = _Stopwatch()
     n = _given(args.n, 3)
+    if args.alg != "frakdn" and (args.matrix or args.cap is not None):
+        raise ValueError(f"--matrix and --cap apply to --alg frakdn, "
+                         f"not {args.alg}")
     word = _parse_braid_word(args.word, n)
     reports = []
     if args.alg == "an":

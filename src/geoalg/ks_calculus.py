@@ -24,20 +24,24 @@ Two independent realizations:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, E, ZERO, const, gen
-
-HALF = Fraction(1, 2)
+from .poly_core import Expr, ZERO, const, gen
 
 
 # ---------------------------------------------------------------------------
 # trace words
 # ---------------------------------------------------------------------------
 # A letter is ("M", i) (exponent +1; inverses are normalized away via
-# M^-1 = -M) or ("H", k) with k a nonzero integer.
+# M^-1 = -M) or ("H", k) with k a nonzero integer.  Inside the oracle a
+# letter is a small int: M_i is i and H^k is _H + k, so that int order is
+# letter order (the M letters by index, then the H letters by exponent).
+
+_H = 1 << 20        # the code of H^0
+_SPLIT = _H >> 1    # M codes lie below, H codes above
 
 
 def M(i: int):
@@ -55,8 +59,82 @@ def gen_word(i: int, j: int, k: int):
     return (M(i), H(k), M(j), H(-k))
 
 
-def _letter_key(letter):
-    return (0, letter[1], 0) if letter[0] == "M" else (1, 0, letter[1])
+def _encode(letters) -> list:
+    """The int codes of *letters*, with H^0 dropped."""
+    out = []
+    for kind, v in letters:
+        if not -_SPLIT < v < _SPLIT:
+            raise ValueError(f"letter {(kind, v)} out of range")
+        if kind == "M":
+            out.append(v)
+        elif v:
+            out.append(_H + v)
+    return out
+
+
+def _letter(x: int):
+    return ("H", x - _H) if x > _SPLIT else ("M", x)
+
+
+def _merge(x: int, y: int) -> int:
+    """The code of H^a H^b from the codes of H^a and H^b."""
+    x += y - _H
+    if not _SPLIT < x < _H + _SPLIT:
+        raise ValueError(f"H exponent {x - _H} out of range")
+    return x
+
+
+def _normalize(work) -> tuple:
+    """(c, w) with Tr(work) = c Tr(w), for a cyclic word of int codes.
+
+    Merges H runs and cancels M_i M_i = -1 in one stack pass, then where
+    the two ends meet.  w is the least rotation of what is left, or a
+    scalar trace: () for the constant 1 (c = +-2, or 0 for a lone M
+    letter, Tr M_i = 0) or (_H + k,) for TrH^k, k > 0.
+    """
+    sign = 1
+    out = []
+    for x in work:
+        if out:
+            y = out[-1]
+            if x > _SPLIT and y > _SPLIT:
+                out.pop()
+                x = _merge(x, y)
+                if x != _H:
+                    out.append(x)
+                continue
+            if x == y:
+                out.pop()
+                sign = -sign
+                continue
+        out.append(x)
+    while len(out) >= 2:
+        x, y = out[0], out[-1]
+        if x > _SPLIT and y > _SPLIT:
+            out = out[1:-1]
+            x = _merge(x, y)
+            if x != _H:
+                out.append(x)
+        elif x == y:
+            out = out[1:-1]
+            sign = -sign
+        else:
+            break
+    if len(out) > 1:
+        word = tuple(out)
+        first = min(word)  # the least rotation starts with the least letter
+        return sign, min(word[r:] + word[:r] for r, x in enumerate(word)
+                         if x == first)
+    if not out:
+        return 2 * sign, ()
+    if out[0] > _SPLIT:
+        return sign, (_H + abs(out[0] - _H),)  # Tr H^-k = Tr H^k
+    return 0, ()
+
+
+def _scalar_monomial(w) -> tuple:
+    """The monomial of a scalar trace of _normalize: 1 or TrH^k."""
+    return ((f"TrH{w[0] - _H}", 1),) if w else ()
 
 
 def normalize_word(letters, sign=1):
@@ -65,97 +143,31 @@ def normalize_word(letters, sign=1):
     Returns (coeff, word) where word is a tuple in canonical rotation, or
     (scalar_expr, None) when the trace is itself scalar: the empty word has
     trace 2, a pure H-power word has trace TrH|k| (a Casimir parameter).
-    Accepts ("M", i, -1) input letters and folds the sign.
     """
-    work = []
-    for letter in letters:
-        if letter[0] == "M":
-            if len(letter) == 3:
-                if letter[2] not in (1, -1):
-                    raise ValueError("M exponents must be +-1")
-                if letter[2] == -1:
-                    sign = -sign
-            work.append(("M", letter[1]))
-        else:
-            if letter[1]:
-                work.append(("H", letter[1]))
-    # merge H runs and cancel M_i M_i = -1, cyclically, until stable
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for letter in work:
-            if out and letter[0] == "H" and out[-1][0] == "H":
-                k = out[-1][1] + letter[1]
-                out.pop()
-                if k:
-                    out.append(("H", k))
-                changed = True
-            elif out and letter[0] == "M" and out[-1] == letter:
-                out.pop()
-                sign = -sign
-                changed = True
-            else:
-                out.append(letter)
-        # wrap-around merges
-        while len(out) >= 2:
-            if out[0][0] == "H" and out[-1][0] == "H":
-                k = out[0][1] + out[-1][1]
-                out = out[1:-1] + ([("H", k)] if k else [])
-                changed = True
-            elif out[0][0] == "M" and out[0] == out[-1]:
-                out = out[1:-1]
-                sign = -sign
-                changed = True
-            else:
-                break
-        work = out
-    if not work:
-        return const(2 * sign), None
-    if all(l[0] == "H" for l in work):
-        k = abs(sum(l[1] for l in work))
-        if k == 0:
-            return const(2 * sign), None
-        return const(sign) * E(f"TrH{k}"), None
-    if all(l[0] == "M" for l in work) and len(work) == 1:
-        return ZERO, None  # Tr M_i = 0
-    if len(work) == 2 and work[0][0] == "M" and work[1][0] == "H":
-        pass  # Tr(M_i H^k): kept; reducible only through skein context
-    keys = [_letter_key(l) for l in work]
-    # the first rotation whose key sequence is least
-    r = min(range(len(work)), key=lambda r: keys[r:] + keys[:r])
-    return const(sign), tuple(work[r:] + work[:r])
+    c, w = _normalize(_encode(letters))
+    if len(w) > 1:
+        return const(c * sign), tuple([_letter(x) for x in w])
+    return Expr({_scalar_monomial(w): c * sign}), None
 
 
 class TraceExpr:
-    """Linear combination of products of cyclic trace words.
+    """Linear combination of cyclic trace words.
 
-    Keys are sorted tuples of words (multisets); values are Expr
-    coefficients (which may carry the TrH parameters).
+    Keys are () for the scalar part, whose Expr coefficient may carry the
+    TrH parameters, or (word,) for one cyclic word with a rational
+    coefficient.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not v.is_zero():
-                    self.terms[k] = v
-
-    @staticmethod
-    def scalar(c) -> "TraceExpr":
-        c = c if isinstance(c, Expr) else const(c)
-        return TraceExpr({(): c})
+        self.terms = {k: v for k, v in (terms or {}).items()
+                      if not v.is_zero()}
 
     @staticmethod
     def tr(letters, sign=1) -> "TraceExpr":
         coeff, word = normalize_word(letters, sign)
-        if isinstance(coeff, Expr) and coeff.is_zero():
-            return TraceExpr()
-        if word is None:
-            return TraceExpr({(): coeff})
-        return TraceExpr({(word,): coeff})
+        return TraceExpr({() if word is None else (word,): coeff})
 
     def __add__(self, other: "TraceExpr") -> "TraceExpr":
         d = dict(self.terms)
@@ -167,25 +179,6 @@ class TraceExpr:
                 d[k] = s
         return TraceExpr(d)
 
-    def __sub__(self, other: "TraceExpr") -> "TraceExpr":
-        return self + other.scale(const(-1))
-
-    def scale(self, c) -> "TraceExpr":
-        c = c if isinstance(c, Expr) else const(c)
-        return TraceExpr({k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "TraceExpr") -> "TraceExpr":
-        d = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                s = d.get(key, ZERO) + v1 * v2
-                if s.is_zero():
-                    d.pop(key, None)
-                else:
-                    d[key] = s
-        return TraceExpr(d)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -193,23 +186,19 @@ class TraceExpr:
         return isinstance(other, TraceExpr) and self.terms == other.terms
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            words = " * ".join(
-                "Tr(" + " ".join(
-                    (f"M{i}" if t == "M" else f"H^{i}") for t, i in w) + ")"
-                for w in key) or "1"
-            bits.append(f"({self.terms[key]})*{words}")
-        return " + ".join(bits)
+        bits = [f"({self.terms[key]})*" + ("".join(
+            "Tr(" + " ".join(f"M{i}" if t == "M" else f"H^{i}"
+                             for t, i in w) + ")" for w in key) or "1")
+            for key in sorted(self.terms)]
+        return " + ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
 # elementary brackets
 # ---------------------------------------------------------------------------
-# A rule term is (coeff: Fraction, L1, L2, R1, R2) with the L/R pieces
-# lists of letters; it stands for coeff * (L1 (x) L2) Omega (R1 (x) R2).
+# A rule term is (c, L1, L2, R1, R2) with c an int in halves and the L/R
+# pieces tuples of letter codes; it stands for
+# (c/2) (L1 (x) L2) Omega (R1 (x) R2).
 
 def _t1(a, b):
     return [(a,), (), (), (b,)]       # (A x 1) Omega (1 x B)
@@ -234,82 +223,89 @@ def _swap_negate(terms):
 
 def _rule_mm(i: int, j: int):
     if i == j:
-        a = M(i)
-        return [(HALF, *_t2(a, a)), (-HALF, *_t1(a, a))]
+        return [(1, *_t2(i, i)), (-1, *_t1(i, i))]
     if i < j:
-        a, b = M(i), M(j)
-        return [(HALF, *_t1(a, b)), (HALF, *_t2(a, b)),
-                (-HALF, *_t3(a, b)), (-HALF, *_t4(a, b))]
+        return [(1, *_t1(i, j)), (1, *_t2(i, j)),
+                (-1, *_t3(i, j)), (-1, *_t4(i, j))]
     return _swap_negate(_rule_mm(j, i))
 
 
 def _rule_mh(i: int, k: int):
     # {M_i (x), H^k}, any integer k.
-    a, b = M(i), H(k)
-    return [(HALF, *_t1(a, b)), (HALF, *_t2(a, b)),
-            (-HALF, *_t3(a, b)), (-HALF, *_t4(a, b))]
+    a, b = i, _H + k
+    return [(1, *_t1(a, b)), (1, *_t2(a, b)),
+            (-1, *_t3(a, b)), (-1, *_t4(a, b))]
 
 
 def _rule_h1h(k: int):
     # {H (x), H^k}, any integer k.
-    a, b = H(1), H(k)
-    return [(HALF, *_t2(a, b)), (HALF, *_t4(a, b)),
-            (-HALF, *_t3(a, b)), (-HALF, *_t1(a, b))]
+    a, b = _H + 1, _H + k
+    return [(1, *_t2(a, b)), (1, *_t4(a, b)),
+            (-1, *_t3(a, b)), (-1, *_t1(a, b))]
 
 
 def _conj_first_inverse(terms):
     # {A^-1 (x), B} = -(A^-1 x 1) {A (x), B} (A^-1 x 1); here A = H so
     # A^-1 is the honest letter H^-1.
-    inv = H(-1)
+    inv = _H - 1
     return [(-c, (inv,) + L1, L2, R1 + (inv,), R2)
             for c, L1, L2, R1, R2 in terms]
 
 
 def _rule_hjh(j: int, k: int):
     # {H^j (x), H^k} by Leibniz over unit H letters in the first slot.
-    if j == 1:
-        return _rule_h1h(k)
-    if j == -1:
-        return _conj_first_inverse(_rule_h1h(k))
     unit = 1 if j > 0 else -1
     base = _rule_h1h(k) if unit == 1 else _conj_first_inverse(_rule_h1h(k))
     out = []
     for a in range(abs(j)):
-        left = (H(unit * a),) if a else ()
-        right = (H(unit * (abs(j) - 1 - a)),) if abs(j) - 1 - a else ()
+        left = (_H + unit * a,) if a else ()
+        right = (_H + unit * (abs(j) - 1 - a),) if abs(j) - 1 - a else ()
         for c, L1, L2, R1, R2 in base:
             out.append((c, left + L1, L2, R1 + right, R2))
     return out
 
 
-def _elementary_rule(a, b):
-    if a[0] == "M" and b[0] == "M":
-        return _rule_mm(a[1], b[1])
-    if a[0] == "M" and b[0] == "H":
-        return _rule_mh(a[1], b[1])
-    if a[0] == "H" and b[0] == "M":
-        return _swap_negate(_rule_mh(b[1], a[1]))
-    return _rule_hjh(a[1], b[1])
+@functools.cache  # at most (number of letters)^2 entries
+def _rule(a: int, b: int) -> tuple:
+    """The rule of the letter pair (a, b) as terms (c, L1 R2, L2 R1): the
+    contraction Tr_{12}[(L1 (x) L2) Omega (R1 (x) R2)(U (x) V)] =
+    Tr(L1 R2 V L2 R1 U) leaves two runs of letters."""
+    if a < _SPLIT and b < _SPLIT:
+        terms = _rule_mm(a, b)
+    elif a < _SPLIT:
+        terms = _rule_mh(a, b - _H)
+    elif b < _SPLIT:
+        terms = _swap_negate(_rule_mh(b, a - _H))
+    else:
+        terms = _rule_hjh(a - _H, b - _H)
+    return tuple((c, l1 + r2, l2 + r1) for c, l1, l2, r1, r2 in terms)
 
 
 def ks_bracket_symbolic(w1, w2) -> TraceExpr:
     """{Tr w1, Tr w2} for two trace words (sequences of letters)."""
-    c1, w1 = normalize_word(w1)
-    c2, w2 = normalize_word(w2)
-    if w1 is None or w2 is None:
+    c1, w1 = _normalize(_encode(w1))
+    c2, w2 = _normalize(_encode(w2))
+    if len(w1) < 2 or len(w2) < 2:
         return TraceExpr()  # scalars and Casimir parameters are central
-    # sum the rule coefficients per resulting trace, then scale once
+    # sum the rule coefficients (in halves) per resulting trace
     sums = {}
     for p, a in enumerate(w1):
         u = w1[p + 1:] + w1[:p]
         for q, b in enumerate(w2):
             v = w2[q + 1:] + w2[:q]
-            for c, l1, l2, r1, r2 in _elementary_rule(a, b):
-                word = tuple(l1) + tuple(r2) + v + tuple(l2) + tuple(r1) + u
-                coeff, word = normalize_word(word)
-                key = () if word is None else (word,)
-                sums[key] = sums.get(key, ZERO) + coeff * c
-    return TraceExpr(sums).scale(c1 * c2)
+            for c, left, right in _rule(a, b):
+                s, w = _normalize(left + v + right + u)
+                if s:
+                    sums[w] = sums.get(w, 0) + c * s
+    terms, scalars = {}, {}
+    for w, s in sums.items():
+        coeff = Fraction(c1 * c2 * s, 2)
+        if len(w) > 1:
+            terms[(tuple([_letter(x) for x in w]),)] = const(coeff)
+        else:
+            scalars[_scalar_monomial(w)] = coeff
+    terms[()] = Expr(scalars)
+    return TraceExpr(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +317,9 @@ class IrreducibleWord(Exception):
     """A trace word that cannot be written in the G[i,j,k] generator set."""
 
 
-def _canonical_generator(i: int, j: int, k: int) -> Expr:
-    """-Tr(M_i H^k M_j H^-k) as +- a canonical generator symbol.
+def _canonical_generator(i: int, j: int, k: int) -> tuple:
+    """-Tr(M_i H^k M_j H^-k) as (factor, canonical generator name), or
+    (2, None) for the constant G[i,i,0] = 2.
 
     The oracle's own mirror rule, kept apart from GenAlgebra.canonical so
     that the skein reduction shares no code with the structure constants
@@ -332,9 +329,9 @@ def _canonical_generator(i: int, j: int, k: int) -> Expr:
         i, j, k = j, i, -k
     if k == 0:
         if i == j:
-            return const(2)
+            return 2, None
         i, j = min(i, j), max(i, j)
-    return E(gen(i, j, k))
+    return 1, gen(i, j, k)
 
 
 def _matchings(items):
@@ -351,8 +348,9 @@ def _matchings(items):
             yield sign * s, [(first, items[t])] + pairs
 
 
-def _reduce_word(word, memo, rng=None):
-    """Rewrite Tr(word) as an Expr in generators and TrH parameters.
+def _wick(word, scale, into):
+    """Add scale * Tr(word), in generators and TrH parameters, into *into*
+    (monomial -> coefficient, as Expr(mapping) reads it).
 
     A cyclic word M_{i1} H^{a1} ... M_{ir} H^{ar} with balanced H exponent
     (sum a_t = 0) factors exactly as N_1 ... N_r with the conjugated letters
@@ -364,58 +362,58 @@ def _reduce_word(word, memo, rng=None):
 
         Tr(N_1 .. N_r) = 2 sum_matchings sign prod (1/2) Tr(N_a N_b).
 
-    Raises IrreducibleWord for words outside the generator span: odd
-    M-count or unbalanced total H exponent.
+    The signed matchings are counted per generator monomial as exact ints,
+    so the order in which they are visited cannot change the result.  Raises
+    IrreducibleWord for words outside the generator span: odd M-count or
+    unbalanced total H exponent.
     """
-    if word in memo:
-        return memo[word]
-    mpos = [p for p, l in enumerate(word) if l[0] == "M"]
-    if not mpos:
-        coeff, w = normalize_word(word)
-        assert w is None
-        return coeff
-    if len(mpos) % 2:
-        raise IrreducibleWord(f"odd number of M letters in {word}")
-    total = sum(l[1] for l in word if l[0] == "H")
-    if total != 0:
-        raise IrreducibleWord(f"unbalanced H exponent {total} in {word}")
-    # prefix H exponents in front of each M letter
-    letters = []  # (index, conjugation exponent)
+    letters = []  # (index, conjugation exponent) of each M letter
     c = 0
-    for letter in word:
-        if letter[0] == "H":
-            c += letter[1]
+    for kind, v in word:
+        if kind == "H":
+            c += v
         else:
-            letters.append((letter[1], c))
-    positions = list(range(len(letters)))
-    out = ZERO
-    pairings = list(_matchings(positions))
-    if rng is not None:
-        rng.shuffle(pairings)
-    for sign, pairs in pairings:
-        term = const(sign)
-        for s, t in pairs:
-            i_s, c_s = letters[s]
-            i_t, c_t = letters[t]
-            term = term * _canonical_generator(i_s, i_t, c_t - c_s)
-        out = out + term
-    # the factor 2 in front and (1/2) Tr(N_a N_b) = -G/2 for each pair
-    r = len(letters) // 2
-    out = out * const(Fraction(2 * (-1) ** r, 2 ** r))
-    memo[word] = out
-    return out
+            letters.append((v, c))
+    if not letters:
+        c, w = _normalize(_encode(word))
+        counts = {_scalar_monomial(w): c}
+    elif len(letters) % 2:
+        raise IrreducibleWord(f"odd number of M letters in {word}")
+    elif c:
+        raise IrreducibleWord(f"unbalanced H exponent {c} in {word}")
+    else:
+        counts = {}  # monomial -> signed number of matchings
+        for sign, pairs in _matchings(list(range(len(letters)))):
+            names = []
+            for s, t in pairs:
+                (i_s, c_s), (i_t, c_t) = letters[s], letters[t]
+                factor, name = _canonical_generator(i_s, i_t, c_t - c_s)
+                sign *= factor
+                if name:
+                    names.append((name, 1))
+            key = tuple(sorted(names))
+            counts[key] = counts.get(key, 0) + sign
+        # the factor 2 in front and (1/2) Tr(N_a N_b) = -G/2 for each pair
+        r = len(letters) // 2
+        scale = scale * Fraction(2 * (-1) ** r, 2 ** r)
+    for mono, count in counts.items():
+        into[mono] = into.get(mono, 0) + count * scale
 
 
 def skein_reduce(e: TraceExpr, rng=None) -> Expr:
-    """Rewrite a TraceExpr as a polynomial in G[i,j,k] and TrH parameters."""
-    memo = {}
-    out = ZERO
+    """Rewrite a TraceExpr as a polynomial in G[i,j,k] and TrH parameters.
+
+    The key () holds the scalar part; each other key is one word with a
+    rational coefficient, summed as numbers into one polynomial.  The
+    result depends on no order, so *rng* is not used.
+    """
+    out, sums = ZERO, {}
     for key, coeff in e.terms.items():
-        term = coeff
-        for word in key:
-            term = term * _reduce_word(word, memo, rng)
-        out = out + term
-    return out
+        if key:
+            _wick(key[0], coeff.as_rational(), sums)
+        else:
+            out = coeff
+    return out + Expr(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, JSON reports, option handling."""
 
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from geoalg import centers, cli
+from geoalg import centers, cli, dn_algebra
 from geoalg.cli import main
 
 
@@ -270,3 +272,100 @@ def test_negative_levels_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_bracket_trace_oracle_folds_the_period(capsys):
+    # the oracle's G[3,2,1] is G[2,3,1] under the period relation at p = 2
+    assert main(["bracket", "--alg", "dnp", "--p", "2", "--n", "3",
+                 "--oracle", "ks", "G[1,2,1]", "G[1,3,0]"]) == 0
+    rep = _json_lines(capsys)[0]
+    assert rep["status"] == "pass" and rep["left"] == rep["right"]
+
+
+def test_bracket_trace_oracle_fails_the_wrong_period(monkeypatch, capsys):
+    fold = cli._in_algebra
+    monkeypatch.setattr(cli, "_in_algebra", lambda alg, e: fold(
+        dn_algebra.dnp_algebra(alg.n, alg.period + 1), e))
+    assert main(["bracket", "--alg", "dnp", "--p", "2", "--n", "3",
+                 "--oracle", "ks", "G[1,2,1]", "G[1,3,0]"]) == 1
+    assert _json_lines(capsys)[0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("alg", ["an", "dn"])
+@pytest.mark.parametrize("option", [["--matrix"], ["--cap", "7"]])
+def test_braid_options_of_frakdn_only_exit_2(alg, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["braid", "--alg", alg, "--n", "3", "--word", "b12"] + option)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- the exit-code contract under random command lines -----------------------
+# sizes run from -1 to 4, except where a command's cost grows too fast
+# (levels to 1, periods to 2); `verify --suite all` is left out for its cost
+
+
+def _opt(name, values):
+    """Either nothing or `name value`."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+_SIZE = st.integers(-1, 4)
+_LEVEL = st.integers(-1, 1)
+_PERIOD = st.integers(-1, 2)
+_SEED = st.integers(0, 5)
+_EXPRS = ["G[1,2,0]", "G[1,3,1]", "G[2,1,2]", "G[3,3,1]", "G[1,2,0] + 1",
+          "1/0", "G[1,2", "x^40000"]
+_TOKENS = ["b12", "b23^-1", "bn1", "b31", "b13", "b01", "bx"]
+_STRAYS = [["--bogus"], ["--format", "text"], ["--level", "1"],
+           ["--matrix"], ["extra"], ["--seed", "x"], ["--n"]]
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["verify"]), _opt("--suite", st.sampled_from(cli.SUITES)),
+              _opt("--n", _SIZE), _opt("--level", _LEVEL),
+              _opt("--p", _PERIOD), _opt("--seed", _SEED)),
+    st.tuples(st.just(["bracket"]),
+              _opt("--alg", st.sampled_from(["an", "dn", "dnp"])),
+              _opt("--n", _SIZE), _opt("--p", _PERIOD),
+              _opt("--oracle", st.sampled_from(["ks", "goldman"])),
+              st.lists(st.sampled_from(_EXPRS), min_size=2, max_size=2)),
+    st.tuples(st.just(["braid"]),
+              _opt("--alg", st.sampled_from(["an", "dn", "frakdn"])),
+              _opt("--n", _SIZE), _opt("--cap", _SIZE),
+              st.sampled_from([[], ["--matrix"]]),
+              st.lists(st.sampled_from(_TOKENS), max_size=3).map(
+                  lambda tokens: ["--word", " ".join(tokens)])),
+    st.tuples(st.just(["centers"]),
+              _opt("--alg", st.sampled_from(["an", "dn", "dnp"])),
+              _opt("--n", _SIZE), _opt("--p", _PERIOD), _opt("--seed", _SEED)),
+    st.tuples(st.just(["reduce"]), st.sampled_from([[], ["--dn"]]),
+              _opt("--k", _SIZE), _opt("--level-p", _SIZE), _opt("--n", _SIZE)),
+    st.tuples(st.just(["geodesic"]), _opt("--n", _SIZE),
+              st.tuples(_SIZE, _SIZE).map(
+                  lambda ij: ["--i", str(ij[0]), "--j", str(ij[1])]),
+              _opt("--at", st.sampled_from(["s1=1,t1=2", "s1=0", "s1"]))),
+    st.tuples(st.just(["stokes"]),
+              _opt("--point", st.sampled_from(["a3star", "a4star", "random"])),
+              _opt("--n", _SIZE), _opt("--seed", _SEED)),
+).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_COMMANDS, st.lists(st.sampled_from(_STRAYS), max_size=1))
+# the braid relations at n = 2 report failures (exit 1)
+@example(["verify", "--suite", "braid", "--n", "2"], [])
+def test_exit_code_contract(argv, strays):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + sum(strays, []))
+        except SystemExit as exc:
+            code = exc.code
+    # a json report line, or a text one: "[status] suite::case ..."
+    statuses = [json.loads(line)["status"] if line[0] == "{"
+                else line[1:8].strip()
+                for line in out.getvalue().splitlines()
+                if line[:1] in ("{", "[")]
+    assert code in (0, 1, 2)
+    assert (code == 1) == ("fail" in statuses)

@@ -1,14 +1,16 @@
 """Trace-calculus bracket: normalization, skein reduction, numeric oracle."""
 
+import argparse
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoalg import frobenius as fro, ks_calculus as ks
+from geoalg import cli, frobenius as fro, ks_calculus as ks
 from geoalg.dn_algebra import dn_algebra, generator_tuples, _pair_bracket
-from geoalg.poly_core import ZERO, const, parse_gen
+from geoalg.poly_core import E, ZERO, const, parse_gen
 
 
 def test_normalize_cancellations():
@@ -39,7 +41,7 @@ def test_scalar_traces():
 
 def test_skein_reduce_two_letter_words():
     e = ks.TraceExpr.tr((ks.M(1), ks.H(2), ks.M(3), ks.H(-2)))
-    assert ks.skein_reduce(e) == -const(1) * ks.E("G[1,3,2]")
+    assert ks.skein_reduce(e) == -const(1) * E("G[1,3,2]")
 
 
 def test_irreducible_words():
@@ -222,3 +224,149 @@ def test_bracket_antisymmetry(word):
     lhs = ks.ks_bracket_symbolic(tuple(word), w2)
     rhs = ks.ks_bracket_symbolic(w2, tuple(word))
     assert (lhs + rhs).is_zero()
+
+
+# -- references for the int-letter oracle: the tuple-letter normalization
+# and the Wick sum taken one Expr product at a time ------------------------
+
+
+def _ref_letter_key(letter):
+    return (0, letter[1], 0) if letter[0] == "M" else (1, 0, letter[1])
+
+
+def _ref_normalize(letters):
+    sign, work = 1, [l for l in letters if l[0] == "M" or l[1]]
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for letter in work:
+            if out and letter[0] == "H" and out[-1][0] == "H":
+                k = out.pop()[1] + letter[1]
+                if k:
+                    out.append(("H", k))
+                changed = True
+            elif out and letter[0] == "M" and out[-1] == letter:
+                out.pop()
+                sign, changed = -sign, True
+            else:
+                out.append(letter)
+        while len(out) >= 2:
+            if out[0][0] == "H" and out[-1][0] == "H":
+                k = out[0][1] + out[-1][1]
+                out = out[1:-1] + ([("H", k)] if k else [])
+                changed = True
+            elif out[0][0] == "M" and out[0] == out[-1]:
+                out = out[1:-1]
+                sign, changed = -sign, True
+            else:
+                break
+        work = out
+    if not work:
+        return const(2 * sign), None
+    if all(l[0] == "H" for l in work):
+        return const(sign) * E(f"TrH{abs(sum(l[1] for l in work))}"), None
+    if len(work) == 1:
+        return ZERO, None
+    keys = [_ref_letter_key(l) for l in work]
+    r = min(range(len(work)), key=lambda r: keys[r:] + keys[:r])
+    return const(sign), tuple(work[r:] + work[:r])
+
+
+def _ref_generator(i, j, k):
+    if k < 0:
+        i, j, k = j, i, -k
+    if k == 0:
+        if i == j:
+            return const(2)
+        i, j = min(i, j), max(i, j)
+    return E(f"G[{i},{j},{k}]")
+
+
+def _ref_reduce(word):
+    letters, c = [], 0
+    for kind, v in word:
+        if kind == "H":
+            c += v
+        else:
+            letters.append((v, c))
+    if len(letters) % 2 or c:
+        raise ks.IrreducibleWord(word)
+    out = ZERO
+    for sign, pairs in ks._matchings(list(range(len(letters)))):
+        term = const(sign)
+        for s, t in pairs:
+            term = term * _ref_generator(letters[s][0], letters[t][0],
+                                         letters[t][1] - letters[s][1])
+        out = out + term
+    r = len(letters) // 2
+    return out * const(Fraction(2 * (-1) ** r, 2 ** r))
+
+
+_LETTERS = [ks.M(i) for i in range(1, 5)] + [
+    ks.H(k) for k in (-3, -2, -1, 1, 2, 3)]
+
+
+@st.composite
+def _balanced_words(draw):
+    # 2, 4 or 6 M letters, each followed by an H power, the last of which
+    # balances the total: words in the span of the generators
+    size = 2 * draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)),
+                          min_size=size, max_size=size))
+    word = []
+    for i, k in pairs[:-1]:
+        word += [ks.M(i), ks.H(k)]
+    return word + [ks.M(pairs[-1][0]), ks.H(-sum(k for _, k in pairs[:-1]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LETTERS), max_size=10) | _balanced_words())
+def test_int_letters_match_the_tuple_reference(word):
+    coeff, canon = ks.normalize_word(word)
+    assert (coeff, canon) == _ref_normalize(word)
+    try:
+        want = coeff if canon is None else coeff * _ref_reduce(canon)
+    except ks.IrreducibleWord:
+        with pytest.raises(ks.IrreducibleWord):
+            ks.skein_reduce(ks.TraceExpr.tr(word))
+    else:
+        assert ks.skein_reduce(ks.TraceExpr.tr(word)) == want
+
+
+def test_merged_h_exponents_keep_the_letter_range():
+    # a merged H run obeys the bound of a single letter, |k| < 2^19, and is
+    # rejected past it rather than read as an M letter
+    big = 300000
+    for word in [(ks.H(-big), ks.H(big - 1), ks.M(1), ks.M(2)),
+                 (ks.H(big), ks.M(1), ks.H(-big), ks.M(2), ks.H(-1))]:
+        assert ks.normalize_word(word) == _ref_normalize(word)
+    for word in [(ks.H(-big), ks.H(-big)), (ks.H(big), ks.H(big)),
+                 (ks.M(1), ks.H(-big), ks.H(-big), ks.M(2)),
+                 (ks.H(-big), ks.M(1), ks.M(2), ks.H(-big))]:
+        with pytest.raises(ValueError):
+            ks.normalize_word(word)
+
+
+@pytest.fixture
+def fresh_rules():
+    # the letter-pair rules are built once per process: drop those built
+    # from patched rule functions
+    yield
+    ks._rule.cache_clear()
+
+
+@pytest.mark.parametrize("rule", ["_rule_mm", "_rule_h1h"])
+def test_a_flipped_rule_term_fails_the_ks_suite(rule, monkeypatch,
+                                               fresh_rules):
+    def flipped(*args):
+        (c, *pieces), *rest = original(*args)
+        return [(-c, *pieces)] + rest
+
+    args = argparse.Namespace(n=3, level=1)
+    assert all(run()[0] for _, run in cli._suite_ks(args))
+    original = getattr(ks, rule)
+    monkeypatch.setattr(ks, rule, flipped)
+    ks._rule.cache_clear()
+    failed = sum(not run()[0] for _, run in cli._suite_ks(args))
+    assert failed > 0
