@@ -12,8 +12,10 @@ stokes    print a Stokes matrix (special points or seeded random)
 
 Reports are line-delimited JSON by default (`--format text` for a human
 view).  Exit code 0 = all pass, 1 = at least one failing case, 2 = usage
-error.  A suite's cases run one after another, in case order, and each
-report is written as soon as its case finishes.
+error; an option that the command would not read (say `verify --suite
+frobenius --n 7`, or any `verify --p`) is a usage error, not dropped.  A
+suite's cases run one after another, in case order, and each report is
+written as soon as its case finishes.
 
 Braid words
 -----------
@@ -68,7 +70,10 @@ class _Stopwatch:
         self._t = time.perf_counter()
 
     def report(self, suite, case, left, right="", status="pass"):
-        left, right = str(left), str(right)
+        # a passing case's right side is often its left: print it once
+        same = right is left or (isinstance(right, Expr) and right == left)
+        left = str(left)
+        right = left if same else str(right)
         now = time.perf_counter()
         ms = round((now - self._t) * 1000, 3)
         self._t = now
@@ -118,6 +123,13 @@ def _bool_case(value, detail=""):
     return bool(value), detail or repr(value), "expected truthy"
 
 
+def _pair_verdict(lhs, rhs):
+    """An oracle's value against the structure constants': when they agree
+    the report carries (and prints) one value for both sides."""
+    ok = lhs == rhs
+    return ok, lhs, lhs if ok else rhs
+
+
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
@@ -132,14 +144,20 @@ def _suite_goldman(args):
         for j in range(i + 1, n + 1):
             geo[f"G[{i},{j},0]"] = fatgraph.geodesic_function(n, i, j)
     cases = [("perimeter", lambda: _bool_case(fatgraph.perimeter_identity(n)))]
+    grads = {}  # each geodesic's shear gradient, taken by its first case
+
+    def gradient(i, j):
+        name = f"G[{i},{j},0]"
+        if name not in grads:
+            grads[name] = fatgraph.shear_gradient(geo[name], graph)
+        return grads[name]
 
     def pair_case(a, b):
         def run():
-            lhs = fatgraph.goldman_bracket(geo[f"G[{a[0]},{a[1]},0]"],
-                                           geo[f"G[{b[0]},{b[1]},0]"], graph)
+            lhs = fatgraph.gradient_pairing(gradient(*a), gradient(*b), graph)
             rhs = dn_algebra.bracket(alg, alg.canonical(*a, 0),
                                      alg.canonical(*b, 0)).subst(geo)
-            return lhs == rhs, lhs, rhs
+            return _pair_verdict(lhs, rhs)
         return run
 
     all_pairs = [(i, j) for i in range(1, n + 1)
@@ -163,7 +181,7 @@ def _suite_ks(args):
                 ks_calculus.ks_bracket_symbolic(ks_calculus.gen_word(*a),
                                                  ks_calculus.gen_word(*b)))
             rhs = dn_algebra._pair_bracket(alg, a, b)
-            return lhs == rhs, lhs, rhs
+            return _pair_verdict(lhs, rhs)
         return run
 
     return [(f"ks-vs-constants {a}x{b}", pair_case(a, b))
@@ -194,6 +212,10 @@ def _suite_jacobi(args):
 
 def _suite_braid(args):
     n = _given(args.n, 3)
+    if n < 3:
+        # below 3 points the wrap and b12 are not distinct generators, so
+        # the braid relations between them are not the group's
+        raise ValueError(f"the braid suite needs --n at least 3, not {n}")
     cases = []
     for flavor, cap in (("A", 0), ("D", 0), ("frakD", 4)):
         def run(flavor=flavor, cap=cap):
@@ -206,8 +228,12 @@ def _suite_braid(args):
 
 
 def _suite_yangian(args):
-    specs = [(2, 3), (3, 2)] if args.n is None else \
-        [(args.n, _given(args.level, 2))]
+    if args.n is not None:
+        specs = [(args.n, _given(args.level, 2))]
+    elif args.level is not None:
+        specs = [(2, args.level), (3, args.level)]
+    else:
+        specs = [(2, 3), (3, 2)]
 
     def run(n, order):
         def inner():
@@ -322,23 +348,35 @@ def _suite_frobenius(args):
     return cases
 
 
+# suite -> (its case builder, the options it reads)
 _SUITE_BUILDERS = {
-    "goldman": _suite_goldman,
-    "ks": _suite_ks,
-    "jacobi": _suite_jacobi,
-    "braid": _suite_braid,
-    "yangian": _suite_yangian,
-    "centers": _suite_centers,
-    "reduction": _suite_reduction,
-    "frobenius": _suite_frobenius,
+    "goldman": (_suite_goldman, ("n",)),
+    "ks": (_suite_ks, ("n", "level")),
+    "jacobi": (_suite_jacobi, ("n", "level")),
+    "braid": (_suite_braid, ("n",)),
+    "yangian": (_suite_yangian, ("n", "level")),
+    "centers": (_suite_centers, ("seed",)),
+    "reduction": (_suite_reduction, ()),
+    "frobenius": (_suite_frobenius, ("seed",)),
 }
+
+
+def _reject_unread(args, keys, why):
+    """Exit 2 rather than drop an option the command would not read."""
+    given = [f"--{key.replace('_', '-')}" for key in keys
+             if getattr(args, key) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)}: not read {why}")
 
 
 def cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
+    read = {key for name in names for key in _SUITE_BUILDERS[name][1]}
+    _reject_unread(args, [key for key in ("n", "level", "seed", "p")
+                          if key not in read], f"by --suite {args.suite}")
     code = 0
     for name in names:
-        code |= _run_suite(name, _SUITE_BUILDERS[name](args), args.format)
+        code |= _run_suite(name, _SUITE_BUILDERS[name][0](args), args.format)
     return code
 
 
@@ -360,6 +398,8 @@ def _algebra(args):
 
 def cmd_bracket(args) -> int:
     clock = _Stopwatch()
+    _reject_unread(args, ["seed"] if args.alg == "dnp" else ["seed", "p"],
+                   f"by bracket --alg {args.alg}")
     alg = _algebra(args)
     f, g = parse(args.exprs[0]), parse(args.exprs[1])
     result = dn_algebra.bracket(alg, f, g)
@@ -437,6 +477,7 @@ def cmd_braid(args) -> int:
     if args.alg != "frakdn" and (args.matrix or args.cap is not None):
         raise ValueError(f"--matrix and --cap apply to --alg frakdn, "
                          f"not {args.alg}")
+    _reject_unread(args, ["seed"], "by braid")
     word = _parse_braid_word(args.word, n)
     reports = []
     if args.alg == "an":
@@ -474,6 +515,8 @@ def cmd_braid(args) -> int:
 
 def cmd_centers(args) -> int:
     clock = _Stopwatch()
+    if args.alg != "dnp":
+        _reject_unread(args, ["p", "seed"], f"by centers --alg {args.alg}")
     n = _given(args.n, 3)
     if args.alg == "an":
         cs = centers_mod.centers_An(n)
@@ -491,6 +534,10 @@ def cmd_centers(args) -> int:
 
 def cmd_reduce(args) -> int:
     clock = _Stopwatch()
+    if args.k is not None:
+        _reject_unread(args, ["seed", "n", "level_p"], "by reduce --k")
+    else:
+        _reject_unread(args, ["seed"], "by reduce")
     reports = []
     if args.k is not None:
         rmap = reductions.dn_reduce(args.k)
@@ -516,6 +563,7 @@ def cmd_geodesic(args) -> int:
     clock = _Stopwatch()
     if args.n is None:
         raise ValueError("geodesic needs --n")
+    _reject_unread(args, ["seed"], "by geodesic")
     e = fatgraph.geodesic_function(args.n, args.i, args.j)
     if args.at:
         bindings = {}
@@ -529,6 +577,8 @@ def cmd_geodesic(args) -> int:
 
 def cmd_stokes(args) -> int:
     clock = _Stopwatch()
+    if args.point != "random":
+        _reject_unread(args, ["n", "seed"], f"by stokes --point {args.point}")
     if args.point == "a3star":
         s = frobenius.a3_star()
     elif args.point == "a4star":

@@ -156,24 +156,37 @@ def geodesic_function(n: int, i: int, j: int) -> Expr:
     return -(words[i - 1].evaluate() * words[j - 1].evaluate()).trace()
 
 
-def _half_derivative(f: Expr, var: str) -> Expr:
-    # d/dX in terms of u = e^{X/2}:  (u/2) df/du.
-    return f.diff(var) * E(var) * const(HALF)
+def shear_gradient(f: Expr, graph: FatGraph) -> dict:
+    """d f / d X for every edge X of *graph* (X a shear coordinate, taken
+    through its half-variable), keyed by half-variable; *f* may hold no
+    other symbol."""
+    allowed = graph.edge_vars()
+    foreign = f.symbols() - set(allowed)
+    if foreign:
+        raise ValueError(f"foreign variables {sorted(foreign)} for this graph")
+    # d/dX in terms of u = e^{X/2}:  (u/2) df/du
+    return {v: f.diff(v) * E(v) * const(HALF) for v in allowed}
+
+
+def gradient_pairing(df: dict, dg: dict, graph: FatGraph) -> Expr:
+    """The vertex-cyclic Poisson bivector of *graph* applied to two shear
+    gradients: sum over the cyclically consecutive edges (a, b) at every
+    vertex of df_a dg_b - dg_a df_b (most partials of a geodesic vanish,
+    and their products are skipped)."""
+    out = ZERO
+    for order in graph.vertex_orders:
+        for a, b in zip(order, order[1:] + order[:1]):
+            if df[a] and dg[b]:
+                out = out + df[a] * dg[b]
+            if dg[a] and df[b]:
+                out = out - dg[a] * df[b]
+    return out
 
 
 def goldman_bracket(f: Expr, g: Expr, graph: FatGraph) -> Expr:
     """The vertex-cyclic Poisson bracket on shear coordinates."""
-    allowed = set(graph.edge_vars())
-    foreign = (f.symbols() | g.symbols()) - allowed
-    if foreign:
-        raise ValueError(f"foreign variables {sorted(foreign)} for this graph")
-    df = {v: _half_derivative(f, v) for v in allowed}
-    dg = {v: _half_derivative(g, v) for v in allowed}
-    out = ZERO
-    for order in graph.vertex_orders:
-        for a, b in zip(order, order[1:] + order[:1]):
-            out = out + df[a] * dg[b] - dg[a] * df[b]
-    return out
+    return gradient_pairing(shear_gradient(f, graph), shear_gradient(g, graph),
+                            graph)
 
 
 def perimeter_identity(n: int) -> bool:

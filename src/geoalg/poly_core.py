@@ -11,7 +11,15 @@ first used in the process, and the exponent of symbol i is the signed
 16-bit digit at position i, so multiplying monomials is adding ints.  An
 exponent must stay within +-(2^15 - 1); an operation that could leave that
 range raises ``OverflowError``.  Names are decoded only where they are
-shown (``terms()``, ``str``, ``symbols()``).
+shown (``terms()``, ``symbols()``, ``str``).
+
+``str`` prints the terms in an order fixed by the value alone: by their
+monomials as ``terms()`` decodes them, fewer letters first, then
+lexicographically, so the text does not depend on the order in which
+symbols were first used.  A value of ``_VECTOR_TERMS`` terms or more finds
+that order by one numpy argsort over a byte key per monomial and reads its
+letters off the sorted exponent rows; a smaller one sorts decoded tuples.
+Both share the text assembly.
 
 Symbols are plain strings.  The conventional names are
 
@@ -35,8 +43,10 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 Rat = Union[int, Fraction]
 
@@ -395,25 +405,16 @@ class Expr:
     def __str__(self) -> str:
         if not self._d:
             return "0"
-        parts = []
-        for mono, c in sorted(self.terms(), key=_mono_sort_key):
-            factors = []
-            for v, e in mono:
-                factors.append(v if e == 1 else f"{v}^{e}")
-            body = "*".join(factors)
-            if not body:
-                text = str(abs(c))
-            elif abs(c) == 1:
-                text = body
-            else:
-                text = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, text))
-        first_sign, first = parts[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, text in parts[1:]:
-            out += f" {sign} {text}"
-        return out
+        if len(self._d) < _VECTOR_TERMS:
+            terms = sorted(self.terms(), key=_mono_sort_key)
+            bodies = ["*".join([_factor(v, e) for v, e in mono])
+                      for mono, _ in terms]
+            coeffs = [c for _, c in terms]
+        else:
+            bodies, order = _sorted_bodies(list(self._d))
+            coeffs = list(self._d.values())
+            coeffs = [coeffs[i] for i in order]
+        return _join_terms(bodies, coeffs)
 
     __repr__ = __str__
 
@@ -543,9 +544,94 @@ def _decode_all(monos) -> list:
             for row in (flat[i:i + n] for i in range(0, len(flat), n))]
 
 
+# -- printing ----------------------------------------------------------------
+#
+# str's term order is in the module docstring.  Per term, the vector path
+# (_sorted_bodies) overtakes sorting decoded tuples at about 16 terms and
+# is 1.7x quicker at 64.  The cut sits at 64 so that passes on small values
+# (at most 30 terms each in `verify --suite all`, `ks` and `jacobi`) never
+# fill numpy's buffers, which would raise their peak memory.
+
+_VECTOR_TERMS = 64
+_NAME_COLUMNS: dict = {}  # row width n -> (ids 0..n-1 by name, their names)
+
+
 def _mono_sort_key(term: tuple):
     mono = term[0]
     return (len(mono), mono)
+
+
+def _factor(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+class _Factors(dict):
+    """Letter code -> the letter's text, each made on its first lookup
+    (quicker than collecting the distinct codes first)."""
+
+    def __init__(self, names):
+        super().__init__()
+        self._names = names
+
+    def __missing__(self, code):
+        e = ((code & _MASK) ^ _LIMIT) - _LIMIT  # the uint16 read as signed
+        text = self[code] = _factor(self._names[code >> _BITS], e)
+        return text
+
+
+def _sorted_bodies(monos) -> tuple:
+    """The printed letters of each monomial of *monos* ("x*y^-2"), in the
+    order _mono_sort_key puts them, and that order (indices into monos)."""
+    flat, n = _exponents(monos)
+    cols = _NAME_COLUMNS.get(n)
+    if cols is None:
+        ids = sorted(range(n), key=_NAMES.__getitem__)
+        cols = _NAME_COLUMNS[n] = (np.array(ids, np.intp),
+                                   [_NAMES[i] for i in ids])
+    perm, names = cols
+    rows = np.frombuffer(flat, np.int16).reshape(-1, n)[:, perm]
+    del flat
+    # the key of a row: its letter count, then its exponents in name order
+    # as big-endian uint16s.  An exponent is biased by 2^15 - 1, to
+    # 0..2^16-2, which leaves 2^16-1 for 0 (no letter): a missing letter
+    # sorts after any present one, as a later name does in terms()
+    key = np.empty((len(monos), n + 1), ">u2")
+    absent = rows == 0
+    key[:, 0] = n - absent.sum(axis=1)
+    biased = rows.view(np.uint16) + np.uint16(_LIMIT - 1)
+    biased[absent] = _MASK
+    del absent
+    key[:, 1:] = biased
+    del biased
+    order = np.argsort(key.view(f"V{2 * (n + 1)}").ravel())
+    counts = key[order, 0].tolist()
+    del key
+    rows = rows[order]
+    at = np.flatnonzero(rows)
+    # one code per letter: its column, then its exponent as a uint16
+    codes = (at % n << _BITS | rows.ravel()[at].view(np.uint16)).tolist()
+    del rows, at
+    texts = map(_Factors(names).__getitem__, codes)
+    return ["*".join(islice(texts, k)) for k in counts], order.tolist()
+
+
+def _join_terms(bodies, coeffs) -> str:
+    """The printed sum of the terms coeff*body, in the given order."""
+    parts = []
+    for body, c in zip(bodies, coeffs):
+        if c < 0:
+            parts.append(" - ")
+            c = -c
+        else:
+            parts.append(" + ")
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        else:
+            parts.append(f"{c}*{body}")
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 ZERO = Expr()

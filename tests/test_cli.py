@@ -300,6 +300,61 @@ def test_braid_options_of_frakdn_only_exit_2(alg, option, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_braid_suite_below_three_points_exit_2(n, capsys):
+    # the wrap and b12 coincide there: a usage error, not failing relations
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "braid", "--n", str(n)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least 3" in \
+        captured.err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--suite", "frobenius", "--n", "7"], "--n"),
+    (["verify", "--suite", "reduction", "--seed", "1"], "--seed"),
+    (["verify", "--suite", "goldman", "--level", "1"], "--level"),
+    (["verify", "--suite", "ks", "--p", "2"], "--p"),
+    (["verify", "--p", "2"], "--p"),
+    (["bracket", "--p", "2", "G[1,2,0]", "G[1,3,0]"], "--p"),
+    (["bracket", "--alg", "dnp", "--seed", "1", "G[1,2,0]", "G[1,3,0]"],
+     "--seed"),
+    (["braid", "--seed", "1", "--word", "b12"], "--seed"),
+    (["centers", "--alg", "dn", "--p", "2"], "--p"),
+    (["centers", "--alg", "an", "--seed", "1"], "--seed"),
+    (["reduce", "--k", "2", "--n", "3"], "--n"),
+    (["reduce", "--k", "2", "--level-p", "2"], "--level-p"),
+    (["geodesic", "--n", "3", "--i", "1", "--j", "2", "--seed", "1"],
+     "--seed"),
+    (["stokes", "--n", "3"], "--n"),
+    (["stokes", "--point", "a4star", "--seed", "1"], "--seed"),
+])
+def test_options_not_read_exit_2(argv, option, capsys):
+    # an option the command would not read is refused, not dropped
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}")
+
+
+def test_options_not_read_from_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "geoalg.cfg"
+    cfg.write_text("suite=frobenius\nn=4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify"])
+    assert exc.value.code == 2
+
+
+def test_yangian_level_without_n_is_read(capsys):
+    assert main(["verify", "--suite", "yangian", "--level", "1"]) == 0
+    assert [r["case"] for r in _json_lines(capsys)] == [
+        "reflection-limit n=2 order=1", "reflection-limit n=3 order=1"]
+
+
 # -- the exit-code contract under random command lines -----------------------
 # sizes run from -1 to 4, except where a command's cost grows too fast
 # (levels to 1, periods to 2); `verify --suite all` is left out for its cost
@@ -352,7 +407,7 @@ _COMMANDS = st.one_of(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_COMMANDS, st.lists(st.sampled_from(_STRAYS), max_size=1))
-# the braid relations at n = 2 report failures (exit 1)
+# a braid suite below 3 points is a usage error (exit 2), not a failure
 @example(["verify", "--suite", "braid", "--n", "2"], [])
 def test_exit_code_contract(argv, strays):
     out = io.StringIO()

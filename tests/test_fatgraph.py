@@ -61,6 +61,25 @@ def test_goldman_rejects_foreign_variables():
     graph = fatgraph.canonical_disc_graph(3)
     with pytest.raises(ValueError):
         fatgraph.goldman_bracket(fatgraph.E("nope"), ONE, graph)
+    with pytest.raises(ValueError, match="nope"):
+        fatgraph.shear_gradient(fatgraph.E("s1") * fatgraph.E("nope"), graph)
+
+
+def test_gradient_pairing_is_the_goldman_bracket():
+    n = 4
+    graph = fatgraph.canonical_disc_graph(n)
+    geo = list(_geodesics(n).values())
+    # products and constants too, not only the geodesics themselves
+    values = geo + [geo[0] * geo[3] - geo[2], const(Fraction(3, 2)) + geo[5]]
+    grads = [fatgraph.shear_gradient(f, graph) for f in values]
+    for f, df in zip(values, grads):
+        assert set(df) == set(graph.edge_vars())
+        for g, dg in zip(values, grads):
+            pair = fatgraph.gradient_pairing(df, dg, graph)
+            assert pair == fatgraph.goldman_bracket(f, g, graph)
+            assert pair == -fatgraph.gradient_pairing(dg, df, graph)
+    assert any(fatgraph.gradient_pairing(grads[0], dg, graph)
+               for dg in grads)
 
 
 def test_geodesic_positive_at_real_points():

@@ -16,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 from geoalg import centers
-from geoalg.poly_core import E, Expr, Mat, ONE, ZERO, const, parse
+from geoalg.poly_core import E, Expr, Mat, ONE, ZERO, _VECTOR_TERMS, const, parse
 
 NAMES = ("x", "y", "z")
 # names the parser reads back, not in alphabetical order of first use
@@ -28,12 +28,12 @@ rationals = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
-def exprs(max_terms=4, names=NAMES, max_letters=3):
+def exprs(max_terms=4, names=NAMES, max_letters=3, min_terms=0):
     monos = st.lists(
         st.tuples(st.sampled_from(names), st.integers(-3, 3)),
         max_size=max_letters)
-    return st.lists(st.tuples(monos, rationals), max_size=max_terms).map(
-        _build)
+    return st.lists(st.tuples(monos, rationals), min_size=min_terms,
+                    max_size=max_terms).map(_build)
 
 
 def _build(terms):
@@ -187,6 +187,51 @@ def test_parse_round_trips_str(a):
     text = str(a)
     assert parse(text) == a
     assert str(parse(text)) == text
+
+
+def reference_str(e: Expr) -> str:
+    """The printing contract, from terms() alone: terms ordered by their
+    name-sorted letter tuples, fewer letters first; a coefficient of +-1 is
+    left out before letters; x^1 prints as x."""
+    terms = sorted(e.terms(), key=lambda t: (len(t[0]), t[0]))
+    out = ""
+    for k, (mono, c) in enumerate(terms):
+        body = "*".join(v if p == 1 else f"{v}^{p}" for v, p in mono)
+        text = body if body and abs(c) == 1 else \
+            f"{abs(c)}*{body}" if body else str(abs(c))
+        if k == 0:
+            out = "-" + text if c < 0 else text
+        else:
+            out += (" - " if c < 0 else " + ") + text
+    return out or "0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(names=WIDE, max_terms=12, max_letters=4, min_terms=8),
+       exprs(names=WIDE, max_terms=12, max_letters=4, min_terms=8),
+       exprs(names=WIDE, max_terms=3), rationals)
+def test_str_matches_reference_printer(a, b, c, k):
+    # the products reach past the printer's vector cut; a and c stay below
+    for e in (a, c, a * b + const(k), a * b * (c + 1) - const(k)):
+        assert str(e) == reference_str(e)
+
+
+def test_str_of_casimirs_matches_reference_printer():
+    sizes = []
+    for e in centers.centers_An(6).coefficients:
+        assert str(e) == reference_str(e)
+        sizes.append(len(list(e.terms())))
+    # both the per-term and the vector path print a coefficient
+    assert min(sizes) < _VECTOR_TERMS <= max(sizes)
+
+
+def test_str_orders_the_largest_exponents():
+    # +-(2^15 - 1) sort apart from each other and from a missing letter
+    top = 2 ** 15 - 1
+    e = sum((E("x", k) * E("y", top) + E("y", -top) * E("z", k)
+             + E("x", top) * E("z", -k) for k in range(-30, 30)), ONE)
+    assert len(list(e.terms())) >= _VECTOR_TERMS
+    assert str(e) == reference_str(e)
 
 
 @settings(max_examples=12, deadline=None)
