@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, gen, ghat
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat
 
 ADJ = "adj"
 WRAP = "wrap"
@@ -265,18 +265,14 @@ def gcal_matrix(fam: LevelFamily) -> LambdaMatrix:
     """The truncated generating matrix: upper-triangular level-0 part
     plus sum_{k=1..cap} G^(k) lam^-k."""
     n = fam.n
-    lam_inv = E("lam", -1)
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
             a0 = ONE if i == j else (fam.get(i, j, 0) if i < j else ZERO)
-            e = a0
-            p = ONE
-            for k in range(1, fam.cap + 1):
-                p = p * lam_inv
-                e = e + fam.get(i, j, k) * p
-            row.append(e)
+            row.append(dot([(1, a0, ONE)] + [
+                (1, fam.get(i, j, k), E("lam", -k))
+                for k in range(1, fam.cap + 1)]))
         rows.append(row)
     return LambdaMatrix(Mat(rows), fam.cap)
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly_core import (Expr, Mat, E, ZERO, ONE, const, gen, ghat,
+from .poly_core import (Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat,
                         is_generator, parse_gen)
 from .dn_algebra import an_algebra, dnp_algebra, bracket
 from .reductions import build_Gp
@@ -364,12 +364,13 @@ def dn_diagonal_specialization(n: int) -> bool:
                   for b in range(k)] for a in range(k)])
         return m.det()
 
-    expect = ZERO
-    for k in range(n + 1):
-        symk = sum((_prod([E(ghat(i, i)) ** 2 for i in sub])
+    def symmetric(k):  # e_k of the Ghat_ii^2
+        return sum((_prod([E(ghat(i, i)) ** 2 for i in sub])
                     for sub in itertools.combinations(range(1, n + 1), k)),
                    ZERO)
-        expect = expect + e_scalar ** (n - k) * pattern_det(k) * symk
+
+    expect = dot([(1, e_scalar ** (n - k) * pattern_det(k), symmetric(k))
+                  for k in range(n + 1)])
     return det == expect
 
 

@@ -57,13 +57,28 @@ SUITES = ("goldman", "ks", "jacobi", "braid", "yangian", "centers",
 # ---------------------------------------------------------------------------
 
 
+# a failing report prints each side to this many characters at most
+_FAIL_CHARS = 2000
+
+
+def _cut(value, text):
+    """*text*, the printed *value*, cut to _FAIL_CHARS characters; a cut
+    one ends in the value's size ("… [1234 terms]" for an Expr)."""
+    if len(text) <= _FAIL_CHARS:
+        return text
+    size = f"{len(value)} terms" if isinstance(value, Expr) else \
+        f"{len(text)} chars"
+    return f"{text[:_FAIL_CHARS]}… [{size}]"
+
+
 class _Stopwatch:
     """Builds the report dicts of one computation.
 
     A report's `ms` is the time since the previous report of the same
     stopwatch, or since the stopwatch was made: the first report of a
     command carries the computation it came from, and the sum over the
-    reports is the command's time.
+    reports is the command's time.  A failing report's sides are cut to
+    _FAIL_CHARS characters each.
     """
 
     def __init__(self):
@@ -72,13 +87,16 @@ class _Stopwatch:
     def report(self, suite, case, left, right="", status="pass"):
         # a passing case's right side is often its left: print it once
         same = right is left or (isinstance(right, Expr) and right == left)
-        left = str(left)
-        right = left if same else str(right)
+        left_text = str(left)
+        right_text = left_text if same else str(right)
+        if status == "fail":
+            left_text = _cut(left, left_text)
+            right_text = _cut(right, right_text)
         now = time.perf_counter()
         ms = round((now - self._t) * 1000, 3)
         self._t = now
         return {"suite": suite, "case": case, "status": status,
-                "left": left, "right": right, "ms": ms}
+                "left": left_text, "right": right_text, "ms": ms}
 
 
 def _run_case(suite, case_id, fn):
@@ -537,7 +555,7 @@ def cmd_reduce(args) -> int:
     if args.k is not None:
         _reject_unread(args, ["seed", "n", "level_p"], "by reduce --k")
     else:
-        _reject_unread(args, ["seed"], "by reduce")
+        _reject_unread(args, ["seed", "dn"], "by reduce without --k")
     reports = []
     if args.k is not None:
         rmap = reductions.dn_reduce(args.k)
@@ -645,7 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduction maps")
     common(p)
-    p.add_argument("--dn", action="store_true")
+    # names the D_n reduction of --k; None (not False) when not given, so
+    # that _reject_unread sees it
+    p.add_argument("--dn", action="store_true", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--level-p", dest="level_p", type=int, default=None)
     p.set_defaults(func=cmd_reduce)

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .poly_core import (Expr, E, ZERO, ONE, const, gen, is_generator,
+from .poly_core import (Expr, E, ZERO, ONE, const, dot, gen, is_generator,
                         parse_gen, shared)
 
 FLAVOR_A = "A"
@@ -126,63 +126,60 @@ def _structure_constant(alg: GenAlgebra, a, b) -> Expr:
         p, l, k = l, p, -k
     if m > k:
         return -_pair_bracket(alg, b, a)
-    g = alg.canonical
+    # (c, x, y): the term c * G_x * G_y, x and y index triples
     if m == 0:
-        return (
-            const(_eps(j - l) - _eps(i - l))
-            * (g(l, i, 0) * g(p, j, k) - g(l, j, 0) * g(p, i, k))
-            + const(_eps(j - p) - _eps(i - p))
-            * (g(p, i, 0) * g(j, l, k) - g(p, j, 0) * g(i, l, k))
-        )
-    # 0 < m <= k
-    out = (
-        const(_eps(i - l)) * (g(p, i, k) * g(j, l, m) - g(i, l, 0) * g(p, j, k - m))
-        + const(_eps(i - p)) * (g(j, p, m) * g(i, l, k) - g(i, p, 0) * g(j, l, k + m))
-        + const(_eps(j - l)) * (g(p, j, k) * g(l, i, m) - g(j, l, 0) * g(p, i, k + m))
-        + const(_eps(j - p)) * (g(p, i, m) * g(j, l, k) - g(j, p, 0) * g(i, l, k - m))
-    )
-    for r in range(m + 1):
-        c = const(1 if r in (0, m) else 2)
-        out = out + c * (
-            g(p, i, k + m - r) * g(j, l, r)
-            - g(p, i, m - r) * g(j, l, k + r)
-            + g(i, l, k - m + r) * g(j, p, r)
-            - g(l, i, r) * g(p, j, k - m + r)
-        )
-    return out
+        c1 = _eps(j - l) - _eps(i - l)
+        c2 = _eps(j - p) - _eps(i - p)
+        terms = [(c1, (l, i, 0), (p, j, k)), (-c1, (l, j, 0), (p, i, k)),
+                 (c2, (p, i, 0), (j, l, k)), (-c2, (p, j, 0), (i, l, k))]
+    else:  # 0 < m <= k
+        c1, c2, c3, c4 = _eps(i - l), _eps(i - p), _eps(j - l), _eps(j - p)
+        terms = [(c1, (p, i, k), (j, l, m)), (-c1, (i, l, 0), (p, j, k - m)),
+                 (c2, (j, p, m), (i, l, k)), (-c2, (i, p, 0), (j, l, k + m)),
+                 (c3, (p, j, k), (l, i, m)), (-c3, (j, l, 0), (p, i, k + m)),
+                 (c4, (p, i, m), (j, l, k)), (-c4, (j, p, 0), (i, l, k - m))]
+        for r in range(m + 1):
+            c = 1 if r in (0, m) else 2
+            terms += [(c, (p, i, k + m - r), (j, l, r)),
+                      (-c, (p, i, m - r), (j, l, k + r)),
+                      (c, (i, l, k - m + r), (j, p, r)),
+                      (-c, (l, i, r), (p, j, k - m + r))]
+    g = alg.canonical
+    return dot([(c, g(*x), g(*y)) for c, x, y in terms if c])
 
 
 def _generator_partials(alg: GenAlgebra, f: Expr) -> list:
     """[(index triple, df/dG)] over the generators G that f depends on."""
     out = []
-    for s in f.symbols():
+    for s, df in f.gradient().items():
         if is_generator(s):
-            df = f.diff(s)
-            if not df.is_zero():
-                a = parse_gen(s)
-                alg.check_index(*a)
-                out.append((a, df))
+            a = parse_gen(s)
+            alg.check_index(*a)
+            out.append((a, df))
     return out
+
+
+def _leibniz_terms(alg: GenAlgebra, f: Expr, g: Expr) -> list:
+    """The triples (1, df/dG_a * dg/dG_b, {G_a, G_b}) that dot sums to
+    {f, g}."""
+    dfs = _generator_partials(alg, f)
+    if not dfs:
+        return []
+    dgs = _generator_partials(alg, g)
+    return [(1, df * dg, _pair_bracket(alg, a, b))
+            for a, df in dfs for b, dg in dgs]
 
 
 def bracket(alg: GenAlgebra, f: Expr, g: Expr) -> Expr:
     """Leibniz extension of the structure constants to polynomials."""
-    dfs = _generator_partials(alg, f)
-    if not dfs:
-        return ZERO
-    dgs = _generator_partials(alg, g)
-    out = ZERO
-    for a, df in dfs:
-        for b, dg in dgs:
-            out = out + df * dg * _pair_bracket(alg, a, b)
-    return out
+    return dot(_leibniz_terms(alg, f, g))
 
 
 def jacobi_check(alg: GenAlgebra, f: Expr, g: Expr, h: Expr) -> Expr:
     """{{f,g},h} + {{g,h},f} + {{h,f},g}; zero iff Jacobi holds."""
-    return (bracket(alg, bracket(alg, f, g), h)
-            + bracket(alg, bracket(alg, g, h), f)
-            + bracket(alg, bracket(alg, h, f), g))
+    return dot(_leibniz_terms(alg, bracket(alg, f, g), h)
+               + _leibniz_terms(alg, bracket(alg, g, h), f)
+               + _leibniz_terms(alg, bracket(alg, h, f), g))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot
 
 HALF = Fraction(1, 2)
 
@@ -173,14 +173,11 @@ def gradient_pairing(df: dict, dg: dict, graph: FatGraph) -> Expr:
     gradients: sum over the cyclically consecutive edges (a, b) at every
     vertex of df_a dg_b - dg_a df_b (most partials of a geodesic vanish,
     and their products are skipped)."""
-    out = ZERO
+    terms = []
     for order in graph.vertex_orders:
         for a, b in zip(order, order[1:] + order[:1]):
-            if df[a] and dg[b]:
-                out = out + df[a] * dg[b]
-            if dg[a] and df[b]:
-                out = out - dg[a] * df[b]
-    return out
+            terms += [(1, df[a], dg[b]), (-1, dg[a], df[b])]
+    return dot(terms)
 
 
 def goldman_bracket(f: Expr, g: Expr, graph: FatGraph) -> Expr:
@@ -223,26 +220,16 @@ def _reduce_quadratic(e: Expr, var: str, csum: Expr) -> Expr:
     """Reduce var-exponents modulo var + var^-1 = csum (var^2 - csum*var + 1 = 0)."""
     v = E(var)
     v_inv_poly = csum - v  # var^-1 expressed polynomially
-    out = ZERO
-    for k, coeff in e.coeffs_in(var).items():
-        if k >= 0:
-            factor = v ** k
-        else:
-            factor = v_inv_poly ** (-k)
-        out = out + coeff * factor
+    out = dot([(1, coeff, v ** k if k >= 0 else v_inv_poly ** -k)
+               for k, coeff in e.coeffs_in(var).items()])
     # now polynomial in var with degree possibly > 1: reduce with v^2 = csum*v - 1
     while True:
         pieces = out.coeffs_in(var)
         top = max(pieces, default=0)
         if top <= 1:
             return out
-        rewritten = ZERO
-        for k, coeff in pieces.items():
-            if k == top:
-                rewritten = rewritten + coeff * (csum * v - ONE) * v ** (top - 2)
-            else:
-                rewritten = rewritten + coeff * v ** k
-        out = rewritten
+        out = dot([(1, coeff, (csum * v - ONE) * v ** (top - 2) if k == top
+                    else v ** k) for k, coeff in pieces.items()])
 
 
 def clashed_hole_coords() -> bool:
@@ -266,11 +253,11 @@ def clashed_hole_coords() -> bool:
         for q in range(2):
             diff = lhs[p, q] - rhs[p, q]
             # entries depend on q4 only through even powers; fold q4^2 -> zh
-            folded = ZERO
-            for k, coeff in diff.coeffs_in("q4").items():
-                if k % 2:
-                    return False
-                folded = folded + coeff * E("zh") ** (k // 2)
+            pieces = diff.coeffs_in("q4")
+            if any(k % 2 for k in pieces):
+                return False
+            folded = dot([(1, coeff, E("zh", k // 2))
+                          for k, coeff in pieces.items()])
             if not _reduce_quadratic(folded, "zh", csum).is_zero():
                 return False
     return True

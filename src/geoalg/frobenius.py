@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, parse_gen
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, parse_gen
 from .dn_algebra import dn_algebra, generator_tuples, _pair_bracket
 from .ks_calculus import ks_brackets_numeric
 from .fatgraph import geodesic_function
@@ -472,12 +472,12 @@ def teich_stokes(n: int, shears=None) -> StokesMatrix:
 
 def _fold_fourth_root(e: Expr, var: str, base: int) -> Expr:
     """Evaluate at var = base^{1/4}; only fourth powers may survive."""
-    out = ZERO
-    for k, coeff in e.coeffs_in(var).items():
+    pieces = e.coeffs_in(var)
+    for k in pieces:
         if k % 4:
             raise ValueError(f"stray power {k} of {var} at the special point")
-        out = out + coeff * const(Fraction(base) ** (k // 4))
-    return out
+    return dot([(Fraction(base) ** (k // 4), coeff, ONE)
+                for k, coeff in pieces.items()])
 
 
 def a3_star() -> StokesMatrix:

@@ -21,6 +21,10 @@ that order by one numpy argsort over a byte key per monomial and reads its
 letters off the sorted exponent rows; a smaller one sorts decoded tuples.
 Both share the text assembly.
 
+A sum of products goes through ``dot``: it multiplies the monomials of
+each pair straight into one dict and normalizes once, where a chain of
+``out = out + x*y`` would build every product and copy the running sum.
+
 Symbols are plain strings.  The conventional names are
 
 * ``s1, s2, ...``  -- exponentiated pending shear halves  e^{Z_i/2}
@@ -279,6 +283,10 @@ class Expr:
     def __bool__(self) -> bool:
         return bool(self._d)
 
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._d)
+
     def is_zero(self) -> bool:
         return not self._d
 
@@ -320,6 +328,34 @@ class Expr:
 
     # -- calculus ---------------------------------------------------------
 
+    def gradient(self) -> dict:
+        """{name: self.diff(name)} over the symbols with a nonzero partial,
+        in one pass over the terms."""
+        parts: dict = {}  # symbol id -> {monomial: coefficient}
+        bias = _BIASES[len(_NAMES)]
+        for mono, c in self._d.items():
+            x = (mono + bias) ^ bias  # each digit its exponent, mod 2^16
+            i = 0
+            while x:
+                skip = ((x & -x).bit_length() - 1) // _BITS
+                i += skip
+                x >>= _BITS * skip
+                e = ((x & _MASK) ^ _LIMIT) - _LIMIT
+                # a symbol's partial takes each term from one monomial, so
+                # nothing cancels
+                part = parts.get(i)
+                if part is None:
+                    part = parts[i] = {}
+                part[mono - (1 << (_BITS * i))] = c * e
+                x >>= _BITS
+                i += 1
+        bound = self._bound + 1
+        out = {}
+        for i, d in parts.items():
+            out[_NAMES[i]] = _normalized(
+                d, bound if bound < _LIMIT else _checked(_max_exponent(d)))
+        return out
+
     def diff(self, name: str) -> "Expr":
         """Formal partial derivative with respect to any symbol."""
         sym = _SYMBOLS.get(name)
@@ -355,7 +391,7 @@ class Expr:
             sym = _SYMBOLS.get(name)
             if sym is not None:  # else no monomial holds the name
                 targets.append((sym, value, {}))
-        out = ZERO
+        products = []
         for mono, c in self._d.items():
             factors = []
             for (unit, shift, bias), value, powers in targets:
@@ -367,10 +403,11 @@ class Expr:
                         p = powers[e] = value ** e
                     factors.append(p)
             term = _expr({mono: c}, self._bound)
+            last = factors.pop() if factors else ONE
             for p in factors:
                 term = term * p
-            out = out + term
-        return out
+            products.append((1, term, last))
+        return dot(products)
 
     def coeffs_in(self, name: str) -> dict:
         """View the value as a Laurent polynomial in one symbol.
@@ -425,6 +462,42 @@ def shared(e: Expr) -> Expr:
     equal monomials of different table entries would otherwise be copies."""
     one = _SHARED.setdefault
     return _expr({one(m, m): c for m, c in e._d.items()}, e._bound)
+
+
+def dot(terms: Iterable[tuple]) -> Expr:
+    """The sum of c*x*y over the triples (c, x, y) of *terms*: c a
+    rational, x and y Exprs.
+
+    Every product of monomials goes straight into one dict, entries that
+    cancel are deleted, and the result is normalized once, so a sum of
+    products costs no intermediate Expr and no copy of the running sum.
+    Exponent bounds are those of x*y: an operand pair whose product could
+    leave the packed range raises OverflowError.
+    """
+    d = {}
+    get = d.get
+    bound = 0
+    for c, x, y in terms:
+        a, b = x._d, y._d
+        if not c or not a or not b:
+            continue
+        pair = x._bound + y._bound
+        if pair >= _LIMIT:
+            pair = _product_bound(a, b)
+        if pair > bound:
+            bound = pair
+        if len(a) > len(b):
+            a, b = b, a
+        for m1, c1 in a.items():
+            c1 *= c
+            for m2, c2 in b.items():
+                mono = m1 + m2
+                v = get(mono, 0) + c1 * c2
+                if v:
+                    d[mono] = v
+                else:
+                    del d[mono]
+    return _normalized(d, bound)
 
 
 def _coerce(x) -> "Expr":
@@ -820,11 +893,8 @@ class Mat:
         if k != k2:
             raise ValueError("dimension mismatch")
         bt = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append([sum((a * b for a, b in zip(row, col)), ZERO)
-                        for col in bt])
-        return Mat(out)
+        return Mat([[dot([(1, a, b) for a, b in zip(row, col)])
+                     for col in bt] for row in self.rows])
 
     def __pow__(self, k: int) -> "Mat":
         n, m = self.shape
@@ -867,11 +937,9 @@ class Mat:
             row = self.rows[n - k]
             bigger = {}
             for cols in combinations(range(n), k):
-                acc = ZERO
-                for pos, c in enumerate(cols):
-                    term = row[c] * minors[cols[:pos] + cols[pos + 1:]]
-                    acc = acc + term if pos % 2 == 0 else acc - term
-                bigger[cols] = acc
+                bigger[cols] = dot([(-1 if pos % 2 else 1, row[c],
+                                     minors[cols[:pos] + cols[pos + 1:]])
+                                    for pos, c in enumerate(cols)])
             minors = bigger
         return minors[tuple(range(n))]
 

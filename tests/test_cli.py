@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geoalg import centers, cli, dn_algebra
 from geoalg.cli import main
+from geoalg.poly_core import E, Expr
 
 
 def _json_lines(capsys):
@@ -24,6 +25,22 @@ def test_verify_single_suite(capsys):
     assert all(r["status"] == "pass" for r in reports)
     assert {"suite", "case", "status", "left", "right", "ms"} <= set(
         reports[0])
+
+
+def test_failing_report_is_cut_with_its_term_count():
+    big = Expr({(("x", k), ("y", -k)): k + 1 for k in range(1234)})
+    assert len(str(big)) > cli._FAIL_CHARS
+    rep = cli._run_case("s", "c", lambda: (False, big, -big))
+    assert rep["status"] == "fail"
+    for side, value in (("left", big), ("right", -big)):
+        assert rep[side] == str(value)[:cli._FAIL_CHARS] + "… [1234 terms]"
+    # a passing report and a short failing one are printed whole
+    passed = cli._run_case("s", "c", lambda: (True, big, big))
+    assert passed["left"] == passed["right"] == str(big)
+    short = cli._run_case("s", "c", lambda: (False, E("x"), "y"))
+    assert (short["left"], short["right"]) == ("x", "y")
+    assert set(rep) == set(passed) == {"suite", "case", "status", "left",
+                                       "right", "ms"}
 
 
 def test_verify_frobenius_seed5_passes(capsys):
@@ -330,6 +347,7 @@ def test_braid_suite_below_three_points_exit_2(n, capsys):
      "--seed"),
     (["stokes", "--n", "3"], "--n"),
     (["stokes", "--point", "a4star", "--seed", "1"], "--seed"),
+    (["reduce", "--dn", "--level-p", "2"], "--dn"),
 ])
 def test_options_not_read_exit_2(argv, option, capsys):
     # an option the command would not read is refused, not dropped

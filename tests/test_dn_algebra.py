@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import geoalg.dn_algebra as dn
 from geoalg.dn_algebra import (
     an_algebra, bracket, classical_r_matrix, dn_algebra, dnp_algebra,
-    generating_bracket, jacobi_check, quantum_r_expansion,
+    generating_bracket, generator_tuples, jacobi_check, quantum_r_expansion,
     semiclassical_reflection_check, _pair_bracket,
 )
 from geoalg.poly_core import E, ZERO, const
@@ -48,6 +48,49 @@ GENS = [(i, j, 0) for i in range(1, 4) for j in range(i + 1, 4)] + [
 def test_pair_antisymmetry(a, b):
     alg = dn_algebra(3)
     assert _pair_bracket(alg, a, b) == -_pair_bracket(alg, b, a)
+
+
+def _closed_form(alg, a, b):
+    """{G^(m)_{j,i}, G^(k)_{p,l}} restated with plain Expr arithmetic,
+    apart from the table the algebra builds."""
+    (j, i, m), (p, l, k) = a, b
+    if m < 0:
+        j, i, m = i, j, -m
+    if k < 0:
+        p, l, k = l, p, -k
+    if m > k:
+        return -_closed_form(alg, b, a)
+    g, eps = alg.canonical, dn._eps
+    if m == 0:
+        return (
+            const(eps(j - l) - eps(i - l))
+            * (g(l, i, 0) * g(p, j, k) - g(l, j, 0) * g(p, i, k))
+            + const(eps(j - p) - eps(i - p))
+            * (g(p, i, 0) * g(j, l, k) - g(p, j, 0) * g(i, l, k)))
+    out = (
+        const(eps(i - l))
+        * (g(p, i, k) * g(j, l, m) - g(i, l, 0) * g(p, j, k - m))
+        + const(eps(i - p))
+        * (g(j, p, m) * g(i, l, k) - g(i, p, 0) * g(j, l, k + m))
+        + const(eps(j - l))
+        * (g(p, j, k) * g(l, i, m) - g(j, l, 0) * g(p, i, k + m))
+        + const(eps(j - p))
+        * (g(p, i, m) * g(j, l, k) - g(j, p, 0) * g(i, l, k - m)))
+    for r in range(m + 1):
+        out = out + const(1 if r in (0, m) else 2) * (
+            g(p, i, k + m - r) * g(j, l, r)
+            - g(p, i, m - r) * g(j, l, k + r)
+            + g(i, l, k - m + r) * g(j, p, r)
+            - g(l, i, r) * g(p, j, k - m + r))
+    return out
+
+
+@pytest.mark.parametrize("alg, level", [
+    (an_algebra(5), 0), (dn_algebra(3), 3), (dnp_algebra(3, 4), 3)])
+def test_structure_constants_match_closed_form(alg, level):
+    gens = generator_tuples(alg.n, level)
+    for a, b in itertools.product(gens, repeat=2):
+        assert _pair_bracket(alg, a, b) == _closed_form(alg, a, b), (a, b)
 
 
 def test_mirror_consistency():

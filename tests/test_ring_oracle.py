@@ -1,6 +1,7 @@
 """The exact ring checked against sympy, which shares none of its code.
 
-Coefficients mix ints and Fractions, exponents may be negative.  Also the
+Coefficients mix ints and Fractions, exponents may be negative.  `dot` is
+checked as the sum of its products, `gradient` against `diff`.  Also the
 representations themselves: an integral result is stored as an int,
 `as_rational()` always hands back a Fraction, monomials decode to
 name-sorted letters whatever order their symbols were first used in, and
@@ -16,7 +17,8 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 from geoalg import centers
-from geoalg.poly_core import E, Expr, Mat, ONE, ZERO, _VECTOR_TERMS, const, parse
+from geoalg.poly_core import (E, Expr, Mat, ONE, ZERO, _VECTOR_TERMS, const,
+                              dot, parse)
 
 NAMES = ("x", "y", "z")
 # names the parser reads back, not in alphabetical order of first use
@@ -99,6 +101,21 @@ def test_subst_matches_sympy(a, spec):
     assert well_typed(got)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(rationals, exprs(names=WIDE), exprs(names=WIDE)),
+                max_size=5))
+def test_dot_matches_sympy(triples):
+    want = sum((sympy.Rational(c.numerator, c.denominator) * to_sympy(x)
+                * to_sympy(y) for c, x, y in triples), sympy.Integer(0))
+    got = dot(triples)
+    assert same(got, want)
+    assert well_typed(got)
+    # the sum with every product taken back cancels to the zero value
+    back = [(-c, y, x) for c, x, y in reversed(triples)]
+    assert dot(triples + back) == ZERO
+    assert dot(triples + back).is_zero()
+
+
 def test_integral_results_store_ints():
     half = const(Fraction(1, 2))
     assert type(dict((half * 2).terms())[()]) is int
@@ -109,6 +126,10 @@ def test_integral_results_store_ints():
         is int
     assert type(dict(parse("4/2 x").terms())[(("x", 1),)]) is int
     assert type(dict(Expr({(): Fraction(6, 3)}).terms())[()]) is int
+    x = E("x", -1)
+    total = dot([(Fraction(1, 2), x, const(3)), (Fraction(3, 2), ONE, x),
+                 (1, half, x * 2)])
+    assert type(dict(total.terms())[(("x", -1),)]) is int
 
 
 def test_as_rational_is_always_a_fraction():
@@ -179,6 +200,14 @@ def test_inverse_matches_sympy(a, c):
     m = a * const(c or 1) + (ONE if a.is_zero() else ZERO)
     assert same(m.inverse(), 1 / to_sympy(m))
     assert m * m.inverse() == ONE
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(names=WIDE, max_terms=6))
+def test_gradient_is_every_nonzero_partial(a):
+    want = {name: a.diff(name) for name in a.symbols()}
+    assert a.gradient() == {name: d for name, d in want.items() if d}
+    assert all(well_typed(d) for d in a.gradient().values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -273,8 +302,10 @@ def test_largest_exponents_round_trip():
     lambda: E("x", 2 ** 15),
     lambda: E("x", -(2 ** 15)),
     lambda: E("x", 20000) * E("x", 20000),
+    lambda: dot([(1, E("x", 20000), E("x", 20000))]),
     lambda: E("x", 200) ** 200,
     lambda: E("x", -(2 ** 15 - 1)).diff("x"),
+    lambda: E("x", -(2 ** 15 - 1)).gradient(),
     lambda: Expr({(("x", 40000),): 1}),
     lambda: Expr({(("x", 20000), ("x", 20000)): 1}),
     lambda: E("x", 20000).subst({"x": E("y", 2)}),
