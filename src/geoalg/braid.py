@@ -501,25 +501,3 @@ def verify_relations(flavor: str, n: int, cap: int = 0) -> dict:
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# quantum matrices (constructors only)
-# ---------------------------------------------------------------------------
-
-
-def quantum_matrix(b: BraidGen, n: int) -> Mat:
-    """The quantum elementary matrices: the block [[q g, -q^2 x^-1],
-    [x, 0]] with g, x as in the classical form, i.e. entries q G, -q^2
-    (adjacent) and lam, -q^2 lam^-1, q G^(1)_{n,1} (wrap).  Constructors
-    of the forward generators only: the q-deformed exchange relations
-    needed to verify them are out of scope.
-    """
-    if b.inverse:
-        raise ValueError("quantum matrices are built for forward generators")
-    i, ip, s = _pair(b, n)
-    q = E("q")
-    block = elementary_matrix(n, i, ip, q * E(gen(i, ip, s)), E("lam", s))
-    rows = [list(row) for row in block.rows]
-    rows[i - 1][ip - 1] = -(q ** 2) * E("lam", -s)
-    return Mat(rows)

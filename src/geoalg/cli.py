@@ -305,8 +305,10 @@ def _suite_centers(args):
 
 
 def _rank_case(cs, want):
-    """Verdict on *want* independent centers: the generic Jacobian rank is
-    the largest over the sample points (an unlucky point only lowers it)."""
+    """Verdict on *want* independent centers.  The Jacobian rank at a
+    point is a deterministic lower bound on the generic rank (an unlucky
+    point only lowers it), so the largest over the sample points reaching
+    *want* certifies independence with no probability."""
     ok = cs.meta["rank"] == want and len(cs.coefficients) >= want
     return ok, f"ranks {cs.meta['jacobian_ranks']}", f"expected rank {want}"
 

@@ -31,8 +31,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .poly_core import (Expr, E, ZERO, ONE, const, dot, gen, is_generator,
-                        parse_gen, shared)
+from .poly_core import (Expr, E, ZERO, ONE, const, dot, gen, parse_gen,
+                        parse_ghat, shared)
 
 FLAVOR_A = "A"
 FLAVOR_D = "D"
@@ -152,10 +152,13 @@ def _generator_partials(alg: GenAlgebra, f: Expr) -> list:
     """[(index triple, df/dG)] over the generators G that f depends on."""
     out = []
     for s, df in f.gradient().items():
-        if is_generator(s):
-            a = parse_gen(s)
+        a = parse_gen(s)
+        if a is not None:
             alg.check_index(*a)
             out.append((a, df))
+        elif parse_ghat(s):
+            raise ValueError(f"{s} is a reduced generator; brackets take "
+                             f"G[i,j,k] generators")
     return out
 
 

@@ -261,9 +261,3 @@ def clashed_hole_coords() -> bool:
             if not _reduce_quadratic(folded, "zh", csum).is_zero():
                 return False
     return True
-
-
-def clashed_geodesic_function() -> Expr:
-    """G_{n+1,n+2} in the clashed coordinates (the rel2 right-hand side)."""
-    z1, z2 = E("z1"), E("z2")
-    return z1 ** 2 * z2 ** 2 + z1 ** -2 * z2 ** -2 + z1 ** 2 * z2 ** -2

@@ -34,11 +34,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, parse_gen
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen
 from .dn_algebra import dn_algebra, generator_tuples, _pair_bracket
 from .ks_calculus import ks_brackets_numeric
 from .fatgraph import geodesic_function
-from .braid import act_An, adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +341,6 @@ def _trace_scalar(i: int, j: int, k: int, nt: int):
     return f
 
 
-def _eval_generator_expr(e: Expr, values) -> float:
-    total = 0.0
-    for mono, coeff in e.terms():
-        x = float(coeff)
-        for name, power in mono:
-            x *= float(values[parse_gen(name)]) ** power
-        total += x
-    return total
-
-
 def _float_matrix(m: Mat) -> np.ndarray:
     return np.array([[float(x.as_rational()) for x in row] for row in m.rows])
 
@@ -364,9 +353,9 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     of size n - rank is clashed into the hole (nt = rank + 1).  The left
     side differentiates the invariant trace functions numerically and
     divides out the chain-rule factor 2 G^{(k)}_{i,j} per slot; the right
-    side evaluates the closed-form structure constants at the exact
-    G^{(k)} values.  Each generator's gradient is computed once at the
-    point, and all pairs are contracted together.
+    side evaluates the closed-form structure constants (``Expr.at``) at
+    the exact G^{(k)} values, as floats.  Each generator's gradient is
+    computed once at the point, and all pairs are contracted together.
 
     The gate is relative: a pair passes when |lhs - rhs| <= tol *
     max(1, |lhs|, |rhs|).  Float rounding in the products of n x n
@@ -400,9 +389,10 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     brackets = ks_brackets_numeric([_trace_scalar(*g, nt) for g in index],
                                    [_float_matrix(m) for m in ms])
     factor = float(REALIZATION_FACTOR)
+    values = {gen(*g): float(v) for g, v in exact.items()}
     worst = 0.0
     for a, b in pairs:
-        rhs = factor * _eval_generator_expr(_pair_bracket(alg, a, b), exact)
+        rhs = factor * _pair_bracket(alg, a, b).at(values)
         lhs = float(brackets[index[a], index[b]]) / (
             4 * float(exact[a]) * float(exact[b]))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
@@ -497,29 +487,3 @@ def a4_star() -> StokesMatrix:
     raw = teich_stokes(4, point)
     folded = raw.mat.map(lambda e: _fold_fourth_root(e, "qr", 2))
     return StokesMatrix(folded)
-
-
-def braid_orbit_monitor(s: StokesMatrix, words: int = 10, length: int = 6,
-                        seed: int = 0) -> dict:
-    """Track whether |G_{i,j}| > 2 persists along random braid words.
-
-    Infinite braid orbits (hence non-algebraic isomonodromic flows) require
-    every off-diagonal entry to stay outside [-2, 2]; this is a monitored
-    property at a concrete point, not a proof.
-    """
-    import random
-
-    rng = random.Random(seed)
-    n = s.n
-    start_ok = all(abs(s.mat[i, j].as_rational()) > 2
-                   for i in range(n) for j in range(i + 1, n))
-    all_ok = start_ok
-    for _ in range(words):
-        mat = s.mat
-        for _ in range(length):
-            mat = act_An(adjacent(rng.randint(1, n - 1),
-                                  inverse=rng.random() < 0.5), mat)
-        ok = all(abs(mat[i, j].as_rational()) > 2
-                 for i in range(n) for j in range(i + 1, n))
-        all_ok = all_ok and ok
-    return {"start_ok": start_ok, "orbit_ok": all_ok}

@@ -400,12 +400,11 @@ def _wick(word, scale, into):
         into[mono] = into.get(mono, 0) + count * scale
 
 
-def skein_reduce(e: TraceExpr, rng=None) -> Expr:
+def skein_reduce(e: TraceExpr) -> Expr:
     """Rewrite a TraceExpr as a polynomial in G[i,j,k] and TrH parameters.
 
     The key () holds the scalar part; each other key is one word with a
-    rational coefficient, summed as numbers into one polynomial.  The
-    result depends on no order, so *rng* is not used.
+    rational coefficient, summed as numbers into one polynomial.
     """
     out, sums = ZERO, {}
     for key, coeff in e.terms.items():

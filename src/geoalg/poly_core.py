@@ -37,8 +37,8 @@ Symbols are plain strings.  The conventional names are
 
 Coefficients are exact rationals: an ``int`` when the value is integral and
 a ``fractions.Fraction`` only when its denominator is not 1, so the common
-integral arithmetic runs on machine-sized ints.  There is no floating point
-anywhere in this module.
+integral arithmetic runs on machine-sized ints.  Floating point enters only
+where a caller evaluates at float numbers (``Expr.at``).
 """
 
 from __future__ import annotations
@@ -205,31 +205,19 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        bound = self._bound + other._bound
-        if bound >= _LIMIT:
-            bound = _product_bound(self._d, other._d)
         a, b = self._d, other._d
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1:
-            # a single monomial shifts the other side's monomials apart
-            ((m1, c1),) = a.items()
-            if not m1:  # a constant: share the other side's monomials
-                return _normalized({m2: c2 * c1 for m2, c2 in b.items()},
-                                   bound)
-            return _normalized({m2 + m1: c2 * c1 for m2, c2 in b.items()},
-                               bound)
-        d = {}
-        get = d.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = m1 + m2
-                v = get(mono, 0) + c1 * c2
-                if v:
-                    d[mono] = v
-                else:
-                    del d[mono]
-        return _normalized(d, bound)
+        if len(a) != 1:
+            return dot(((1, self, other),))
+        bound = self._bound + other._bound
+        if bound >= _LIMIT:
+            bound = _product_bound(a, b)
+        # a single monomial shifts the other side's monomials apart
+        ((m1, c1),) = a.items()
+        if not m1:  # a constant: share the other side's monomials
+            return _normalized({m2: c2 * c1 for m2, c2 in b.items()}, bound)
+        return _normalized({m2 + m1: c2 * c1 for m2, c2 in b.items()}, bound)
 
     __rmul__ = __mul__
 
@@ -376,6 +364,44 @@ class Expr:
         if bound >= _LIMIT:
             bound = _checked(_max_exponent(d))
         return _normalized(d, bound)
+
+    def at(self, point: Mapping[str, "Rat | float"]):
+        """The value at *point* ({name: number} over every symbol of the
+        value): exact, as a Fraction like as_rational(), for rational
+        numbers, and a float for floats (a constant reads no number and
+        stays a Fraction).
+
+        One pass over the terms, reading the digits as gradient() does;
+        each (symbol, exponent) power is taken once.  A negative power of
+        an int stays exact, and a negative power of 0 raises
+        ZeroDivisionError, as in subst.
+        """
+        powers = {}  # symbol id << _BITS | exponent mod 2^16 -> the power
+        bias = _BIASES[len(_NAMES)]
+        total = 0
+        for mono, c in self._d.items():
+            x = (mono + bias) ^ bias  # each digit its exponent, mod 2^16
+            i = 0
+            while x:
+                skip = ((x & -x).bit_length() - 1) // _BITS
+                i += skip
+                x >>= _BITS * skip
+                key = i << _BITS | (x & _MASK)
+                p = powers.get(key)
+                if p is None:
+                    e = ((x & _MASK) ^ _LIMIT) - _LIMIT
+                    try:
+                        v = point[_NAMES[i]]
+                    except KeyError:
+                        raise ValueError(f"{_NAMES[i]} is not bound") from None
+                    if e < 0 and type(v) is not float:
+                        v = Fraction(v)
+                    p = powers[key] = v ** e
+                c = c * p
+                x >>= _BITS
+                i += 1
+            total += c
+        return total if type(total) is float else Fraction(total)
 
     def subst(self, bindings: Mapping[str, "Expr | Rat"]) -> "Expr":
         """Simultaneous substitution, then normalization.

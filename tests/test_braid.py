@@ -75,13 +75,6 @@ def test_combination_streams_transform_consistently():
     assert all(rep.values()), rep
 
 
-def test_quantum_matrix_shapes():
-    for b in [braid.adjacent(1), braid.wrap()]:
-        m = braid.quantum_matrix(b, 3)
-        assert m.shape == (3, 3)
-        assert m != Mat.identity(3)
-
-
 @pytest.mark.parametrize("i,ip,x", [(1, 2, E("lam", 0)), (3, 1, E("lam")),
                                     (1, 3, E("lam", -1))])
 def test_elementary_inverse_is_the_swapped_pair(i, ip, x):
@@ -100,8 +93,3 @@ def test_lambda_window_holds_the_certified_coefficients():
     assert gm.window(gm.cert) == expected
     with pytest.raises(braid.CertificationError):
         gm.window(gm.cert + 1)
-
-
-def test_quantum_matrix_rejects_inverse():
-    with pytest.raises(ValueError):
-        braid.quantum_matrix(braid.wrap(True), 3)

@@ -195,7 +195,8 @@ def test_invalid_subcommand_exit_code():
     ["braid", "--alg", "frakdn", "--matrix", "--n", "3", "--word", "b01"],
     ["braid", "--alg", "frakdn", "--matrix", "--n", "3", "--word", "b34"],
 ] + [["braid", "--alg", "dn", "--n", "12", "--word", word]
-     for word in ("b1011", "b10,12", "b1,3", "b10,", "b12,1,")])
+     for word in ("b1011", "b10,12", "b1,3", "b10,", "b12,1,")]
+    + [["bracket", "Ghat[1,2]", "G[1,2,0]"]])
 def test_input_errors_exit_2(argv, capsys):
     # a bad value, not a crash: no traceback, one `error:` line
     with pytest.raises(SystemExit) as exc:
@@ -388,7 +389,7 @@ _LEVEL = st.integers(-1, 1)
 _PERIOD = st.integers(-1, 2)
 _SEED = st.integers(0, 5)
 _EXPRS = ["G[1,2,0]", "G[1,3,1]", "G[2,1,2]", "G[3,3,1]", "G[1,2,0] + 1",
-          "1/0", "G[1,2", "x^40000"]
+          "1/0", "G[1,2", "x^40000", "Ghat[1,2]"]
 _TOKENS = ["b12", "b23^-1", "bn1", "b31", "b13", "b01", "bx"]
 _STRAYS = [["--bogus"], ["--format", "text"], ["--level", "1"],
            ["--matrix"], ["extra"], ["--seed", "x"], ["--n"]]
@@ -427,6 +428,8 @@ _COMMANDS = st.one_of(
 @given(_COMMANDS, st.lists(st.sampled_from(_STRAYS), max_size=1))
 # a braid suite below 3 points is a usage error (exit 2), not a failure
 @example(["verify", "--suite", "braid", "--n", "2"], [])
+# a reduced generator has no bracket in the G algebras (exit 2)
+@example(["bracket", "Ghat[1,2]", "G[1,2,0]"], [])
 def test_exit_code_contract(argv, strays):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \

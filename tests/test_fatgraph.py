@@ -95,9 +95,3 @@ def test_geodesic_positive_at_real_points():
 
 def test_clashed_hole_reduction():
     assert fatgraph.clashed_hole_coords()
-
-
-def test_clashed_geodesic_function_form():
-    e = fatgraph.clashed_geodesic_function()
-    assert e.symbols() == {"z1", "z2"}
-    assert len(list(e.terms())) == 3

@@ -140,8 +140,3 @@ def test_special_point_rank4():
 def test_fourth_root_folding_rejects_stray_powers():
     with pytest.raises(ValueError):
         fro._fold_fourth_root(E("qr", 2), "qr", 2)
-
-
-def test_braid_orbit_stays_hyperbolic():
-    rep = fro.braid_orbit_monitor(fro.a3_star(), words=5, length=4)
-    assert rep["start_ok"] and rep["orbit_ok"]

@@ -1,11 +1,13 @@
 """The exact ring checked against sympy, which shares none of its code.
 
 Coefficients mix ints and Fractions, exponents may be negative.  `dot` is
-checked as the sum of its products, `gradient` against `diff`.  Also the
-representations themselves: an integral result is stored as an int,
-`as_rational()` always hands back a Fraction, monomials decode to
-name-sorted letters whatever order their symbols were first used in, and
-an exponent past the packed range raises instead of wrapping.
+checked as the sum of its products, `gradient` against `diff`, `at`
+against sympy's evaluation and `jacobian_rank` against the rank of the
+`diff`/`subst` Jacobian.  Also the representations themselves: an
+integral result is stored as an int, `as_rational()` always hands back a
+Fraction, monomials decode to name-sorted letters whatever order their
+symbols were first used in, and an exponent past the packed range raises
+instead of wrapping.
 """
 
 import random
@@ -208,6 +210,64 @@ def test_gradient_is_every_nonzero_partial(a):
     want = {name: a.diff(name) for name in a.symbols()}
     assert a.gradient() == {name: d for name, d in want.items() if d}
     assert all(well_typed(d) for d in a.gradient().values())
+
+
+# int and Fraction coordinates, 0 among them
+points = st.fixed_dictionaries({name: st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+    for name in WIDE})
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(names=WIDE, max_terms=6), points)
+def test_at_matches_sympy(a, point):
+    pole = any(k < 0 and point[name] == 0
+               for mono, _ in a.terms() for name, k in mono)
+    if pole:  # a negative power meets 0
+        with pytest.raises(ZeroDivisionError):
+            a.at(point)
+        return
+    want = to_sympy(a).xreplace({SYMS[name]: sympy.Rational(
+        v.numerator, v.denominator) for name, v in point.items()})
+    got = a.at(point)
+    assert type(got) is Fraction
+    assert got == Fraction(int(want.p), int(want.q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(names=WIDE, max_terms=6), points.filter(
+    lambda point: all(point.values())))
+def test_at_float_points_are_close(a, point):
+    exact = a.at(point)
+    got = a.at({name: float(v) for name, v in point.items()})
+    assert (type(got) is float) == (not a.is_rational())
+    # rounding is relative to the terms' magnitudes, not to a cancelled sum
+    scale = sum(abs(Expr({mono: c}).at(point)) for mono, c in a.terms())
+    assert abs(got - exact) <= 1e-12 * max(1, scale)
+
+
+def test_at_is_exact_and_names_what_is_unbound():
+    assert parse("x^-2 + 1/2").at({"x": 2}) == Fraction(3, 4)
+    assert type(const(3).at({})) is Fraction
+    assert ZERO.at({}) == 0
+    with pytest.raises(ZeroDivisionError):
+        E("x", -1).at({"x": 0.0})
+    with pytest.raises(ValueError, match="y is not bound"):
+        parse("x y").at({"x": 1})
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (2, 3)])
+def test_jacobian_rank_matches_diff_and_subst(n, p):
+    cs = centers.centers_Dnp(n, p)
+    symbols = centers.dnp_generator_symbols(n, p)
+    rng = random.Random(0)
+    pts = [{s: 1 for s in symbols}]
+    pts += [centers._random_point(symbols, rng) for _ in range(4)]
+    for pt, rank in zip(pts, cs.meta["jacobian_ranks"], strict=True):
+        rows = [[c.diff(s).subst(pt).as_rational() for s in symbols]
+                for c in cs.coefficients]
+        assert centers.jacobian_rank(cs.coefficients, symbols, pt) == rank
+        assert sympy.Matrix(rows).rank() == rank
 
 
 @settings(max_examples=80, deadline=None)
