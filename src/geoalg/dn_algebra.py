@@ -67,6 +67,7 @@ class GenAlgebra:
         if self.flavor == FLAVOR_A and k != 0:
             raise ValueError("level-0 algebra has no higher-level generators")
 
+    @cache  # the values are immutable Exprs
     def canonical(self, i: int, j: int, k: int) -> Expr:
         """G^(k)_{i,j} as +-symbol / constant in canonical storage form."""
         self.check_index(i, j, k)
@@ -178,11 +179,21 @@ def bracket(alg: GenAlgebra, f: Expr, g: Expr) -> Expr:
     return dot(_leibniz_terms(alg, f, g))
 
 
-def jacobi_check(alg: GenAlgebra, f: Expr, g: Expr, h: Expr) -> Expr:
-    """{{f,g},h} + {{g,h},f} + {{h,f},g}; zero iff Jacobi holds."""
-    return dot(_leibniz_terms(alg, bracket(alg, f, g), h)
-               + _leibniz_terms(alg, bracket(alg, g, h), f)
-               + _leibniz_terms(alg, bracket(alg, h, f), g))
+def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
+    """{{G_a,G_b},G_c} + {{G_b,G_c},G_a} + {{G_c,G_a},G_b} for generator
+    index triples a, b, c; zero iff Jacobi holds on them.
+
+    Each term is sum_w d{G_x,G_y}/dG_w {G_w,G_z}, read off the memoized
+    structure constants.  Generators suffice: the Jacobiator of a
+    biderivation is a derivation in each argument, so Jacobi on the
+    generators implies it on every polynomial.
+    """
+    for t in (a, b, c):
+        alg.check_index(*t)
+    return dot([(1, dw, _pair_bracket(alg, w, z))
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+                for w, dw in _generator_partials(alg,
+                                                 _pair_bracket(alg, x, y))])
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,12 @@ Two independent realizations:
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, ZERO, const, gen
+from .poly_core import Expr, ZERO, gen
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +122,11 @@ def _normalize(work) -> tuple:
         else:
             break
     if len(out) > 1:
+        first = min(out)  # the least rotation starts with the least letter
+        r = out.index(first)
+        if out.count(first) == 1:
+            return sign, tuple(out[r:] + out[:r])
         word = tuple(out)
-        first = min(word)  # the least rotation starts with the least letter
         return sign, min(word[r:] + word[:r] for r, x in enumerate(word)
                          if x == first)
     if not out:
@@ -137,46 +141,33 @@ def _scalar_monomial(w) -> tuple:
     return ((f"TrH{w[0] - _H}", 1),) if w else ()
 
 
-def normalize_word(letters, sign=1):
-    """Canonicalize a cyclic trace word.
-
-    Returns (coeff, word) where word is a tuple in canonical rotation, or
-    (scalar_expr, None) when the trace is itself scalar: the empty word has
-    trace 2, a pure H-power word has trace TrH|k| (a Casimir parameter).
-    """
-    c, w = _normalize(_encode(letters))
-    if len(w) > 1:
-        return const(c * sign), tuple([_letter(x) for x in w])
-    return Expr({_scalar_monomial(w): c * sign}), None
-
-
 class TraceExpr:
     """Linear combination of cyclic trace words.
 
-    Keys are () for the scalar part, whose Expr coefficient may carry the
-    TrH parameters, or (word,) for one cyclic word with a rational
-    coefficient.
+    Keys are () for the scalar part, an Expr that may carry the TrH
+    parameters, or one cyclic word as the tuple of its int letter codes
+    in canonical rotation (as _normalize returns it), with a plain
+    rational coefficient.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items()
-                      if not v.is_zero()}
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @staticmethod
     def tr(letters, sign=1) -> "TraceExpr":
-        coeff, word = normalize_word(letters, sign)
-        return TraceExpr({() if word is None else (word,): coeff})
+        """sign * Tr(letters): the empty word has trace 2 and a pure H-power
+        word the Casimir parameter TrH|k|, both scalar."""
+        c, w = _normalize(_encode(letters))
+        if len(w) > 1:
+            return TraceExpr({w: c * sign})
+        return TraceExpr({(): Expr({_scalar_monomial(w): c * sign})})
 
     def __add__(self, other: "TraceExpr") -> "TraceExpr":
         d = dict(self.terms)
         for k, v in other.terms.items():
-            s = d.get(k, ZERO) + v
-            if s.is_zero():
-                d.pop(k, None)
-            else:
-                d[k] = s
+            d[k] = d[k] + v if k in d else v
         return TraceExpr(d)
 
     def is_zero(self) -> bool:
@@ -186,10 +177,12 @@ class TraceExpr:
         return isinstance(other, TraceExpr) and self.terms == other.terms
 
     def __repr__(self):
-        bits = [f"({self.terms[key]})*" + ("".join(
-            "Tr(" + " ".join(f"M{i}" if t == "M" else f"H^{i}"
-                             for t, i in w) + ")" for w in key) or "1")
-            for key in sorted(self.terms)]
+        words = sorted((tuple(map(_letter, w)), v)
+                       for w, v in self.terms.items() if w)
+        bits = [f"({self.terms[()]})*1"] if () in self.terms else []
+        bits += [f"({v})*Tr(" + " ".join(
+            f"M{i}" if t == "M" else f"H^{i}" for t, i in w) + ")"
+            for w, v in words]
         return " + ".join(bits) or "0"
 
 
@@ -301,7 +294,7 @@ def ks_bracket_symbolic(w1, w2) -> TraceExpr:
     for w, s in sums.items():
         coeff = Fraction(c1 * c2 * s, 2)
         if len(w) > 1:
-            terms[(tuple([_letter(x) for x in w]),)] = const(coeff)
+            terms[w] = coeff
         else:
             scalars[_scalar_monomial(w)] = coeff
     terms[()] = Expr(scalars)
@@ -334,23 +327,28 @@ def _canonical_generator(i: int, j: int, k: int) -> tuple:
     return 1, gen(i, j, k)
 
 
-def _matchings(items):
-    """Perfect matchings with their permutation signs (fermionic Wick)."""
-    if not items:
-        yield 1, []
-        return
-    first = items[0]
-    for t in range(1, len(items)):
-        rest = items[1:t] + items[t + 1:]
-        # pairing first with items[t] hops over t-1 intermediate letters
+@functools.cache  # one entry per word size
+def _matchings(size: int) -> tuple:
+    """The perfect matchings of range(size), each as (permutation sign,
+    pairs), for the fermionic Wick sum."""
+    if not size:
+        return ((1, ()),)
+    out = []
+    for t in range(1, size):
+        rest = [x for x in range(1, size) if x != t]
+        # pairing 0 with t hops over t-1 intermediate letters
         sign = -1 if (t - 1) % 2 else 1
-        for s, pairs in _matchings(rest):
-            yield sign * s, [(first, items[t])] + pairs
+        out += [(sign * s, ((0, t),) + tuple((rest[u], rest[v])
+                                              for u, v in pairs))
+                for s, pairs in _matchings(size - 2)]
+    return tuple(out)
 
 
-def _wick(word, scale, into):
-    """Add scale * Tr(word), in generators and TrH parameters, into *into*
-    (monomial -> coefficient, as Expr(mapping) reads it).
+def _wick(word, coeff, into):
+    """Add coeff * Tr(word), in generators, into *into*: a word of int
+    letter codes in canonical rotation, coeff rational.  *into* maps a
+    denominator d to {monomial (as Expr(mapping) reads it): int n}, for
+    the terms (n / d) monomial.
 
     A cyclic word M_{i1} H^{a1} ... M_{ir} H^{ar} with balanced H exponent
     (sum a_t = 0) factors exactly as N_1 ... N_r with the conjugated letters
@@ -369,50 +367,55 @@ def _wick(word, scale, into):
     """
     letters = []  # (index, conjugation exponent) of each M letter
     c = 0
-    for kind, v in word:
-        if kind == "H":
-            c += v
+    for x in word:
+        if x > _SPLIT:
+            c += x - _H
         else:
-            letters.append((v, c))
-    if not letters:
-        c, w = _normalize(_encode(word))
-        counts = {_scalar_monomial(w): c}
-    elif len(letters) % 2:
-        raise IrreducibleWord(f"odd number of M letters in {word}")
-    elif c:
-        raise IrreducibleWord(f"unbalanced H exponent {c} in {word}")
-    else:
-        counts = {}  # monomial -> signed number of matchings
-        for sign, pairs in _matchings(list(range(len(letters)))):
-            names = []
-            for s, t in pairs:
-                (i_s, c_s), (i_t, c_t) = letters[s], letters[t]
-                factor, name = _canonical_generator(i_s, i_t, c_t - c_s)
-                sign *= factor
-                if name:
-                    names.append((name, 1))
-            key = tuple(sorted(names))
-            counts[key] = counts.get(key, 0) + sign
-        # the factor 2 in front and (1/2) Tr(N_a N_b) = -G/2 for each pair
-        r = len(letters) // 2
-        scale = scale * Fraction(2 * (-1) ** r, 2 ** r)
+            letters.append((x, c))
+    if len(letters) % 2:
+        raise IrreducibleWord(f"odd number of M letters in "
+                              f"{tuple(map(_letter, word))}")
+    if c:
+        raise IrreducibleWord(f"unbalanced H exponent {c} in "
+                              f"{tuple(map(_letter, word))}")
+    counts = {}  # monomial -> signed number of matchings
+    for sign, pairs in _matchings(len(letters)):
+        names = []
+        for s, t in pairs:
+            (i_s, c_s), (i_t, c_t) = letters[s], letters[t]
+            factor, name = _canonical_generator(i_s, i_t, c_t - c_s)
+            sign *= factor
+            if name:
+                names.append((name, 1))
+        key = tuple(sorted(names))
+        counts[key] = counts.get(key, 0) + sign
+    # the factor 2 in front and (1/2) Tr(N_a N_b) = -G/2 for each pair
+    r = len(letters) // 2
+    scale = Fraction((-1) ** r * 2 * coeff.numerator, coeff.denominator << r)
+    part = into.setdefault(scale.denominator, {})
     for mono, count in counts.items():
-        into[mono] = into.get(mono, 0) + count * scale
+        part[mono] = part.get(mono, 0) + count * scale.numerator
 
 
 def skein_reduce(e: TraceExpr) -> Expr:
     """Rewrite a TraceExpr as a polynomial in G[i,j,k] and TrH parameters.
 
-    The key () holds the scalar part; each other key is one word with a
-    rational coefficient, summed as numbers into one polynomial.
+    The key () holds the scalar part; each word's Wick sum is added as
+    ints per denominator, and each monomial is divided once at the end.
     """
     out, sums = ZERO, {}
-    for key, coeff in e.terms.items():
-        if key:
-            _wick(key[0], coeff.as_rational(), sums)
+    for word, coeff in e.terms.items():
+        if word:
+            _wick(word, coeff, sums)
         else:
             out = coeff
-    return out + Expr(sums)
+    lcm = math.lcm(*sums)
+    totals = {}
+    for d, counts in sums.items():
+        for mono, n in counts.items():
+            totals[mono] = totals.get(mono, 0) + n * (lcm // d)
+    return out + Expr({mono: Fraction(n, lcm)
+                       for mono, n in totals.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,11 @@ def test_clash_independence_numeric(m):
 
 def test_jacobi_exhaustive_n3_levels2():
     alg = dn_algebra(3)
-    gens = [alg.canonical(*t) for t in generator_tuples(3, 2)]
+    gens = generator_tuples(3, 2)
     assert len(gens) == 21
     count = 0
-    for f, g, h in itertools.combinations(gens, 3):
-        assert jacobi_check(alg, f, g, h).is_zero()
+    for a, b, c in itertools.combinations(gens, 3):
+        assert jacobi_check(alg, a, b, c).is_zero()
         count += 1
     assert count == 1330
 

@@ -430,6 +430,8 @@ _COMMANDS = st.one_of(
 @example(["verify", "--suite", "braid", "--n", "2"], [])
 # a reduced generator has no bracket in the G algebras (exit 2)
 @example(["bracket", "Ghat[1,2]", "G[1,2,0]"], [])
+# two points have one generator at level 0: no Jacobi triple (exit 2)
+@example(["verify", "--suite", "jacobi", "--n", "2", "--level", "0"], [])
 def test_exit_code_contract(argv, strays):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
@@ -445,3 +447,5 @@ def test_exit_code_contract(argv, strays):
                 if line[:1] in ("{", "[")]
     assert code in (0, 1, 2)
     assert (code == 1) == ("fail" in statuses)
+    if argv[0] == "verify" and code == 0:
+        assert statuses  # a pass that checked nothing is no pass

@@ -11,7 +11,7 @@ from geoalg.dn_algebra import (
     generating_bracket, generator_tuples, jacobi_check, quantum_r_expansion,
     semiclassical_reflection_check, _pair_bracket,
 )
-from geoalg.poly_core import E, ZERO, const
+from geoalg.poly_core import E, ZERO, const, dot, parse_gen
 
 
 def test_canonical_storage():
@@ -122,9 +122,58 @@ def test_bracket_kills_constants():
 @given(st.sampled_from(GENS), st.sampled_from(GENS), st.sampled_from(GENS))
 def test_jacobi_on_generators(a, b, c):
     alg = dn_algebra(3)
-    res = jacobi_check(alg, alg.canonical(*a), alg.canonical(*b),
-                       alg.canonical(*c))
+    res = jacobi_check(alg, a, b, c)
     assert res.is_zero()
+
+
+def _composed_jacobi(alg, a, b, c):
+    """The Jacobiator composed of whole-polynomial Leibniz brackets:
+    {{f,g},h} + {{g,h},f} + {{h,f},g} for the generators f, g, h."""
+    f, g, h = (alg.canonical(*t) for t in (a, b, c))
+    return dot(dn._leibniz_terms(alg, bracket(alg, f, g), h)
+               + dn._leibniz_terms(alg, bracket(alg, g, h), f)
+               + dn._leibniz_terms(alg, bracket(alg, h, f), g))
+
+
+def _jacobi_triples(alg, level):
+    """Every triple of distinct generators up to *level*, each generator
+    as the index triple of its canonical symbol (constants dropped)."""
+    names = {s for t in generator_tuples(alg.n, level)
+             for s in alg.canonical(*t).symbols()}
+    return list(itertools.combinations(sorted(map(parse_gen, names)), 3))
+
+
+@pytest.mark.parametrize("alg,level,count", [
+    (dn_algebra(3), 2, 1330), (dnp_algebra(3, 2), 2, 84),
+    (dnp_algebra(2, 3), 3, 10), (an_algebra(4), 0, 20)])
+def test_jacobi_on_triples_matches_the_composed_brackets(alg, level, count):
+    triples = _jacobi_triples(alg, level)
+    assert len(triples) == count
+    for a, b, c in triples:
+        res = jacobi_check(alg, a, b, c)
+        assert res.is_zero()
+        assert res == _composed_jacobi(alg, a, b, c)
+
+
+def test_jacobi_catches_a_wrong_structure_constant(monkeypatch):
+    # +G[1,3,1] on {G[1,2,0], G[2,3,1]}, -G[1,3,1] on the other order
+    alg = dn_algebra(3)
+    x, y, extra = (1, 2, 0), (2, 3, 1), E("G[1,3,1]")
+    true_bracket = dn._pair_bracket
+    true_bracket(alg, x, y), true_bracket(alg, y, x)  # memoized unpatched
+
+    def mutant(alg, a, b):
+        out = true_bracket(alg, a, b)
+        return (out + extra if (a, b) == (x, y)
+                else out - extra if (a, b) == (y, x) else out)
+
+    monkeypatch.setattr(dn, "_pair_bracket", mutant)
+    failed = 0
+    for a, b, c in _jacobi_triples(alg, 2):
+        res = jacobi_check(alg, a, b, c)
+        assert res == _composed_jacobi(alg, a, b, c)
+        failed += not res.is_zero()
+    assert failed > 0
 
 
 @pytest.mark.parametrize("ji,pl", [((1, 2), (2, 3)), ((1, 3), (3, 1)),

@@ -2,6 +2,7 @@
 
 import argparse
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,29 +14,41 @@ from geoalg.dn_algebra import dn_algebra, generator_tuples, _pair_bracket
 from geoalg.poly_core import E, ZERO, const, parse_gen
 
 
+def _normalized(letters):
+    """Tr(letters) as (coefficient, canonical word in ("M", i) / ("H", k)
+    letters), or (scalar Expr, None) when the trace is a scalar."""
+    terms = ks.TraceExpr.tr(letters).terms
+    if not terms:
+        return ZERO, None
+    ((word, c),) = terms.items()
+    if not word:
+        return c, None
+    return const(c), tuple(ks._letter(x) for x in word)
+
+
 def test_normalize_cancellations():
     # M_i M_i = -1 and H-run merging, cyclically
-    c, w = ks.normalize_word((ks.M(1), ks.M(1)))
+    c, w = _normalized((ks.M(1), ks.M(1)))
     assert w is None and c == const(-2)
-    c, w = ks.normalize_word((ks.H(2), ks.H(-2)))
+    c, w = _normalized((ks.H(2), ks.H(-2)))
     assert w is None and c == const(2)
-    c, w = ks.normalize_word((ks.H(1), ks.M(1), ks.M(2), ks.H(1)))
+    c, w = _normalized((ks.H(1), ks.M(1), ks.M(2), ks.H(1)))
     assert c == const(1) and w == (ks.M(1), ks.M(2), ks.H(2))
 
 
 def test_normalize_cyclic_invariance():
     base = (ks.M(1), ks.H(1), ks.M(2), ks.H(-1))
-    c0, w0 = ks.normalize_word(base)
+    c0, w0 = _normalized(base)
     for r in range(1, len(base)):
-        c, w = ks.normalize_word(base[r:] + base[:r])
+        c, w = _normalized(base[r:] + base[:r])
         assert (c, w) == (c0, w0)
 
 
 def test_scalar_traces():
-    assert ks.normalize_word(())[0] == const(2)
-    c, w = ks.normalize_word((ks.H(3),))
+    assert _normalized(())[0] == const(2)
+    c, w = _normalized((ks.H(3),))
     assert w is None and str(c) == "TrH3"
-    c, w = ks.normalize_word((ks.M(2),))
+    c, w = _normalized((ks.M(2),))
     assert c == ZERO and w is None
 
 
@@ -45,11 +58,13 @@ def test_skein_reduce_two_letter_words():
 
 
 def test_irreducible_words():
-    with pytest.raises(ks.IrreducibleWord):
+    # the messages name the letters, not their int codes
+    with pytest.raises(ks.IrreducibleWord, match=re.escape(
+            "odd number of M letters in (('M', 1), ('M', 2), ('M', 3))")):
         ks.skein_reduce(ks.TraceExpr.tr((ks.M(1), ks.M(2), ks.M(3))))
-    with pytest.raises(ks.IrreducibleWord):
+    with pytest.raises(ks.IrreducibleWord, match=re.escape(
+            "unbalanced H exponent 1 in (('M', 1), ('H', 1), ('M', 2))")):
         ks.skein_reduce(ks.TraceExpr.tr((ks.M(1), ks.H(1), ks.M(2))))
-
 
 GENS3 = [(1, 2, 0), (1, 3, 0), (2, 3, 0)] + [
     (i, j, 1) for i in range(1, 4) for j in range(1, 4)]
@@ -273,6 +288,17 @@ def _ref_generator(i, j, k):
     return E(f"G[{i},{j},{k}]")
 
 
+def _ref_matchings(items):
+    """Perfect matchings of *items* with their permutation signs."""
+    if not items:
+        yield 1, []
+        return
+    for t in range(1, len(items)):
+        rest = items[1:t] + items[t + 1:]
+        for s, pairs in _ref_matchings(rest):
+            yield (-1) ** (t - 1) * s, [(items[0], items[t])] + pairs
+
+
 def _ref_reduce(word):
     letters, c = [], 0
     for kind, v in word:
@@ -283,7 +309,7 @@ def _ref_reduce(word):
     if len(letters) % 2 or c:
         raise ks.IrreducibleWord(word)
     out = ZERO
-    for sign, pairs in ks._matchings(list(range(len(letters)))):
+    for sign, pairs in _ref_matchings(list(range(len(letters)))):
         term = const(sign)
         for s, t in pairs:
             term = term * _ref_generator(letters[s][0], letters[t][0],
@@ -313,7 +339,7 @@ def _balanced_words(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_LETTERS), max_size=10) | _balanced_words())
 def test_int_letters_match_the_tuple_reference(word):
-    coeff, canon = ks.normalize_word(word)
+    coeff, canon = _normalized(word)
     assert (coeff, canon) == _ref_normalize(word)
     try:
         want = coeff if canon is None else coeff * _ref_reduce(canon)
@@ -330,12 +356,39 @@ def test_merged_h_exponents_keep_the_letter_range():
     big = 300000
     for word in [(ks.H(-big), ks.H(big - 1), ks.M(1), ks.M(2)),
                  (ks.H(big), ks.M(1), ks.H(-big), ks.M(2), ks.H(-1))]:
-        assert ks.normalize_word(word) == _ref_normalize(word)
+        assert _normalized(word) == _ref_normalize(word)
     for word in [(ks.H(-big), ks.H(-big)), (ks.H(big), ks.H(big)),
                  (ks.M(1), ks.H(-big), ks.H(-big), ks.M(2)),
                  (ks.H(-big), ks.M(1), ks.M(2), ks.H(-big))]:
         with pytest.raises(ValueError):
-            ks.normalize_word(word)
+            ks.TraceExpr.tr(word)
+
+
+@pytest.mark.parametrize("size", range(0, 10, 2))
+def test_matchings_built_once_per_size_match_the_reference(size):
+    want = sorted((s, tuple(p)) for s, p in _ref_matchings(list(range(size))))
+    assert sorted(ks._matchings(size)) == want
+
+
+def test_skein_reduce_sums_per_denominator():
+    # word coefficients 1/3, -5/6 and 1/4 give the denominators 6, 6 and 4
+    # (times 2 / (-2)^r for r pairs), whose least common multiple is none
+    # of them, and a scalar part rides along: the reference Wick sum term
+    # by term
+    words = [((ks.M(1), ks.H(1), ks.M(2), ks.H(-1), ks.M(3), ks.M(4)),
+              Fraction(1, 3)),
+             ((ks.M(2), ks.H(2), ks.M(3), ks.H(-2)), Fraction(-5, 6)),
+             ((ks.M(1), ks.M(3)), Fraction(1, 4))]
+    e = ks.TraceExpr.tr((ks.H(2),), 3) + ks.TraceExpr.tr((), 7)
+    want = const(3) * E("TrH2") + const(14)
+    for word, c in words:
+        e += ks.TraceExpr.tr(word, c)
+        sign, canon = _ref_normalize(word)
+        want += sign * const(c) * _ref_reduce(canon)
+    assert ks.skein_reduce(e) == want
+    w1, c1 = words[0]
+    assert ks.skein_reduce(ks.TraceExpr.tr(w1, c1)
+                           + ks.TraceExpr.tr(w1, -c1)) == ZERO
 
 
 @pytest.fixture
