@@ -28,7 +28,7 @@ compared coefficient by coefficient up to lam^-order mu^-order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache
 
 from .poly_core import (Expr, E, ZERO, ONE, const, dot, gen, parse_gen,
@@ -60,6 +60,12 @@ class GenAlgebra:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == FLAVOR_DP and self.period < 1:
             raise ValueError("periodic flavor needs period >= 1")
+        # hashed once, for the memo keys; canonical is memoized per algebra
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+        object.__setattr__(self, "canonical", cache(self.canonical))
+
+    def __hash__(self):
+        return self._hash
 
     def check_index(self, i: int, j: int, k: int):
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -67,7 +73,6 @@ class GenAlgebra:
         if self.flavor == FLAVOR_A and k != 0:
             raise ValueError("level-0 algebra has no higher-level generators")
 
-    @cache  # the values are immutable Exprs
     def canonical(self, i: int, j: int, k: int) -> Expr:
         """G^(k)_{i,j} as +-symbol / constant in canonical storage form."""
         self.check_index(i, j, k)
@@ -187,13 +192,35 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
     structure constants.  Generators suffice: the Jacobiator of a
     biderivation is a derivation in each argument, so Jacobi on the
     generators implies it on every polynomial.
+
+    The partials of each inner bracket are memoized by the very object
+    _pair_bracket returned, which the memo holds: a patched or rebuilt
+    table hands out new objects, so a stale entry is never read.
     """
     for t in (a, b, c):
         alg.check_index(*t)
-    return dot([(1, dw, _pair_bracket(alg, w, z))
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
-                for w, dw in _generator_partials(alg,
-                                                 _pair_bracket(alg, x, y))])
+    terms = []
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        f = _partial_terms(alg, _pair_bracket(alg, x, y))
+        g = {w: _pair_bracket(alg, w, z) for w in dict.fromkeys(f[2::3])}
+        terms += zip(f[::3], f[1::3], map(g.__getitem__, f[2::3]))
+    return dot(terms)
+
+
+_PARTIALS = {}  # id(f) -> (f, its partial terms); holding f keeps its id
+
+
+def _partial_terms(alg: GenAlgebra, f: Expr) -> tuple:
+    """(k, m, w, k, m, w, ...): df/dG_w is the sum of the k*m beside w.
+    The monomials m of a quadratic f are generators or 1, shared from
+    Expr.var or ONE, so the memo holds no Expr of its own."""
+    hit = _PARTIALS.get(id(f))
+    if hit is None:
+        hit = _PARTIALS[id(f)] = f, tuple(
+            x for w, df in _generator_partials(alg, f) for m, k in df.terms()
+            for x in (k, Expr.var(*m[0]) if len(m) == 1
+                      else ONE if not m else Expr({m: 1}), w))
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

@@ -280,16 +280,19 @@ def ks_bracket_symbolic(w1, w2) -> TraceExpr:
     c2, w2 = _normalize(_encode(w2))
     if len(w1) < 2 or len(w2) < 2:
         return TraceExpr()  # scalars and Casimir parameters are central
-    # sum the rule coefficients (in halves) per resulting trace
-    sums = {}
+    raw = {}  # the rule coefficients (in halves) summed per raw word
     for p, a in enumerate(w1):
         u = w1[p + 1:] + w1[:p]
         for q, b in enumerate(w2):
             v = w2[q + 1:] + w2[:q]
             for c, left, right in _rule(a, b):
-                s, w = _normalize(left + v + right + u)
-                if s:
-                    sums[w] = sums.get(w, 0) + c * s
+                word = left + v + right + u
+                raw[word] = raw.get(word, 0) + c
+    sums = {}  # then per resulting trace: each raw word normalized once
+    for word, c in raw.items():
+        s, w = _normalize(word) if c else (0, ())
+        if s:
+            sums[w] = sums.get(w, 0) + c * s
     terms, scalars = {}, {}
     for w, s in sums.items():
         coeff = Fraction(c1 * c2 * s, 2)

@@ -1,17 +1,19 @@
 """Structure constants: canonical forms, antisymmetry, Jacobi, generating form."""
 
+import argparse
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import geoalg.dn_algebra as dn
+from geoalg import cli
 from geoalg.dn_algebra import (
     an_algebra, bracket, classical_r_matrix, dn_algebra, dnp_algebra,
     generating_bracket, generator_tuples, jacobi_check, quantum_r_expansion,
     semiclassical_reflection_check, _pair_bracket,
 )
-from geoalg.poly_core import E, ZERO, const, dot, parse_gen
+from geoalg.poly_core import E, Expr, ZERO, const, dot, parse_gen
 
 
 def test_canonical_storage():
@@ -174,6 +176,29 @@ def test_jacobi_catches_a_wrong_structure_constant(monkeypatch):
         assert res == _composed_jacobi(alg, a, b, c)
         failed += not res.is_zero()
     assert failed > 0
+
+
+def test_a_filled_partials_memo_still_catches_the_mutant(monkeypatch):
+    # the memo holds the partials of every true inner bracket first
+    alg = dn_algebra(3)
+    for a, b, c in _jacobi_triples(alg, 2):
+        assert jacobi_check(alg, a, b, c).is_zero()
+        assert all(id(_pair_bracket(alg, x, y)) in dn._PARTIALS
+                   for x, y in ((a, b), (b, c), (c, a)))
+    test_jacobi_catches_a_wrong_structure_constant(monkeypatch)
+
+
+def test_jacobi_suite_takes_one_gradient_per_inner_bracket(monkeypatch):
+    calls = []
+    gradient = Expr.gradient
+    monkeypatch.setattr(Expr, "gradient",
+                        lambda self: calls.append(self) or gradient(self))
+    monkeypatch.setattr(dn, "_PARTIALS", {})
+    cases = cli._suite_jacobi(argparse.Namespace(n=3, level=2))
+    assert all(run()[0] for _, run in cases)
+    inner = {(x, y) for a, b, c in itertools.combinations(
+        generator_tuples(3, 2), 3) for x, y in ((a, b), (b, c), (c, a))}
+    assert len(cases) == 1330 and len(calls) == len(inner)
 
 
 @pytest.mark.parametrize("ji,pl", [((1, 2), (2, 3)), ((1, 3), (3, 1)),

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from geoalg import cli, frobenius as fro, ks_calculus as ks
 from geoalg.dn_algebra import dn_algebra, generator_tuples, _pair_bracket
-from geoalg.poly_core import E, ZERO, const, parse_gen
+from geoalg.poly_core import E, Expr, ZERO, const, parse_gen
 
 
 def _normalized(letters):
@@ -413,3 +413,59 @@ def test_a_flipped_rule_term_fails_the_ks_suite(rule, monkeypatch,
     ks._rule.cache_clear()
     failed = sum(not run()[0] for _, run in cli._suite_ks(args))
     assert failed > 0
+
+
+def _rule_words(w1, w2):
+    """The raw words left + v + right + u of every rule term of {Tr w1,
+    Tr w2}, each with its coefficient (in halves), as words of int codes;
+    None when a side is a scalar."""
+    c1, w1 = ks._normalize(ks._encode(w1))
+    c2, w2 = ks._normalize(ks._encode(w2))
+    if len(w1) < 2 or len(w2) < 2:
+        return None
+    out = []
+    for p, a in enumerate(w1):
+        u = w1[p + 1:] + w1[:p]
+        for q, b in enumerate(w2):
+            v = w2[q + 1:] + w2[:q]
+            out += [(c * c1 * c2, left + v + right + u)
+                    for c, left, right in ks._rule(a, b)]
+    return out
+
+
+def _ref_bracket(w1, w2):
+    """{Tr w1, Tr w2} with every rule word normalized on its own."""
+    words = _rule_words(w1, w2)
+    if words is None:
+        return ks.TraceExpr()
+    sums = {}
+    for c, word in words:
+        s, w = ks._normalize(word)
+        sums[w] = sums.get(w, 0) + c * s
+    scalars = {ks._scalar_monomial(w): Fraction(s, 2)
+               for w, s in sums.items() if len(w) < 2}
+    return ks.TraceExpr({(): Expr(scalars)} | {
+        w: Fraction(s, 2) for w, s in sums.items() if len(w) > 1})
+
+
+@pytest.mark.parametrize("n,level", [(3, 2), (4, 1)])
+def test_bracket_matches_the_per_rule_word_reference(n, level):
+    gens = generator_tuples(n, level)
+    for idx, a in enumerate(gens):
+        for b in gens[idx:]:
+            w1, w2 = ks.gen_word(*a), ks.gen_word(*b)
+            assert ks.ks_bracket_symbolic(w1, w2) == _ref_bracket(w1, w2)
+
+
+def test_raw_words_that_cancel_before_normalization():
+    w1, w2 = ks.gen_word(1, 2, 0), ks.gen_word(1, 3, 0)
+    sums = {}
+    for c, word in _rule_words(w1, w2):
+        sums.setdefault(word, []).append(c)
+    # a raw word whose rule terms cancel although its trace is nonzero
+    assert any(len(cs) > 1 and not sum(cs) and ks._normalize(word)[0]
+               for word, cs in sums.items())
+    got = ks.ks_bracket_symbolic(w1, w2)
+    assert got == _ref_bracket(w1, w2)
+    assert ks.skein_reduce(got) == _pair_bracket(dn_algebra(3), (1, 2, 0),
+                                                 (1, 3, 0))
