@@ -1,10 +1,13 @@
 """Central elements for the three algebra flavors.
 
 All flavors produce their Casimirs as coefficients of a determinant
-generating polynomial:
+generating polynomial, expanded by Mat.det_by_power graded by lam:
 
-* level-0 algebra: det(lam A + lam^-1 A^T) lam^-n with A the
-  upper-triangular unit-diagonal generator matrix;
+* level-0 algebra: det(lam A + lam^-1 A^T) with A the upper-triangular
+  unit-diagonal generator matrix, palindromic in lam, so its Casimirs
+  are read from the powers >= n % 2 alone.  That cut (det_by_power's lo)
+  is exact: each row reaches lam^1 at most, so a minor of the last k
+  rows below lam^(n % 2 - (n - k)) cannot reach lam^(n % 2);
 * level-p algebra: det Gp(lam) of the finite generating matrix;
 * reduced n x n algebra: det of the lam-combination of the structure
   matrices Rhat, Shat, Ahat, Ahat^T, which factors as
@@ -24,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .poly_core import (Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat,
                         is_generator, parse_gen)
@@ -83,18 +87,13 @@ def jacobian_rank(coeffs, symbols, point) -> int:
 # ---------------------------------------------------------------------------
 
 
-def an_generating_polynomial(n: int, a_mat: Mat | None = None) -> Expr:
-    """det(lam A + lam^-1 A^T) lam^-n."""
-    a = a_mat if a_mat is not None else _braid.symbol_matrix(n)
-    lam, lam_i = E("lam"), E("lam", -1)
-    m = a.map(lambda e: e * lam) + a.transpose().map(lambda e: e * lam_i)
-    return m.det() * E("lam", -n)
-
-
 def centers_An(n: int) -> CenterSet:
-    """The floor(n/2) nontrivial Casimirs of the level-0 algebra."""
-    by_power = an_generating_polynomial(n).coeffs_in("lam")
-    coeffs = [by_power.get(-2 * m, ZERO) for m in range(1, n // 2 + 1)]
+    """The floor(n/2) nontrivial Casimirs of the level-0 algebra: the
+    coefficients of lam^(n-2m), 0 < m <= n/2, of det(lam A + lam^-1 A^T)."""
+    a = _braid.symbol_matrix(n)
+    mat = a.scale(E("lam")) + a.transpose().scale(E("lam", -1))
+    by_power = mat.det_by_power("lam", lo=n % 2)
+    coeffs = [by_power.get(n - 2 * m, ZERO) for m in range(1, n // 2 + 1)]
     return CenterSet("A", coeffs, {"n": n, "count": n // 2})
 
 
@@ -120,9 +119,8 @@ def centers_Dnp(n: int, p: int, seed: int = 0) -> CenterSet:
     """Coefficients of det Gp(lam); independence count floor(np/2)
     certified by the exact Jacobian rank at random rational points,
     including the all-ones assignment."""
-    det = build_Gp(n, p).mat.det()
     coeffs = []
-    for k, c in sorted(det.coeffs_in("lam").items()):
+    for k, c in sorted(build_Gp(n, p).mat.det_by_power("lam").items()):
         c = c - c.at({s: 0 for s in c.symbols()})  # drop constants
         if not c.is_zero() and c not in coeffs:
             coeffs.append(c)
@@ -189,9 +187,9 @@ def centers_Dn(n: int) -> CenterSet:
     """Extract c_1..c_n from the factorization
     det = (lam-1)^(n-1) [lam^(n+1) + sum lam^i c_i
           + (-1)^(n+1) sum lam^(1-i) c_i + (-1)^(n+1) lam^-n]."""
-    det = dn_generating_matrix(n).det()
     # clear negative powers, divide out (lam - 1)^(n-1) exactly
-    poly = (det * E("lam", n)).coeffs_in("lam")
+    poly = {k + n: c for k, c in
+            dn_generating_matrix(n).det_by_power("lam").items()}
     top = max(poly)
     coeffs = [poly.get(k, ZERO) for k in range(top + 1)]
     for _ in range(n - 1):
@@ -358,28 +356,19 @@ def dn_diagonal_specialization(n: int) -> bool:
     e_scalar = lam * lam - ONE - lam + lam_i
 
     def pattern_det(k):
-        if k == 0:
-            return ONE
         m = Mat([[(ONE + lam) if a == b else
                   (const(2) * lam if a < b else const(2))
                   for b in range(k)] for a in range(k)])
         return m.det()
 
     def symmetric(k):  # e_k of the Ghat_ii^2
-        return sum((_prod([E(ghat(i, i)) ** 2 for i in sub])
+        return sum((prod([E(ghat(i, i)) ** 2 for i in sub], start=ONE)
                     for sub in itertools.combinations(range(1, n + 1), k)),
                    ZERO)
 
     expect = dot([(1, e_scalar ** (n - k) * pattern_det(k), symmetric(k))
                   for k in range(n + 1)])
     return det == expect
-
-
-def _prod(items):
-    out = ONE
-    for it in items:
-        out = out * it
-    return out
 
 
 # ---------------------------------------------------------------------------

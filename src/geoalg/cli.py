@@ -162,17 +162,18 @@ def _suite_goldman(args):
         for j in range(i + 1, n + 1):
             geo[f"G[{i},{j},0]"] = fatgraph.geodesic_function(n, i, j)
     cases = [("perimeter", lambda: _bool_case(fatgraph.perimeter_identity(n)))]
-    grads = {}  # each geodesic's shear gradient, taken by its first case
+    fields = {}  # geodesic -> its shear gradient and Hamiltonian field
 
-    def gradient(i, j):
+    def field(i, j):
         name = f"G[{i},{j},0]"
-        if name not in grads:
-            grads[name] = fatgraph.shear_gradient(geo[name], graph)
-        return grads[name]
+        if name not in fields:
+            grad = fatgraph.shear_gradient(geo[name], graph)
+            fields[name] = grad, fatgraph.hamiltonian_field(grad, graph)
+        return fields[name]
 
     def pair_case(a, b):
         def run():
-            lhs = fatgraph.gradient_pairing(gradient(*a), gradient(*b), graph)
+            lhs = fatgraph.gradient_pairing(field(*a)[0], field(*b)[1])
             rhs = dn_algebra.bracket(alg, alg.canonical(*a, 0),
                                      alg.canonical(*b, 0)).subst(geo)
             return _pair_verdict(lhs, rhs)

@@ -227,8 +227,8 @@ def _partial_terms(alg: GenAlgebra, f: Expr) -> tuple:
 # generating-function / semiclassical reflection form
 # ---------------------------------------------------------------------------
 # Series are Exprs in the spectral symbols lam, mu.  The kernels reach
-# positive powers of mu, so the kernel side is truncated to the window
-# lam^-a mu^-b, 0 <= a, b <= order, only at the end.
+# positive powers of mu, so the kernel side is cut to the window lam^-a
+# mu^-b, 0 <= a, b <= order, early in lam (per lam side), in mu at the end.
 
 
 def gcal_entry(alg: GenAlgebra, i: int, j: int, order: int,
@@ -240,39 +240,51 @@ def gcal_entry(alg: GenAlgebra, i: int, j: int, order: int,
     return out
 
 
-def _truncate(e: Expr, order: int) -> Expr:
-    """The terms lam^-a mu^-b of *e* with 0 <= a, b <= order."""
-    return e.window("lam", -order, 0).window("mu", -order, 0)
-
-
 def _geometric(x: Expr, order: int) -> Expr:
     """1 + x + ... + x^order."""
     return sum((x ** r for r in range(order + 1)), ZERO)
 
 
-def _reflection_tables(alg: GenAlgebra, order: int):
-    """The Gcal entries and kernels that generating_bracket combines.
-
-    Gcal(lam) to lam^-order, Gcal(mu) to mu^-order (the bracket side) and
-    to mu^-2order (the kernel side: a power (mu/lam)^r with r <= order
-    meets mu^-(b+r)).  r~(a,b) is the E_ab (x) E_ba entry r(lam, mu) of
-    classical_r_matrix over lam - mu, expanded in mu/lam; t~(a,b) is
-    r(1/lam, mu) over 1/lam - mu, expanded in 1/(lam mu).  order + 1
-    geometric terms give every coefficient of the window exactly.
-    """
-    n = alg.n
-    idx = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    glam = {ij: gcal_entry(alg, *ij, order, "lam") for ij in idx}
-    gmu = {ij: gcal_entry(alg, *ij, order, "mu") for ij in idx}
-    gmu2 = {ij: gcal_entry(alg, *ij, 2 * order, "mu") for ij in idx}
+def _kernels(n: int, order: int) -> tuple:
+    """(r~, t~), keyed by (a, b).  r~(a,b) is the E_ab (x) E_ba entry
+    r(lam, mu) of classical_r_matrix over lam - mu, expanded in mu/lam;
+    t~(a,b) is r(1/lam, mu) over 1/lam - mu, expanded in 1/(lam mu).
+    order + 1 geometric terms give every coefficient of the window
+    exactly."""
     over = E("lam", -1) * _geometric(E("mu") * E("lam", -1), order)
     over_t = -E("mu", -1) * _geometric(E("lam", -1) * E("mu", -1), order)
     to_inverse = {"lam": E("lam", -1)}
     r = classical_r_matrix(n)
-    rt = {(a, b): r[(a, b), (b, a)] * over for a, b in idx}
-    tt = {(a, b): r[(a, b), (b, a)].subst(to_inverse) * over_t
-          for a, b in idx}
-    return glam, gmu, gmu2, rt, tt
+    idx = list(itertools.product(range(1, n + 1), repeat=2))
+    return ({ab: r[ab, ab[::-1]] * over for ab in idx},
+            {ab: r[ab, ab[::-1]].subst(to_inverse) * over_t for ab in idx})
+
+
+def _reflection_tables(alg: GenAlgebra, order: int):
+    """The Gcal entries and lam sides that generating_bracket combines.
+
+    Gcal(lam) to lam^-order, Gcal(mu) to mu^-order (the bracket side) and
+    to mu^-2order (the kernel side: a power (mu/lam)^r with r <= order
+    meets mu^-(b+r)).  A term of the reflection form is (kernel *
+    Gcal(lam)) * Gcal(mu), and its lam side reads three of the four
+    indices: the four families of lam sides are built once per check,
+    keyed by those three, and cut to lam^-order .. lam^0 at once.  The
+    cut is exact, as Gcal(mu) holds no lam.
+    """
+    n = alg.n
+    rng = range(1, n + 1)
+    idx = list(itertools.product(rng, repeat=2))
+    glam = {ij: gcal_entry(alg, *ij, order, "lam") for ij in idx}
+    gmu = {ij: gcal_entry(alg, *ij, order, "mu") for ij in idx}
+    gmu2 = {ij: gcal_entry(alg, *ij, 2 * order, "mu") for ij in idx}
+    rt, tt = _kernels(n, order)
+    side = lambda k, g: (k * g).window("lam", -order, 0)
+    abc = list(itertools.product(rng, repeat=3))
+    return glam, gmu, gmu2, (
+        {(a, b, c): side(rt[a, b], glam[b, c]) for a, b, c in abc},
+        {(a, b, c): side(rt[a, b], glam[c, a]) for a, b, c in abc},
+        {(a, b, c): side(tt[a, b], glam[c, b]) for a, b, c in abc},
+        {(a, b, c): side(tt[a, b], glam[a, c]) for a, b, c in abc})
 
 
 def generating_bracket(alg: GenAlgebra, ji, pl, order: int, tables=None):
@@ -287,18 +299,18 @@ def generating_bracket(alg: GenAlgebra, ji, pl, order: int, tables=None):
     that is r~(j,p) G_pi(lam) G_jl(mu) - r~(l,i) G_jl(lam) G_pi(mu)
     + t~(i,p) G_jp(lam) G_il(mu) - t~(l,j) G_li(lam) G_pj(mu).  Returns
     (lhs, rhs) up to lam^-order mu^-order: the left side has no other
-    terms, the right side is truncated.  *tables* is
+    terms, the right side is one dot of the four lam sides (already cut
+    in lam) with their Gcal(mu), cut in mu.  *tables* is
     _reflection_tables(alg, order), built once for many entries.
     """
-    glam, gmu, gmu2, rt, tt = tables or _reflection_tables(alg, order)
+    glam, gmu, gmu2, (s1, s2, s3, s4) = (tables
+                                         or _reflection_tables(alg, order))
     j, i = ji
     p, l = pl
     lhs = bracket(alg, glam[j, i], gmu[p, l])
-    rhs = (rt[j, p] * glam[p, i] * gmu2[j, l]
-           - rt[l, i] * glam[j, l] * gmu2[p, i]
-           + tt[i, p] * glam[j, p] * gmu2[i, l]
-           - tt[l, j] * glam[l, i] * gmu2[p, j])
-    return lhs, -_truncate(rhs, order)
+    rhs = dot([(-1, s1[j, p, i], gmu2[j, l]), (1, s2[l, i, j], gmu2[p, i]),
+               (-1, s3[i, p, j], gmu2[i, l]), (1, s4[l, j, i], gmu2[p, j])])
+    return lhs, rhs.window("mu", -order, 0)
 
 
 def semiclassical_reflection_check(alg: GenAlgebra, order: int):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot
 
@@ -58,6 +59,7 @@ class Mat2Word:
     letters: tuple
     sign: int = 1
 
+    @cache  # once per word and process: a word and its Mat are immutable
     def evaluate(self) -> Mat:
         m = Mat.identity(2)
         for letter in self.letters:
@@ -168,22 +170,27 @@ def shear_gradient(f: Expr, graph: FatGraph) -> dict:
     return {v: f.diff(v) * E(v) * const(HALF) for v in allowed}
 
 
-def gradient_pairing(df: dict, dg: dict, graph: FatGraph) -> Expr:
-    """The vertex-cyclic Poisson bivector of *graph* applied to two shear
-    gradients: sum over the cyclically consecutive edges (a, b) at every
-    vertex of df_a dg_b - dg_a df_b (most partials of a geodesic vanish,
-    and their products are skipped)."""
-    terms = []
+def hamiltonian_field(dg: dict, graph: FatGraph) -> dict:
+    """X_g[a] = sum_b pi_ab dg_b for the shear gradient *dg* of g, with pi
+    the vertex-cyclic bivector: pi_ab = 1 (-1) where b follows (precedes) a."""
+    terms = {a: [] for a in dg}
     for order in graph.vertex_orders:
         for a, b in zip(order, order[1:] + order[:1]):
-            terms += [(1, df[a], dg[b]), (-1, dg[a], df[b])]
-    return dot(terms)
+            terms[a].append((1, ONE, dg[b]))
+            terms[b].append((-1, ONE, dg[a]))
+    return {a: dot(t) for a, t in terms.items()}
+
+
+def gradient_pairing(df: dict, xg: dict) -> Expr:
+    """{f, g} = sum_a df_a X_g[a] from the shear gradient *df* of f and
+    the Hamiltonian field *xg* of g (zero partials cost nothing)."""
+    return dot([(1, x, xg[a]) for a, x in df.items()])
 
 
 def goldman_bracket(f: Expr, g: Expr, graph: FatGraph) -> Expr:
     """The vertex-cyclic Poisson bracket on shear coordinates."""
-    return gradient_pairing(shear_gradient(f, graph), shear_gradient(g, graph),
-                            graph)
+    return gradient_pairing(shear_gradient(f, graph),
+                            hamiltonian_field(shear_gradient(g, graph), graph))
 
 
 def perimeter_identity(n: int) -> bool:

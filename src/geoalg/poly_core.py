@@ -47,7 +47,8 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, islice, product
+from math import inf
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -949,25 +950,45 @@ class Mat:
         return sum((self.rows[i][i] for i in range(n)), ZERO)
 
     def det(self) -> Expr:
-        """Exact determinant by Laplace expansion along the top row, over
-        the minors of the bottom rows built one size at a time (each size
-        from the one below it, which is then dropped)."""
+        """Exact determinant (det_by_power with no symbol)."""
+        return self.det_by_power().get(0, ZERO)
+
+    def det_by_power(self, name: str | None = None, lo: int | None = None):
+        """The determinant as {k: its nonzero coefficient of name^k}, by
+        Laplace expansion along the top row over the minors of the bottom
+        rows, each size built from the one below.  Entries are split once
+        by coeffs_in (with no name, one block of power 0) and a minor is
+        {power: Expr}, one dot per power.  With *lo*, only powers >= lo
+        are kept, and a minor's block of power q is skipped when q < lo -
+        (the highest power of name in each row above it, summed): each
+        term of the determinant takes one entry from each of those rows."""
         n, m = self.shape
         if n != m:
             raise ValueError("square matrices only")
-        if n == 0:
-            return ONE
+        rows = [[x.coeffs_in(name) if name else {0: x} if x else {}
+                 for x in row] for row in self.rows]
+        tops = [max((max(x) for x in row if x), default=-inf) for row in rows]
+        # floors[k]: the lowest power a minor of the last k rows may keep
+        floors = [-inf if lo is None else lo - sum(tops[:n - k])
+                  for k in range(n + 1)]
         # minors of the last k rows, keyed by their (sorted) columns
-        minors = {(c,): x for c, x in enumerate(self.rows[n - 1])}
-        for k in range(2, n + 1):
-            row = self.rows[n - k]
+        minors = {(): {0: ONE}} if floors[0] <= 0 else {}
+        for k in range(1, n + 1):
+            row, floor = rows[n - k], floors[k]
             bigger = {}
             for cols in combinations(range(n), k):
-                bigger[cols] = dot([(-1 if pos % 2 else 1, row[c],
-                                     minors[cols[:pos] + cols[pos + 1:]])
-                                    for pos, c in enumerate(cols)])
+                parts = {}
+                for pos, c in enumerate(cols):
+                    minor = minors.get(cols[:pos] + cols[pos + 1:], {})
+                    for (e, x), (q, y) in product(row[c].items(),
+                                                  minor.items()):
+                        if e + q >= floor:
+                            parts.setdefault(e + q, []).append(
+                                (-1 if pos % 2 else 1, x, y))
+                bigger[cols] = {p: v for p, terms in parts.items()
+                                if (v := dot(terms))}
             minors = bigger
-        return minors[tuple(range(n))]
+        return minors.get(tuple(range(n)), {})
 
     def __str__(self):
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from geoalg import centers
+from geoalg import braid, centers
 from geoalg.dn_algebra import an_algebra, bracket
 from geoalg.poly_core import E, ghat
 
@@ -27,8 +27,11 @@ def test_level0_centers_braid_invariant():
 
 
 def test_generating_polynomial_is_even():
-    p = centers.an_generating_polynomial(3)
-    assert all(k % 2 == 0 for k in p.coeffs_in("lam"))
+    # det(lam A + lam^-1 A^T) lam^-n holds only even powers of lam
+    n = 3
+    a = braid.symbol_matrix(n)
+    m = a.scale(E("lam")) + a.transpose().scale(E("lam", -1))
+    assert all((k - n) % 2 == 0 for k in m.det_by_power("lam"))
 
 
 @pytest.mark.parametrize("n,p,rank", [(2, 2, 2), (3, 2, 3), (2, 3, 3)])

@@ -245,3 +245,37 @@ def test_reflection_check_catches_a_short_kernel(monkeypatch, dropped):
         x, order) - x ** dropped)
     rep = semiclassical_reflection_check(dn_algebra(3), 2)
     assert not rep["ok"] and rep["mismatches"]
+
+
+@pytest.mark.parametrize("n,order", [(3, 2), (4, 1)])
+def test_shared_lam_sides_give_the_windowed_full_product(n, order):
+    # the right side restated: the four kernel products in full, then the
+    # window lam^-a mu^-b, 0 <= a, b <= order, and the global sign
+    alg = dn_algebra(n)
+    tables = dn._reflection_tables(alg, order)
+    rt, tt = dn._kernels(n, order)
+    glam = {(a, b): dn.gcal_entry(alg, a, b, order, "lam")
+            for a, b in itertools.product(range(1, n + 1), repeat=2)}
+    gmu2 = {ab: dn.gcal_entry(alg, *ab, 2 * order, "mu") for ab in glam}
+    for j, i, p, l in itertools.product(range(1, n + 1), repeat=4):
+        full = (rt[j, p] * glam[p, i] * gmu2[j, l]
+                - rt[l, i] * glam[j, l] * gmu2[p, i]
+                + tt[i, p] * glam[j, p] * gmu2[i, l]
+                - tt[l, j] * glam[l, i] * gmu2[p, j])
+        want = -full.window("lam", -order, 0).window("mu", -order, 0)
+        _, rhs = generating_bracket(alg, (j, i), (p, l), order, tables)
+        assert rhs == want
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_reflection_check_catches_a_wrong_kernel_entry(monkeypatch, delta):
+    # +-1 on the single kernel entry r~(1, 2); t~ and the other r~ as they are
+    true_kernels = dn._kernels
+
+    def mutant(n, order):
+        rt, tt = true_kernels(n, order)
+        return {**rt, (1, 2): rt[1, 2] + const(delta)}, tt
+
+    monkeypatch.setattr(dn, "_kernels", mutant)
+    rep = semiclassical_reflection_check(dn_algebra(3), 2)
+    assert not rep["ok"] and rep["mismatches"]

@@ -7,7 +7,7 @@ import pytest
 
 from geoalg import fatgraph
 from geoalg.dn_algebra import an_algebra, bracket
-from geoalg.poly_core import ONE, const
+from geoalg.poly_core import ONE, ZERO, const
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -72,14 +72,40 @@ def test_gradient_pairing_is_the_goldman_bracket():
     # products and constants too, not only the geodesics themselves
     values = geo + [geo[0] * geo[3] - geo[2], const(Fraction(3, 2)) + geo[5]]
     grads = [fatgraph.shear_gradient(f, graph) for f in values]
-    for f, df in zip(values, grads):
+    fields = [fatgraph.hamiltonian_field(dg, graph) for dg in grads]
+    for f, df, xf in zip(values, grads, fields):
         assert set(df) == set(graph.edge_vars())
-        for g, dg in zip(values, grads):
-            pair = fatgraph.gradient_pairing(df, dg, graph)
+        for g, dg, xg in zip(values, grads, fields):
+            pair = fatgraph.gradient_pairing(df, xg)
             assert pair == fatgraph.goldman_bracket(f, g, graph)
-            assert pair == -fatgraph.gradient_pairing(dg, df, graph)
-    assert any(fatgraph.gradient_pairing(grads[0], dg, graph)
-               for dg in grads)
+            assert pair == -fatgraph.gradient_pairing(dg, xf)
+    assert any(fatgraph.gradient_pairing(grads[0], xg) for xg in fields)
+
+
+def test_hamiltonian_field_pairing_is_the_vertex_cyclic_sum():
+    n = 5
+    graph = fatgraph.canonical_disc_graph(n)
+    grads = [fatgraph.shear_gradient(f, graph)
+             for f in _geodesics(n).values()]
+    fields = [fatgraph.hamiltonian_field(dg, graph) for dg in grads]
+
+    def cyclic_sum(df, dg):
+        # the bivector written out: df_a dg_b - dg_a df_b over the
+        # cyclically consecutive edges (a, b) at every vertex
+        out = ZERO
+        for order in graph.vertex_orders:
+            for a, b in zip(order, order[1:] + order[:1]):
+                out = out + df[a] * dg[b] - dg[a] * df[b]
+        return out
+
+    nonzero = 0
+    for df, xf in zip(grads, fields):
+        for dg, xg in zip(grads, fields):
+            pair = fatgraph.gradient_pairing(df, xg)
+            assert pair == cyclic_sum(df, dg)
+            assert pair == -fatgraph.gradient_pairing(dg, xf)
+            nonzero += not pair.is_zero()
+    assert nonzero
 
 
 def test_geodesic_positive_at_real_points():

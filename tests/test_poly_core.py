@@ -130,6 +130,30 @@ def test_matrix_det_laplace_vs_permutation():
     assert m.det() == total
 
 
+def _an_matrix(n):
+    a = Mat([[ONE if i == j else E(gen(i, j, 0)) if i < j else ZERO
+              for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return a.scale(E("lam")) + a.transpose().scale(E("lam", -1))
+
+
+def test_det_by_power_lo_keeps_exactly_the_powers_from_lo():
+    for n in (3, 4, 5):
+        m = _an_matrix(n)
+        full = m.det_by_power("lam")
+        assert full == m.det().coeffs_in("lam")
+        for lo in range(-n - 2, n + 3):
+            assert m.det_by_power("lam", lo) == {k: c for k, c in full.items()
+                                                 if k >= lo}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_an_determinant_is_palindromic(n):
+    # M(1/lam) = M(lam)^T, so det M has equal coefficients at lam^+-k
+    by_power = _an_matrix(n).det_by_power("lam")
+    assert by_power[n] == ONE and set(by_power) == set(range(-n, n + 1, 2))
+    assert all(by_power[-k] == c for k, c in by_power.items())
+
+
 def test_constants_hash_as_their_value():
     # equal values must hash alike, so a constant Expr, an int and a
     # Fraction of the same value are one set element and one dict key

@@ -338,6 +338,25 @@ def test_det_with_laurent_entries_matches_sympy(rows):
     assert well_typed(got)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_det_by_power_is_the_det_graded(data):
+    # entries carry several powers of lam (and none), some are zero, and
+    # a row may be zero; lo ranges past both ends of the powers
+    n = data.draw(st.integers(0, 5), label="n")
+    entry = st.one_of(st.just(ZERO),
+                      exprs(max_terms=3, names=("x", "lam"), max_letters=2))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    if n and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, n - 1))] = [ZERO] * n
+    m = Mat(rows)
+    full = m.det().coeffs_in("lam")
+    assert m.det_by_power("lam") == full
+    lo = data.draw(st.integers(-8, 8), label="lo")
+    assert m.det_by_power("lam", lo) == {k: c for k, c in full.items()
+                                          if k >= lo}
+
+
 def test_terms_are_sorted_by_name_not_by_first_use():
     late, early = E("zq9"), E("aq9")  # "zq9" gets the smaller id
     e = const(Fraction(-3, 2)) * early * late ** -2 + late
