@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import prod
 
 from .poly_core import (Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat,
-                        is_generator, parse_gen)
+                        is_generator, parse_gen, rational_rank)
 from .dn_algebra import an_algebra, dnp_algebra, bracket
 from .reductions import build_Gp
 from . import braid as _braid
@@ -46,26 +46,6 @@ class CenterSet:
 # ---------------------------------------------------------------------------
 # rational linear algebra helpers
 # ---------------------------------------------------------------------------
-
-
-def rational_rank(rows) -> int:
-    """Exact rank of a matrix of Fractions by Gaussian elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 def _random_point(symbols, rng) -> dict:

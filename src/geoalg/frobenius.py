@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen, rational_rank
 from .dn_algebra import dn_algebra, generator_tuples, _pair_bracket
 from .ks_calculus import ks_brackets_numeric
 from .fatgraph import geodesic_function
@@ -107,15 +107,15 @@ def all_ones_stokes(m: int) -> StokesMatrix:
 
 
 def random_stokes(n: int, rng) -> StokesMatrix:
-    """Random rational Stokes matrix with a nondegenerate symmetric form."""
+    """Random rational Stokes matrix with det(S + S^T) != 0 (exact rank)."""
     while True:
         rows = [[1 if i == j else
                  (Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if i < j
                   else 0)
                  for j in range(n)] for i in range(n)]
-        s = StokesMatrix.from_rows(rows)
-        if not s.symmetrization().det().is_zero():
-            return s
+        if rational_rank([[a + b for a, b in zip(row, col)]
+                          for row, col in zip(rows, zip(*rows))]) == n:
+            return StokesMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +325,46 @@ def all_ones_report(m: int) -> dict:
 REALIZATION_FACTOR = Fraction(1, 4)
 
 
-def _trace_scalar(i: int, j: int, k: int, nt: int):
-    """Tr(M_i M_h^k M_j M_h^{-k}), an invariant equal to n-4+(G^{(k)}_ij)^2.
-
-    Batch-aware: the matrices may carry leading batch axes."""
+def _trace_family(gens, nt: int):
+    """Tr(M_i M_h^k M_j M_h^{-k}), an invariant equal to n-4+(G^{(k)}_ij)^2,
+    for every (i, j, k) of *gens* (k >= 0), as one batch-aware function of
+    the monodromies with values (..., len(gens)).  M_h and M_h^{-1} are
+    formed once per call; for each j, M_h^k M_j M_h^{-k} is advanced one
+    level at a time, so one conjugate is held at a time."""
+    reads = sorted((j, k, i, p) for p, (i, j, k) in enumerate(gens))
 
     def f(mats):
         mh = mats[nt - 1]
         for r in range(nt, len(mats)):
             mh = mh @ mats[r]
-        return np.trace(mats[i - 1] @ np.linalg.matrix_power(mh, k)
-                        @ mats[j - 1] @ np.linalg.matrix_power(mh, -k),
-                        axis1=-2, axis2=-1)
+        inv = np.linalg.inv(mh)
+        out = np.empty(mh.shape[:-2] + (len(gens),), mh.dtype)
+        col = None
+        for j, k, i, p in reads:
+            if j != col:
+                col, conj, level = j, mats[j - 1], 0
+            while level < k:
+                conj = mh @ conj @ inv
+                level += 1
+            np.einsum("...ab,...ba->...", mats[i - 1], conj, out=out[..., p])
+        return out
 
     return f
 
 
-def _float_matrix(m: Mat) -> np.ndarray:
-    return np.array([[float(x.as_rational()) for x in row] for row in m.rows])
+def _gk_values(g, nt: int, rank: int, top: int) -> dict:
+    """{(i, j, k): G^{(k)}_ij} for i, j <= rank and k <= top, exact: the
+    head rows of G M_h^k from G = S + S^T (rows of rationals *g*), each
+    reflection applied by a rank-one update, row M_r = row - row_r G_r."""
+    rows, out = g[:rank], {}
+    for k in range(top + 1):
+        if k:
+            for r in range(nt - 1, len(g)):
+                rows = [[x - row[r] * y for x, y in zip(row, g[r])]
+                        for row in rows]
+        out.update(((i + 1, j + 1, k), row[j])
+                   for i, row in enumerate(rows) for j in range(rank))
+    return out
 
 
 def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
@@ -350,12 +372,13 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     """Brackets of G^{(k)}_{i,j} vs 1/4 x level-graded structure constants.
 
     The first *rank* indices survive as marked points; the trailing block
-    of size n - rank is clashed into the hole (nt = rank + 1).  The left
-    side differentiates the invariant trace functions numerically and
+    of size n - rank is clashed into the hole (nt = rank + 1).  The exact
+    G^{(k)} values (row updates, _gk_values) and the float monodromies
+    come from the rationals of G = S + S^T.  The left side differentiates
+    all trace functions from one complex-step stack (_trace_family) and
     divides out the chain-rule factor 2 G^{(k)}_{i,j} per slot; the right
     side evaluates the closed-form structure constants (``Expr.at``) at
-    the exact G^{(k)} values, as floats.  Each generator's gradient is
-    computed once at the point, and all pairs are contracted together.
+    the exact G^{(k)} values, as floats.  The verdict is this float check.
 
     The gate is relative: a pair passes when |lhs - rhs| <= tol *
     max(1, |lhs|, |rhs|).  Float rounding in the products of n x n
@@ -372,29 +395,22 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     if pairs is None:
         gens = generator_tuples(rank, levels)
         pairs = [(a, b) for idx, a in enumerate(gens) for b in gens[idx:]]
-    ms = monodromies(s)
-    mh = _product(ms[nt - 1:], Mat.identity(n))
-    exact = {}
-    gk = s.symmetrization()
-    for k in range(2 * levels + 1):
-        if k:
-            gk = gk * mh    # G^(k) = G M_h^k
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
-                exact[(i, j, k)] = gk[i - 1, j - 1].as_rational()
+    g = [[x.as_rational() for x in row] for row in s.symmetrization().rows]
+    exact = _gk_values(g, nt, rank, 2 * levels)
     if any(v == 0 for v in exact.values()):
         raise ValueError("degenerate point: a generator value vanishes")
-    index = {g: p for p, g in enumerate(
-        dict.fromkeys(g for pair in pairs for g in pair))}
-    brackets = ks_brackets_numeric([_trace_scalar(*g, nt) for g in index],
-                                   [_float_matrix(m) for m in ms])
+    index = {x: p for p, x in enumerate(
+        dict.fromkeys(x for pair in pairs for x in pair))}
+    mats = np.broadcast_to(np.eye(n), (n, n, n)).copy()
+    mats[range(n), range(n)] -= np.array(g, dtype=float)  # M_r = 1 - E_r G
+    brackets = ks_brackets_numeric(_trace_family(list(index), nt), mats)
     factor = float(REALIZATION_FACTOR)
-    values = {gen(*g): float(v) for g, v in exact.items()}
+    floats = {x: float(v) for x, v in exact.items()}
+    values = {gen(*x): v for x, v in floats.items()}
     worst = 0.0
     for a, b in pairs:
         rhs = factor * _pair_bracket(alg, a, b).at(values)
-        lhs = float(brackets[index[a], index[b]]) / (
-            4 * float(exact[a]) * float(exact[b]))
+        lhs = float(brackets[index[a], index[b]]) / (4 * floats[a] * floats[b])
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return {"pairs": len(pairs), "max_deviation": worst, "ok": worst <= tol}
 

@@ -430,25 +430,25 @@ STEP = 1e-100  # complex step: no subtraction, so no cancellation to balance
 
 
 def complex_step_gradient(f, mats: np.ndarray) -> np.ndarray:
-    """df / d(M_i)_ab for every i, a, b, as an (N, m, m) array.
+    """df_p / d(M_i)_ab for every p, i, a, b, as a (K, N, m, m) array.
 
     *mats* is an (N, m, m) real array.  f maps a list of N matrix stacks,
-    each of shape (..., m, m), to the (...)-shaped array of its values.
+    each of shape (..., m, m), to the (..., K) array of its K values.
     The N m^2 perturbed points M_i + i STEP E_ab are stacked on a leading
-    batch axis and f is called once on them (Squire & Trapp 1998).  A
-    function that is not batch-aware returns the wrong shape and is
-    rejected, rather than read wrongly.
+    batch axis and f is called once on them (Squire & Trapp 1998), so one
+    stack gives all K gradients.  A function that is not batch-aware
+    returns the wrong shape and is rejected, rather than read wrongly.
     """
     nmat, m, _ = mats.shape
     size = nmat * m * m
     pert = np.broadcast_to(mats.astype(complex), (size, nmat, m, m)).copy()
     pert.reshape(size, size)[np.arange(size), np.arange(size)] += 1j * STEP
     vals = np.asarray(f([pert[:, i] for i in range(nmat)]))
-    if vals.shape != (size,):
+    if vals.ndim != 2 or len(vals) != size:
         raise ValueError(f"f returned shape {vals.shape} on a stack of "
                          f"{size} points; it must map (..., m, m) stacks "
-                         "to a (...) array")
-    return (vals.imag / STEP).reshape(nmat, m, m)
+                         "to a (..., K) array")
+    return (vals.imag / STEP).T.reshape(-1, nmat, m, m)
 
 
 def exchange_tensors(mats: np.ndarray) -> np.ndarray:
@@ -479,17 +479,18 @@ def exchange_tensors(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def ks_brackets_numeric(fs, mats) -> np.ndarray:
-    """{f_p, f_q} for every pair of *fs* at one point, as a (K, K) array.
+def ks_brackets_numeric(f, mats) -> np.ndarray:
+    """{f_p, f_q} for every pair of the K values of *f* at one point, as a
+    (K, K) array, from the entrywise structure constants and the chain rule.
 
-    *mats* is a list of invertible m x m matrices; each f is batch-aware
-    (see complex_step_gradient).  Each gradient is computed once and all
-    pairs are contracted with the exchange tensors in one step.
+    *mats* is a list of invertible m x m matrices; f is batch-aware with
+    values (..., K) (see complex_step_gradient).  One perturbation stack
+    gives every gradient; all pairs are contracted in one step.
     """
     mats = np.asarray(mats, dtype=float)
     if np.any(np.abs(np.linalg.det(mats)) < 1e-12):
         raise ValueError("singular matrix in evaluation point")
-    grads = np.stack([complex_step_gradient(f, mats) for f in fs])
+    grads = complex_step_gradient(f, mats)
     return np.einsum("pIab,IJacbd,qJcd->pq", grads, exchange_tensors(mats),
                      grads, optimize=True)
 
@@ -497,8 +498,9 @@ def ks_brackets_numeric(fs, mats) -> np.ndarray:
 def ks_bracket_numeric(f, g, mats) -> float:
     """{f, g} at a concrete point (list of invertible square matrices).
 
-    f and g map a list of matrix stacks to the array of their values (see
-    complex_step_gradient); the bracket is assembled from the entrywise
-    structure constants and the chain rule.
+    f and g map a list of matrix stacks to the (...) array of their
+    values; ks_brackets_numeric takes them stacked as one function with
+    values (..., 2).
     """
-    return float(ks_brackets_numeric([f, g], mats)[0, 1])
+    return float(ks_brackets_numeric(
+        lambda ms: np.stack([f(ms), g(ms)], axis=-1), mats)[0, 1])

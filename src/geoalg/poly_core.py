@@ -860,6 +860,22 @@ def parse(text: str) -> Expr:
 # -- matrices -------------------------------------------------------------
 
 
+def rational_rank(rows) -> int:
+    """Exact rank of a matrix of rationals by forward elimination: each row
+    is reduced by the pivot rows kept before it, and kept if it is not 0."""
+    pivots = []  # (column, row): each row is 0 at the columns before it
+    for row in rows:
+        row = list(map(Fraction, row))
+        for c, top in pivots:
+            if row[c]:
+                f = row[c] / top[c]
+                row = [a - f * b for a, b in zip(row, top)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            pivots.append((c, row))
+    return len(pivots)
+
+
 class Mat:
     """Dense matrix over Expr (used for SL(2) words, 𝒢(λ), Stokes data)."""
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -130,6 +131,15 @@ def test_geodesic_at_point(capsys):
                  "--at", "s1=1,s2=1,s3=1"]) == 0
     rep = _json_lines(capsys)[0]
     assert rep["left"] == "3"
+
+
+def test_stokes_random_point_at_n24(capsys):
+    # nondegeneracy is decided by an exact rank; a Laplace expansion over
+    # every column subset of a 24 x 24 form would not finish
+    t0 = time.perf_counter()
+    assert main(["stokes", "--point", "random", "--n", "24"]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert len(_json_lines(capsys)) == 24
 
 
 def test_stokes_special_point(capsys):

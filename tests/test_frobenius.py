@@ -112,6 +112,87 @@ def test_realization_gate_catches_a_wrong_factor(monkeypatch):
         assert not fro.realization_suite(3, seed=seed)["ok"], seed
 
 
+def test_realization_gate_catches_a_wrong_exact_value(monkeypatch):
+    # one exact generator value 1e-6 off, relative, fails at every seed
+    exact = fro._gk_values
+
+    def off(*args):
+        out = exact(*args)
+        out[(1, 2, 1)] *= 1 + Fraction(1, 10 ** 6)
+        return out
+
+    monkeypatch.setattr(fro, "_gk_values", off)
+    for seed in range(6):
+        assert not fro.realization_suite(3, seed=seed)["ok"], seed
+
+
+def test_realization_gate_catches_swapped_powers(monkeypatch):
+    # M_h^k and M_h^-k swapped: by cyclicity Tr(M_i M_h^-k M_j M_h^k) is
+    # the trace of (j, i, k), so the mutant reads every generator mirrored
+    family = fro._trace_family
+    monkeypatch.setattr(fro, "_trace_family", lambda gens, nt: family(
+        [(j, i, k) for i, j, k in gens], nt))
+    for seed in range(6):
+        assert not fro.realization_suite(3, seed=seed)["ok"], seed
+
+
+@pytest.mark.parametrize("rank,clash", [(3, 2), (2, 3), (4, 1)])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_row_updates_give_the_gk_family(rank, clash, levels):
+    for seed in range(6):
+        s = _rand(seed, rank + clash)
+        g = [[x.as_rational() for x in row]
+             for row in s.symmetrization().rows]
+        got = fro._gk_values(g, rank + 1, rank, 2 * levels)
+        want = {(i + 1, j + 1, k): fro.gk_family(s, rank + 1, k)[i, j]
+                .as_rational() for k in range(2 * levels + 1)
+                for i in range(rank) for j in range(rank)}
+        assert got == want, seed
+
+
+# draws realization_suite(3, seed=s) makes at the CLI's seeds, True for an
+# accepted Stokes point and False for a degenerate one
+DRAWS = {0: [False, True, True, True], 1: [True] * 3, 2: [True] * 3,
+         3: [True] * 3, 4: [True, True, False, True], 5: [True] * 3}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_realization_suite_draws(seed, monkeypatch):
+    check, seen = fro.realization_check, []
+
+    def recorded(s, rank, **kwargs):
+        try:
+            out = check(s, rank, **kwargs)
+        except ValueError as exc:
+            assert str(exc) == "degenerate point: a generator value vanishes"
+            seen.append(False)
+            raise
+        seen.append(True)
+        return out
+
+    monkeypatch.setattr(fro, "realization_check", recorded)
+    assert fro.realization_suite(3, seed=seed)["ok"]
+    assert seen == DRAWS[seed]
+
+
+def _random_stokes_by_det(n, rng):
+    while True:
+        rows = [[1 if i == j else
+                 (Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if i < j
+                  else 0)
+                 for j in range(n)] for i in range(n)]
+        s = fro.StokesMatrix.from_rows(rows)
+        if not s.symmetrization().det().is_zero():
+            return s
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_stokes_draws_as_the_determinant_test(n):
+    for seed in range(4):
+        assert (fro.random_stokes(n, random.Random(seed))
+                == _random_stokes_by_det(n, random.Random(seed))), seed
+
+
 def test_realization_suite_bounds_resampling(monkeypatch):
     # G_{1,2} = 0 at the identity Stokes matrix: every draw is degenerate
     flat = fro.StokesMatrix.from_rows(

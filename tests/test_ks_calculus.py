@@ -159,11 +159,16 @@ def _reference_brackets(fs, mats):
                       for gq in grads] for gp in grads])
 
 
-def _assert_matches_reference(fs, mats):
+def _stacked(fs):
+    return lambda ms: np.stack([f(ms) for f in fs], axis=-1)
+
+
+def _assert_matches_reference(f, fs, mats):
+    # f is the batched function whose values are those of fs, in order;
     # relative to the largest bracket at the point: single brackets are
     # sums that cancel, so a per-entry ratio would measure the cancellation
     # of the terms, not the oracle
-    new = ks.ks_brackets_numeric(fs, mats)
+    new = ks.ks_brackets_numeric(f, mats)
     ref = _reference_brackets(fs, mats)
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -184,15 +189,24 @@ def test_batched_oracle_matches_reference_2x2(seed):
     rng = random.Random(seed)
     mats = [_rand_traceless(rng) for _ in range(5)]
     fs = [_clash_word(*g, holes=(3, 4)) for g in generator_tuples(3, 2)]
-    _assert_matches_reference(fs, mats)
+    _assert_matches_reference(_stacked(fs), fs, mats)
+
+
+def _float_monodromies(s):
+    return [np.array([[float(x.as_rational()) for x in row] for row in m.rows])
+            for m in fro.monodromies(s)]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_oracle_matches_reference_stokes(seed):
+    # the realization's one trace function of all generators against a
+    # matrix_power word per generator: the words are -Tr(...) and the
+    # bracket of (-f, -g) is that of (f, g)
     s = fro.random_stokes(5, random.Random(seed))
-    mats = [fro._float_matrix(m) for m in fro.monodromies(s)]
-    fs = [fro._trace_scalar(*g, 4) for g in generator_tuples(3, 1)]
-    _assert_matches_reference(fs, mats)
+    gens = generator_tuples(3, 2)
+    fs = [_clash_word(*g, holes=(3, 4)) for g in gens]
+    _assert_matches_reference(fro._trace_family(gens, 4), fs,
+                              _float_monodromies(s))
 
 
 def test_batched_oracle_matches_reference_generic():
@@ -210,7 +224,7 @@ def test_batched_oracle_matches_reference_generic():
         return f
 
     fs = [tr(0, 0), tr(0, 1), tr(0, 1, 2), tr(2, 1, 1, 0), tr(2)]
-    _assert_matches_reference(fs, mats)
+    _assert_matches_reference(_stacked(fs), fs, mats)
 
 
 def test_numeric_oracle_rejects_non_batch_aware_function():

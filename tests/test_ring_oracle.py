@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from geoalg import centers
 from geoalg.poly_core import (E, Expr, Mat, ONE, ZERO, _VECTOR_TERMS, const,
-                              dot, parse)
+                              dot, parse, rational_rank)
 
 NAMES = ("x", "y", "z")
 # names the parser reads back, not in alphabetical order of first use
@@ -268,6 +268,20 @@ def test_jacobian_rank_matches_diff_and_subst(n, p):
                 for c in cs.coefficients]
         assert centers.jacobian_rank(cs.coefficients, symbols, pt) == rank
         assert sympy.Matrix(rows).rank() == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_rational_rank_matches_sympy(rows, inner, cols, data):
+    # a product of rows x inner and inner x cols factors: rank <= inner
+    def mat(n, m):
+        return [[data.draw(rationals) for _ in range(m)] for _ in range(n)]
+    a, b = mat(rows, inner), mat(inner, cols)
+    m = [[sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0))
+          for j in range(cols)] for i in range(rows)]
+    want = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator)
+                                     for row in m for x in row]).rank()
+    assert rational_rank(m) == want
 
 
 @settings(max_examples=80, deadline=None)
