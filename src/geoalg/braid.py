@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dn_algebra import dn_algebra, generator_tuples
 from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat
 
 ADJ = "adj"
@@ -183,18 +184,10 @@ class LevelFamily:
 
     @staticmethod
     def generic(n: int, cap: int) -> "LevelFamily":
-        data = {}
-        for k in range(cap + 1):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if k == 0:
-                        if i == j:
-                            data[i, j, k] = const(2)
-                        else:
-                            data[i, j, k] = E(gen(min(i, j), max(i, j), 0))
-                    else:
-                        data[i, j, k] = E(gen(i, j, k))
-        return LevelFamily(n, cap, data)
+        g = dn_algebra(n).canonical
+        return LevelFamily(n, cap, {
+            (i, j, k): g(i, j, k) for k in range(cap + 1)
+            for i in range(1, n + 1) for j in range(1, n + 1)})
 
     def get(self, i, j, k) -> Expr:
         if k < 0:
@@ -409,14 +402,7 @@ def frakDn_substitution(b: BraidGen, n: int, cap: int) -> dict:
     generators; covers canonical symbols up to level cap (cap - 2 for
     the wrap generator)."""
     out = act_frakDn(b, LevelFamily.generic(n, cap))
-    sub = {}
-    for k in range(out.cap + 1):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if k == 0 and i >= j:
-                    continue
-                sub[gen(i, j, k)] = out.data[i, j, k]
-    return sub
+    return {gen(*t): out.data[t] for t in generator_tuples(n, out.cap)}
 
 
 def Dn_substitution(b: BraidGen, n: int) -> dict:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import prod
 
 from .poly_core import (Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat,
-                        is_generator, parse_gen, rational_rank)
+                        parse_gen, rational_rank)
 from .dn_algebra import an_algebra, dnp_algebra, bracket
 from .reductions import build_Gp
 from . import braid as _braid
@@ -84,15 +84,9 @@ def centers_An(n: int) -> CenterSet:
 
 def dnp_generator_symbols(n: int, p: int) -> list:
     alg = dnp_algebra(n, p)
-    out = []
-    for k in range(p):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                e = alg.canonical(i, j, k)
-                for s in e.symbols():
-                    if is_generator(s) and s not in out:
-                        out.append(s)
-    return out
+    return list(dict.fromkeys(
+        s for k in range(p) for i in range(1, n + 1) for j in range(1, n + 1)
+        for s in alg.canonical(i, j, k).symbols()))
 
 
 def centers_Dnp(n: int, p: int, seed: int = 0) -> CenterSet:
@@ -389,27 +383,10 @@ def braid_invariance(flavor: str, cs: CenterSet, n: int,
 def _dnp_substitution(b, n: int, p: int, cap: int) -> dict:
     """Braid substitution folded to canonical level-p symbols."""
     alg = dnp_algebra(n, p)
-    span = max(cap, p + 2)
-    raw = _braid.frakDn_substitution(b, n, span)
-
-    def fold(e: Expr) -> Expr:
-        sub = {}
-        for s in e.symbols():
-            got = parse_gen(s)
-            if got:
-                sub[s] = alg.canonical(*got)
-        return e.subst(sub)
-
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(p):
-                e = alg.canonical(i, j, k)
-                for s in e.symbols():
-                    if is_generator(s) and s not in out:
-                        ii, jj, kk = parse_gen(s)
-                        out[s] = fold(raw[gen(ii, jj, kk)])
-    return out
+    raw = _braid.frakDn_substitution(b, n, max(cap, p + 2))
+    return {s: raw[s].subst({x: alg.canonical(*t) for x in raw[s].symbols()
+                             if (t := parse_gen(x))})
+            for s in dnp_generator_symbols(n, p)}
 
 
 def vicinity_rank(n: int, seed: int = 0) -> dict:

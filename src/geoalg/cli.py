@@ -43,7 +43,7 @@ from fractions import Fraction
 from . import braid as braid_mod
 from . import centers as centers_mod
 from . import dn_algebra, fatgraph, frobenius, ks_calculus, reductions
-from .poly_core import Expr, const, parse, parse_gen
+from .poly_core import Expr, _mono_sort_key, const, parse, parse_gen
 
 _BRAID_TOKEN = re.compile(
     r"b(?:(?P<n1>n1)|(?P<i>[0-9]+),(?P<j>[0-9]+)|(?P<i1>[0-9])(?P<j1>[0-9]))")
@@ -62,13 +62,16 @@ _FAIL_CHARS = 2000
 
 
 def _cut(value, text):
-    """*text*, the printed *value*, cut to _FAIL_CHARS characters; a cut
-    one ends in the value's size ("… [1234 terms]" for an Expr)."""
-    if len(text) <= _FAIL_CHARS:
-        return text
-    size = f"{len(value)} terms" if isinstance(value, Expr) else \
-        f"{len(text)} chars"
-    return f"{text[:_FAIL_CHARS]}… [{size}]"
+    """*text*, the printed *value*, cut to _FAIL_CHARS characters ("…"
+    marks a cut).  A nonzero Expr ends in its size and its first printed
+    term, cut or not ("[1234 terms; lowest: G[1,3,1] · -2]"); other cut
+    values end in their size ("[5000 chars]")."""
+    cut = text if len(text) <= _FAIL_CHARS else text[:_FAIL_CHARS] + "…"
+    if isinstance(value, Expr) and value:
+        mono, c = min(value.terms(), key=_mono_sort_key)
+        return (f"{cut} [{len(value)} terms; lowest: "
+                f"{Expr({mono: 1})} · {c}]")
+    return cut if cut is text else f"{cut} [{len(text)} chars]"
 
 
 class _Stopwatch:
@@ -78,7 +81,7 @@ class _Stopwatch:
     stopwatch, or since the stopwatch was made: the first report of a
     command carries the computation it came from, and the sum over the
     reports is the command's time.  A failing report's sides are cut to
-    _FAIL_CHARS characters each.
+    _FAIL_CHARS characters each, and an Expr side names its lowest term.
     """
 
     def __init__(self):

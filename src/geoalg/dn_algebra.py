@@ -11,6 +11,17 @@ generators, with the sign function epsilon of index differences and
 telescoping level sums).  Everything here is exact over Q; the infinite
 family closes at levels <= m + k, so no truncation is ever needed.
 
+Each algebra compiles its structure constants into one table (_Table,
+one per algebra and process).  Each canonical generator triple has an int
+id from 1 up; one index canonicalization, (i, j, k) -> (factor, id or
+None for the constant 2), also serves GenAlgebra.canonical.  The row of
+an id pair is {G_x, G_y} = sum c G_u G_v as a flat tuple (c, m, u, v,
+...), built once from the (c, x, y) lists of _structure_constant with no
+Expr: m is the packed monomial of G_u G_v, constants are folded into c,
+id 0 is the factor 1, and d/dG_u of a term is c G_v.  Readers:
+_pair_bracket (a row's Expr), jacobi_check, the Stokes realization
+(sum c v[u] v[v] at floats) and representative_independence.
+
 The same structure constants are packaged as a generating-function
 identity: with
 
@@ -28,11 +39,11 @@ compared coefficient by coefficient up to lam^-order mu^-order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cache
 
-from .poly_core import (Expr, E, ZERO, ONE, const, dot, gen, parse_gen,
-                        parse_ghat, shared)
+from .poly_core import (Expr, E, ZERO, ONE, _expr, _normalized, _rat,
+                        _symbol, const, dot, gen, parse_gen, parse_ghat)
 
 FLAVOR_A = "A"
 FLAVOR_D = "D"
@@ -60,12 +71,6 @@ class GenAlgebra:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == FLAVOR_DP and self.period < 1:
             raise ValueError("periodic flavor needs period >= 1")
-        # hashed once, for the memo keys; canonical is memoized per algebra
-        object.__setattr__(self, "_hash", hash(astuple(self)))
-        object.__setattr__(self, "canonical", cache(self.canonical))
-
-    def __hash__(self):
-        return self._hash
 
     def check_index(self, i: int, j: int, k: int):
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -74,21 +79,10 @@ class GenAlgebra:
             raise ValueError("level-0 algebra has no higher-level generators")
 
     def canonical(self, i: int, j: int, k: int) -> Expr:
-        """G^(k)_{i,j} as +-symbol / constant in canonical storage form."""
-        self.check_index(i, j, k)
-        if self.flavor == FLAVOR_DP:
-            p = self.period
-            k = k % p if p else k
-            # fold the upper half of the period window via the mirror
-            if k and (2 * k > p or (2 * k == p and i > j)):
-                i, j, k = j, i, p - k
-        if k < 0:
-            i, j, k = j, i, -k
-        if k == 0:
-            if i == j:
-                return const(2)
-            i, j = min(i, j), max(i, j)
-        return E(gen(i, j, k))
+        """G^(k)_{i,j} as symbol / constant in canonical storage form."""
+        table = _table(self)
+        factor, x = table.canonical(i, j, k)
+        return const(factor) if x is None else E(gen(*table.triples[x]))
 
 
 def an_algebra(n: int) -> GenAlgebra:
@@ -112,27 +106,93 @@ def generator_tuples(n: int, level: int) -> list:
     return gens
 
 
+class _Table:
+    """The structure constants of one algebra, by generator id."""
+
+    def __init__(self, alg: GenAlgebra):
+        self.alg = alg
+        self.index = {}        # (i, j, k) -> (factor, id or None)
+        self.triples = [None]  # id -> canonical triple (id 0: the factor 1)
+        self.units = [0]       # id -> packed monomial of G_id
+        self.monos = {}        # packed monomial -> its one copy in the rows
+        self.rows = {}         # (x, y) -> the row of {G_x, G_y}
+
+    def canonical(self, i: int, j: int, k: int) -> tuple:
+        """(factor, id) with G^(k)_{i,j} = factor * G_id, or (2, None) for
+        the constant G[i,i,0]."""
+        a = i, j, k
+        hit = self.index.get(a)
+        if hit is None:
+            self.alg.check_index(i, j, k)
+            if self.alg.flavor == FLAVOR_DP:
+                p = self.alg.period
+                k %= p
+                # fold the upper half of the period window via the mirror
+                if k and (2 * k > p or (2 * k == p and i > j)):
+                    i, j, k = j, i, p - k
+            if k < 0 or (k == 0 and i > j):
+                i, j, k = j, i, -k
+            hit = (2, None) if i == j and k == 0 else self.index.get((i, j, k))
+            if hit is None:
+                hit = self.index[i, j, k] = 1, len(self.triples)
+                self.triples.append((i, j, k))
+                self.units.append(_symbol(gen(i, j, k))[0])
+            self.index[a] = hit
+        return hit
+
+    def row(self, x: int, y: int) -> tuple:
+        """The row of {G_x, G_y}, built on first use."""
+        row = self.rows.get((x, y))
+        if row is None:
+            row = self.rows[x, y] = self.compile(_structure_constant(
+                self.alg, self.triples[x], self.triples[y]))
+        return row
+
+    def pair(self, a, b) -> tuple:
+        """The row of {G_a, G_b} for index triples a, b."""
+        x, y = self.canonical(*a)[1], self.canonical(*b)[1]
+        return () if x is None or y is None else self.row(x, y)
+
+    def compile(self, terms) -> tuple:
+        """The row of sum c G_x G_y over (c, x, y), x and y index triples."""
+        units, share = self.units, self.monos.setdefault
+        index, canonical = self.index.get, self.canonical
+        acc = {}  # packed monomial -> [c, u, v], u <= v
+        for c, a, b in terms:
+            fa, u = index(a) or canonical(*a)
+            fb, v = index(b) or canonical(*b)
+            u, v = u or 0, v or 0
+            if u > v:
+                u, v = v, u
+            acc.setdefault(units[u] + units[v], [0, u, v])[0] += c * fa * fb
+        out = []
+        for m, (c, u, v) in sorted(acc.items()):
+            if c:
+                out += _rat(c), share(m, m), u, v
+        return tuple(out)
+
+
 @cache
+def _table(alg: GenAlgebra) -> _Table:
+    return _Table(alg)
+
+
 def _pair_bracket(alg: GenAlgebra, a, b) -> Expr:
-    """{G^(m)_{j,i}, G^(k)_{p,l}} from the closed-form tables.
-
-    Memoized once per process by (alg, a, b): the algebra is a frozen
-    dataclass and every Expr is immutable, so a cached value can be shared
-    by all callers, and the table's equal monomials are one object each.
-    Callers check the indices (alg.check_index) first.
-    """
-    return shared(_structure_constant(alg, a, b))
+    """{G^(m)_{j,i}, G^(k)_{p,l}}: the Expr of the table's row."""
+    t = _table(alg).pair(a, b)
+    return _expr(dict(zip(t[1::4], t[::4])), 2)  # exponents are <= 2
 
 
-def _structure_constant(alg: GenAlgebra, a, b) -> Expr:
+def _structure_constant(alg: GenAlgebra, a, b) -> list:
+    """{G^(m)_{j,i}, G^(k)_{p,l}} from the closed form, as a list of
+    (c, x, y): the terms c * G_x * G_y, x and y index triples."""
     (j, i, m), (p, l, k) = a, b
     if m < 0:
         j, i, m = i, j, -m
     if k < 0:
         p, l, k = l, p, -k
     if m > k:
-        return -_pair_bracket(alg, b, a)
-    # (c, x, y): the term c * G_x * G_y, x and y index triples
+        return [(-c, x, y) for c, x, y in _structure_constant(alg, b, a)]
     if m == 0:
         c1 = _eps(j - l) - _eps(i - l)
         c2 = _eps(j - p) - _eps(i - p)
@@ -150,8 +210,7 @@ def _structure_constant(alg: GenAlgebra, a, b) -> Expr:
                       (-c, (p, i, m - r), (j, l, k + r)),
                       (c, (i, l, k - m + r), (j, p, r)),
                       (-c, (l, i, r), (p, j, k - m + r))]
-    g = alg.canonical
-    return dot([(c, g(*x), g(*y)) for c, x, y in terms if c])
+    return [t for t in terms if t[0]]
 
 
 def _generator_partials(alg: GenAlgebra, f: Expr) -> list:
@@ -188,39 +247,34 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
     """{{G_a,G_b},G_c} + {{G_b,G_c},G_a} + {{G_c,G_a},G_b} for generator
     index triples a, b, c; zero iff Jacobi holds on them.
 
-    Each term is sum_w d{G_x,G_y}/dG_w {G_w,G_z}, read off the memoized
-    structure constants.  Generators suffice: the Jacobiator of a
-    biderivation is a derivation in each argument, so Jacobi on the
-    generators implies it on every polynomial.
-
-    The partials of each inner bracket are memoized by the very object
-    _pair_bracket returned, which the memo holds: a patched or rebuilt
-    table hands out new objects, so a stale entry is never read.
+    Each term is sum_w d{G_x,G_y}/dG_w {G_w,G_z}, read off the table's
+    rows: a term c G_u G_v of {G_x,G_y} meets each term k2 m2 of
+    {G_u,G_z} as c k2 on G_v m2 (and of {G_v,G_z} as c k2 on G_u m2),
+    summed in one dict keyed by the packed monomial.  Generators
+    suffice: the Jacobiator of a biderivation is a derivation in each
+    argument, so Jacobi on the generators implies it on every polynomial.
     """
-    for t in (a, b, c):
-        alg.check_index(*t)
-    terms = []
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        f = _partial_terms(alg, _pair_bracket(alg, x, y))
-        g = {w: _pair_bracket(alg, w, z) for w in dict.fromkeys(f[2::3])}
-        terms += zip(f[::3], f[1::3], map(g.__getitem__, f[2::3]))
-    return dot(terms)
-
-
-_PARTIALS = {}  # id(f) -> (f, its partial terms); holding f keeps its id
-
-
-def _partial_terms(alg: GenAlgebra, f: Expr) -> tuple:
-    """(k, m, w, k, m, w, ...): df/dG_w is the sum of the k*m beside w.
-    The monomials m of a quadratic f are generators or 1, shared from
-    Expr.var or ONE, so the memo holds no Expr of its own."""
-    hit = _PARTIALS.get(id(f))
-    if hit is None:
-        hit = _PARTIALS[id(f)] = f, tuple(
-            x for w, df in _generator_partials(alg, f) for m, k in df.terms()
-            for x in (k, Expr.var(*m[0]) if len(m) == 1
-                      else ONE if not m else Expr({m: 1}), w))
-    return hit[1]
+    table = _table(alg)
+    x, y, z = (table.canonical(*t)[1] for t in (a, b, c))
+    if None in (x, y, z):  # a bracket with a constant vanishes
+        return ZERO
+    acc = {}
+    get = acc.get
+    rows, row, units = table.rows, table.row, table.units
+    for x, y, z in ((x, y, z), (y, z, x), (z, x, y)):
+        t = rows.get((x, y)) or row(x, y)
+        for c, u, v in zip(t[::4], t[2::4], t[3::4]):
+            # d/dG_w of c G_u G_v is c times the other factor, w = u, v
+            for w, other in ((u, v), (v, u)):
+                if not w:  # the factor 1
+                    continue
+                t2 = rows.get((w, z)) or row(w, z)
+                m = units[other]
+                for k2, m2 in zip(t2[::4], t2[1::4]):
+                    mono = m + m2
+                    acc[mono] = get(mono, 0) + c * k2
+    out = {m: c for m, c in acc.items() if c}
+    return _normalized(out, 3) if out else ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen, rational_rank
-from .dn_algebra import dn_algebra, generator_tuples, _pair_bracket
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, rational_rank
+from .dn_algebra import dn_algebra, generator_tuples, _table
 from .ks_calculus import ks_brackets_numeric
 from .fatgraph import geodesic_function
 
@@ -377,8 +377,9 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     come from the rationals of G = S + S^T.  The left side differentiates
     all trace functions from one complex-step stack (_trace_family) and
     divides out the chain-rule factor 2 G^{(k)}_{i,j} per slot; the right
-    side evaluates the closed-form structure constants (``Expr.at``) at
-    the exact G^{(k)} values, as floats.  The verdict is this float check.
+    side sums c v[u] v[v] over the terms of each pair's row of the
+    structure-constant table, v the exact G^{(k)} values as floats.  The
+    verdict is this float check.
 
     The gate is relative: a pair passes when |lhs - rhs| <= tol *
     max(1, |lhs|, |rhs|).  Float rounding in the products of n x n
@@ -406,10 +407,14 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     brackets = ks_brackets_numeric(_trace_family(list(index), nt), mats)
     factor = float(REALIZATION_FACTOR)
     floats = {x: float(v) for x, v in exact.items()}
-    values = {gen(*x): v for x, v in floats.items()}
+    table = _table(alg)
+    rows = [table.pair(a, b) for a, b in pairs]
+    # by generator id: 1 for id 0, None past the exact levels
+    values = [1.0] + [floats.get(x) for x in table.triples[1:]]
     worst = 0.0
-    for a, b in pairs:
-        rhs = factor * _pair_bracket(alg, a, b).at(values)
+    for (a, b), t in zip(pairs, rows):
+        rhs = factor * sum(c * values[u] * values[v]
+                           for c, u, v in zip(t[::4], t[2::4], t[3::4]))
         lhs = float(brackets[index[a], index[b]]) / (4 * floats[a] * floats[b])
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return {"pairs": len(pairs), "max_deviation": worst, "ok": worst <= tol}

@@ -97,10 +97,6 @@ def parse_ghat(name: str):
     return None
 
 
-def is_generator(name: str) -> bool:
-    return parse_gen(name) is not None or parse_ghat(name) is not None
-
-
 class Expr:
     """Immutable Laurent polynomial in canonical normal form.
 
@@ -483,14 +479,6 @@ class Expr:
     __repr__ = __str__
 
 
-def shared(e: Expr) -> Expr:
-    """*e* over process-wide single copies of its monomials, for values
-    kept in long-lived tables: a product builds a new int per monomial, so
-    equal monomials of different table entries would otherwise be copies."""
-    one = _SHARED.setdefault
-    return _expr({one(m, m): c for m, c in e._d.items()}, e._bound)
-
-
 def dot(terms: Iterable[tuple]) -> Expr:
     """The sum of c*x*y over the triples (c, x, y) of *terms*: c a
     rational, x and y Exprs.
@@ -578,7 +566,6 @@ _SYMBOLS: dict = {}   # name -> (unit, shift, bias over digits 0..id)
 _BIASES: list = [0]   # n -> the bias of digits 0..n-1
 _ORDER = sys.byteorder  # that of the "h" array
 _VARS: dict = {}      # (name, power) -> Expr.var(name, power)
-_SHARED: dict = {}    # monomial -> its shared copy (see shared())
 
 
 def _symbol(name: str) -> tuple:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly_core import Expr, Mat, E, ZERO, ONE, const, gen
-from .dn_algebra import dnp_algebra, gcal_entry, _pair_bracket
+from .dn_algebra import (dnp_algebra, gcal_entry, generator_tuples,
+                         _structure_constant, _table)
 from . import braid as _braid
 
 # ---------------------------------------------------------------------------
@@ -64,9 +65,10 @@ def gp_u_symmetry(n: int, p: int) -> bool:
 def representative_independence(n: int, p: int, max_level=None) -> bool:
     """The level-p bracket does not depend on which representative of a
     generator class enters the structure constants: shifting a level by
-    -p (equivalently applying the mirror through p-k) leaves every pair
-    bracket unchanged."""
+    -p (equivalently applying the mirror through p-k) leaves the table
+    row built from the closed form of every pair unchanged."""
     alg = dnp_algebra(n, p)
+    terms = lambda a, b: _table(alg).compile(_structure_constant(alg, a, b))
     levels = range(0, (p if max_level is None else max_level + 1))
     idx = [(i, j, k) for k in levels
            for i in range(1, n + 1) for j in range(1, n + 1)
@@ -75,9 +77,9 @@ def representative_independence(n: int, p: int, max_level=None) -> bool:
         i, j, k = a
         shifted = (i, j, k - p)
         for b in idx:
-            if _pair_bracket(alg, a, b) != _pair_bracket(alg, shifted, b):
+            if terms(a, b) != terms(shifted, b):
                 return False
-            if _pair_bracket(alg, b, a) != _pair_bracket(alg, b, shifted):
+            if terms(b, a) != terms(b, shifted):
                 return False
     return True
 
@@ -176,16 +178,9 @@ def reduction_substitution(n: int, cap: int) -> dict:
     """Substitution map sending every canonical generator symbol with
     level <= cap to its Ghat/h expression."""
     fam = _braid.ghat_family(n)
-    sub = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            sub[gen(i, j, 0)] = fam[i, j]
-    for k in range(1, cap + 1):
-        m = dn_reduce(k).as_matrix(n, fam)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                sub[gen(i, j, k)] = m[i - 1, j - 1]
-    return sub
+    ms = [None] + [dn_reduce(k).as_matrix(n, fam) for k in range(1, cap + 1)]
+    return {gen(i, j, k): ms[k][i - 1, j - 1] if k else fam[i, j]
+            for i, j, k in generator_tuples(n, cap)}
 
 
 def th_dn_check(n: int, cap: int = 4, levels: int = 2) -> dict:
@@ -200,16 +195,9 @@ def th_dn_check(n: int, cap: int = 4, levels: int = 2) -> dict:
     for b in gens:
         fam1 = _braid.act_frakDn(b, fam0)
         dsub = _braid.Dn_substitution(b, n)
-        bad = 0
-        for k in range(min(levels, fam1.cap) + 1):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if k == 0 and i >= j:
-                        continue
-                    lhs = fam1.data[i, j, k].subst(red)
-                    rhs = fam0.data[i, j, k].subst(red).subst(dsub)
-                    if lhs != rhs:
-                        bad += 1
+        bad = sum(fam1.data[t].subst(red)
+                  != fam0.data[t].subst(red).subst(dsub)
+                  for t in generator_tuples(n, min(levels, fam1.cap)))
         report["checks"].append(
             {"generator": (b.kind, b.i, b.inverse), "mismatches": bad})
         report["ok"] = report["ok"] and bad == 0

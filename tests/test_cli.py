@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geoalg import centers, cli, dn_algebra
 from geoalg.cli import main
-from geoalg.poly_core import E, Expr
+from geoalg.poly_core import E, Expr, ZERO
 
 
 def _json_lines(capsys):
@@ -33,13 +33,21 @@ def test_failing_report_is_cut_with_its_term_count():
     assert len(str(big)) > cli._FAIL_CHARS
     rep = cli._run_case("s", "c", lambda: (False, big, -big))
     assert rep["status"] == "fail"
-    for side, value in (("left", big), ("right", -big)):
-        assert rep[side] == str(value)[:cli._FAIL_CHARS] + "… [1234 terms]"
-    # a passing report and a short failing one are printed whole
+    # the lowest term is the constant one, x^0 y^0 with coefficient 1
+    for side, value, c in (("left", big, 1), ("right", -big, -1)):
+        assert rep[side] == (str(value)[:cli._FAIL_CHARS]
+                             + f"… [1234 terms; lowest: 1 · {c}]")
+    # a passing report is printed whole, a short failing one whole with
+    # the size and lowest term of an Expr side, a long string cut
     passed = cli._run_case("s", "c", lambda: (True, big, big))
     assert passed["left"] == passed["right"] == str(big)
-    short = cli._run_case("s", "c", lambda: (False, E("x"), "y"))
-    assert (short["left"], short["right"]) == ("x", "y")
+    short = cli._run_case("s", "c", lambda: (False, E("x") - 3 * E("y", -2),
+                                            "y"))
+    assert (short["left"], short["right"]) == (
+        "x - 3*y^-2 [2 terms; lowest: x · 1]", "y")
+    text = cli._run_case("s", "c", lambda: (False, ZERO, "z" * 3000))
+    assert (text["left"], text["right"]) == (
+        "0", "z" * cli._FAIL_CHARS + "… [3000 chars]")
     assert set(rep) == set(passed) == {"suite", "case", "status", "left",
                                        "right", "ms"}
 

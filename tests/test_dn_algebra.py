@@ -1,7 +1,11 @@
 """Structure constants: canonical forms, antisymmetry, Jacobi, generating form."""
 
 import argparse
+import functools
 import itertools
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +17,7 @@ from geoalg.dn_algebra import (
     generating_bracket, generator_tuples, jacobi_check, quantum_r_expansion,
     semiclassical_reflection_check, _pair_bracket,
 )
-from geoalg.poly_core import E, Expr, ZERO, const, dot, parse_gen
+from geoalg.poly_core import E, ONE, ZERO, const, dot, gen, parse_gen
 
 
 def test_canonical_storage():
@@ -87,22 +91,61 @@ def _closed_form(alg, a, b):
     return out
 
 
+def _row_views(alg, row):
+    """A table row read apart from its Expr: the sum of c * G_u * G_v
+    over its terms (c, m, u, v), and each partial d/dG_w as jacobi_check
+    reads it, c * G_v for w = u plus c * G_u for w = v."""
+    table = dn._table(alg)
+    g = [ONE] + [E(gen(*t)) for t in table.triples[1:]]
+    terms = list(zip(row[::4], row[2::4], row[3::4]))
+    partials = {}
+    for c, u, v in terms:
+        for w, other in ((u, v), (v, u)):
+            if w:
+                partials.setdefault(gen(*table.triples[w]), []).append(
+                    (c, g[other], ONE))
+    return (dot((c, g[u], g[v]) for c, u, v in terms),
+            {w: dot(t) for w, t in partials.items()})
+
+
 @pytest.mark.parametrize("alg, level", [
     (an_algebra(5), 0), (dn_algebra(3), 3), (dnp_algebra(3, 4), 3)])
 def test_structure_constants_match_closed_form(alg, level):
+    table = dn._table(alg)
     gens = generator_tuples(alg.n, level)
     for a, b in itertools.product(gens, repeat=2):
-        assert _pair_bracket(alg, a, b) == _closed_form(alg, a, b), (a, b)
+        want = _closed_form(alg, a, b)
+        assert _pair_bracket(alg, a, b) == want, (a, b)
+        terms, partials = _row_views(alg, table.pair(a, b))
+        assert terms == want and partials == want.gradient(), (a, b)
 
 
 def test_mirror_consistency():
-    # the same bracket computed through the k < 0 mirror of each slot
+    # the same bracket built from the k < 0 mirror of each slot
     alg = dn_algebra(3)
+    table = dn._table(alg)
     for a, b in [((1, 2, 1), (2, 3, 1)), ((1, 3, 0), (3, 1, 2))]:
         am = (a[1], a[0], -a[2])
         bm = (b[1], b[0], -b[2])
-        assert _pair_bracket(alg, am, b) == _pair_bracket(alg, a, b)
-        assert _pair_bracket(alg, a, bm) == _pair_bracket(alg, a, b)
+        assert table.canonical(*am) == table.canonical(*a)
+        want = table.pair(a, b)
+        assert want
+        for x, y in ((am, b), (a, bm), (am, bm)):
+            assert table.compile(dn._structure_constant(alg, x, y)) == want
+
+
+@pytest.mark.parametrize("alg, level", [(dnp_algebra(3, 2), 2),
+                                        (an_algebra(4), 0)])
+def test_rows_match_the_dot_built_structure_constants(alg, level):
+    # the Expr that the table replaced: one dot over canonical generators
+    g = alg.canonical
+    gens = generator_tuples(alg.n, level)
+    for a, b in itertools.product(gens, repeat=2):
+        want = dot([(c, g(*x), g(*y))
+                    for c, x, y in dn._structure_constant(alg, a, b)])
+        assert _pair_bracket(alg, a, b) == want, (a, b)
+        assert _row_views(alg, dn._table(alg).pair(a, b)) == (
+            want, want.gradient()), (a, b)
 
 
 def test_bracket_leibniz():
@@ -157,19 +200,41 @@ def test_jacobi_on_triples_matches_the_composed_brackets(alg, level, count):
         assert res == _composed_jacobi(alg, a, b, c)
 
 
-def test_jacobi_catches_a_wrong_structure_constant(monkeypatch):
+def test_jacobi_on_a_seeded_sample_at_n4_level2():
+    alg = dn_algebra(4)
+    triples = random.Random(16).sample(
+        list(itertools.combinations(generator_tuples(4, 2), 3)), 40)
+    for a, b, c in triples:
+        res = jacobi_check(alg, a, b, c)
+        assert res.is_zero()
+        assert res == _composed_jacobi(alg, a, b, c)
+
+
+def _plant(monkeypatch, alg, a, b, extra):
+    """The table's row of {G_a, G_b} replaced by one with the (c, x, y)
+    terms *extra* added, restored when the test ends."""
+    table = dn._table(alg)
+    key = table.canonical(*a)[1], table.canonical(*b)[1]
+    monkeypatch.setitem(table.rows, key, table.compile(
+        dn._structure_constant(alg, a, b) + extra))
+
+
+def _fresh_tables(monkeypatch):
+    monkeypatch.setattr(dn, "_table", functools.cache(dn._Table))
+
+
+# c * G[1,3,1] * G[1,1,0] with G[1,1,0] = 2: +-G[1,3,1] for c = +-1/2
+_PLUS, _MINUS = ([(Fraction(c, 2), (1, 3, 1), (1, 1, 0))] for c in (1, -1))
+
+
+def _assert_jacobi_catches_the_mutant(monkeypatch):
     # +G[1,3,1] on {G[1,2,0], G[2,3,1]}, -G[1,3,1] on the other order
     alg = dn_algebra(3)
-    x, y, extra = (1, 2, 0), (2, 3, 1), E("G[1,3,1]")
-    true_bracket = dn._pair_bracket
-    true_bracket(alg, x, y), true_bracket(alg, y, x)  # memoized unpatched
-
-    def mutant(alg, a, b):
-        out = true_bracket(alg, a, b)
-        return (out + extra if (a, b) == (x, y)
-                else out - extra if (a, b) == (y, x) else out)
-
-    monkeypatch.setattr(dn, "_pair_bracket", mutant)
+    x, y = (1, 2, 0), (2, 3, 1)
+    _plant(monkeypatch, alg, x, y, _PLUS)
+    _plant(monkeypatch, alg, y, x, _MINUS)
+    assert _pair_bracket(alg, x, y) == _closed_form(alg, x, y) + E(
+        "G[1,3,1]")
     failed = 0
     for a, b, c in _jacobi_triples(alg, 2):
         res = jacobi_check(alg, a, b, c)
@@ -178,27 +243,64 @@ def test_jacobi_catches_a_wrong_structure_constant(monkeypatch):
     assert failed > 0
 
 
-def test_a_filled_partials_memo_still_catches_the_mutant(monkeypatch):
-    # the memo holds the partials of every true inner bracket first
+def test_jacobi_catches_a_wrong_structure_constant(monkeypatch):
+    _fresh_tables(monkeypatch)
+    _assert_jacobi_catches_the_mutant(monkeypatch)
+
+
+def test_a_filled_table_still_catches_the_mutant(monkeypatch):
+    # every row the true triples read is built before the mutant goes in
+    _fresh_tables(monkeypatch)
     alg = dn_algebra(3)
     for a, b, c in _jacobi_triples(alg, 2):
         assert jacobi_check(alg, a, b, c).is_zero()
-        assert all(id(_pair_bracket(alg, x, y)) in dn._PARTIALS
-                   for x, y in ((a, b), (b, c), (c, a)))
-    test_jacobi_catches_a_wrong_structure_constant(monkeypatch)
+    table = dn._table(alg)
+    filled = dict(table.rows)
+    x, y = table.canonical(1, 2, 0)[1], table.canonical(2, 3, 1)[1]
+    assert {(x, y), (y, x)} <= set(filled)
+    _assert_jacobi_catches_the_mutant(monkeypatch)
+    assert set(table.rows) == set(filled)
 
 
-def test_jacobi_suite_takes_one_gradient_per_inner_bracket(monkeypatch):
-    calls = []
-    gradient = Expr.gradient
-    monkeypatch.setattr(Expr, "gradient",
-                        lambda self: calls.append(self) or gradient(self))
-    monkeypatch.setattr(dn, "_PARTIALS", {})
+def test_a_failing_jacobi_report_names_its_lowest_term(monkeypatch):
+    _fresh_tables(monkeypatch)
+    alg = dn_algebra(3)
+    _plant(monkeypatch, alg, (1, 2, 0), (2, 3, 1), _PLUS)
+    _plant(monkeypatch, alg, (2, 3, 1), (1, 2, 0), _MINUS)
+    failed = []
+    for case, run in cli._suite_jacobi(argparse.Namespace(n=3, level=2)):
+        rep = cli._run_case("jacobi", case, run)
+        if rep["status"] == "fail":
+            failed.append(rep)
+        else:
+            assert (rep["left"], rep["right"]) == ("0", "0")
+    assert failed
+    for rep in failed:
+        a, b, c = (tuple(map(int, t.split(","))) for t in
+                   re.findall(r"\((-?\d+, -?\d+, -?\d+)\)", rep["case"]))
+        res = jacobi_check(alg, a, b, c)
+        mono, coeff = min(res.terms(), key=lambda t: (len(t[0]), t[0]))
+        lowest = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+        assert rep["left"] == (f"{res} [{len(res)} terms; lowest: "
+                               f"{lowest or 1} · {coeff}]"), rep
+        assert rep["right"] == "0"
+
+
+def test_jacobi_suite_builds_each_row_once(monkeypatch):
+    _fresh_tables(monkeypatch)
+    built = []
+    compile_row = dn._Table.compile
+    monkeypatch.setattr(dn._Table, "compile", lambda self, terms: (
+        built.append(terms) or compile_row(self, terms)))
     cases = cli._suite_jacobi(argparse.Namespace(n=3, level=2))
     assert all(run()[0] for _, run in cases)
+    table = dn._table(dn_algebra(3))
     inner = {(x, y) for a, b, c in itertools.combinations(
         generator_tuples(3, 2), 3) for x, y in ((a, b), (b, c), (c, a))}
-    assert len(cases) == 1330 and len(calls) == len(inner)
+    keys = {(table.canonical(*x)[1], table.canonical(*y)[1])
+            for x, y in inner}
+    assert len(cases) == 1330 and keys <= set(table.rows)
+    assert len(built) == len(table.rows)
 
 
 @pytest.mark.parametrize("ji,pl", [((1, 2), (2, 3)), ((1, 3), (3, 1)),
@@ -225,15 +327,14 @@ def test_quantum_r_linear_term_is_classical_r():
 
 
 def test_reflection_check_catches_a_wrong_structure_constant(monkeypatch):
-    # +1 on one entry of the table, the other order of the pair untouched
-    true_bracket = dn._pair_bracket
-
-    def mutant(alg, a, b):
-        out = true_bracket(alg, a, b)
-        return out + const(1) if (a, b) == ((1, 2, 0), (1, 3, 1)) else out
-
-    monkeypatch.setattr(dn, "_pair_bracket", mutant)
-    rep = semiclassical_reflection_check(dn_algebra(3), 2)
+    # +1 on one row of the table (1/4 * G[1,1,0]^2 = 1), the other order
+    # of the pair untouched
+    _fresh_tables(monkeypatch)
+    alg = dn_algebra(3)
+    a, b = (1, 2, 0), (1, 3, 1)
+    _plant(monkeypatch, alg, a, b, [(Fraction(1, 4), (1, 1, 0), (1, 1, 0))])
+    assert _pair_bracket(alg, a, b) == _closed_form(alg, a, b) + 1
+    rep = semiclassical_reflection_check(alg, 2)
     assert not rep["ok"] and rep["mismatches"]
 
 

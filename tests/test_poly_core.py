@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoalg.poly_core import (
-    E, Expr, Mat, ONE, ZERO, const, gen, ghat, is_generator, parse,
+    E, Expr, Mat, ONE, ZERO, const, gen, ghat, parse,
     parse_gen, parse_ghat,
 )
 
@@ -85,8 +85,6 @@ def test_generator_names():
     assert parse_gen("G[1,2,3]") == (1, 2, 3)
     assert parse_gen("H[1,2]") is None
     assert parse_ghat(ghat(2, 5)) == (2, 5)
-    assert is_generator("G[1,1,0]") and is_generator("Ghat[1,2]")
-    assert not is_generator("lam")
 
 
 @pytest.mark.parametrize("text", [
