@@ -13,9 +13,18 @@ stokes    print a Stokes matrix (special points or seeded random)
 Reports are line-delimited JSON by default (`--format text` for a human
 view).  Exit code 0 = all pass, 1 = at least one failing case, 2 = usage
 error; an option that the command would not read (say `verify --suite
-frobenius --n 7`, or any `verify --p`) is a usage error, not dropped.  A
-suite's cases run one after another, in case order, and each report is
-written as soon as its case finishes.
+frobenius --n 7`, or any `verify --p`) is a usage error, not dropped.
+
+A `verify` run builds the cases of its suites into one list and may run
+them in forked workers, one per CPU beyond the first: with W CPUs, worker
+k takes every W-th case from the k-th.  The reports still come in case order, each as
+soon as it and every earlier one are done, and they are the ones a serial
+run gives apart from `ms`.  Each `ms` is its own case's time, so the `ms`
+of a split run can add up to more than its wall time, and the workers'
+memory is not in the parent's `ru_maxrss`.  The run stays in one process
+with one CPU, without `os.fork`, or with fewer than 64 cases.  Python 3.12
+and later warn (DeprecationWarning) when a process that has threads forks,
+and numpy's BLAS pool is such a thread; Python 3.11 does not warn.
 
 Braid words
 -----------
@@ -35,7 +44,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -130,8 +141,80 @@ def _emit(reports, fmt, stream=None):
     return 1 if failed else 0
 
 
-def _run_suite(suite, cases, fmt):
-    return _emit((_run_case(suite, cid, fn) for cid, fn in cases), fmt)
+# below this many jobs a run stays in one process: a fork, exit and wait
+# cost about 3 ms, more than a short suite gains from a second core
+_MIN_SPLIT = 64
+
+
+def _cpus():
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _work(jobs, fd, inherited):
+    """A worker's life: close the pipe ends *inherited* from the parent,
+    then write one report per job, as one JSON line on *fd*."""
+    try:
+        for pipe in inherited:
+            os.close(pipe)
+        with open(fd, "w") as out:
+            for job in jobs:
+                out.write(json.dumps(_run_case(*job)) + "\n")
+                out.flush()
+    finally:
+        os._exit(0)
+
+
+def _in_order(jobs, width, pipes):
+    """Every job's report in job order.  Job i is the parent's when
+    i % width is 0 and runs here; the others are read from worker
+    i % width's pipe.  A pipe that ends early or sends a line that does
+    not parse is closed, and that worker's remaining jobs run here."""
+    for i, job in enumerate(jobs):
+        report = None
+        if i % width in pipes:
+            try:
+                report = json.loads(pipes[i % width].readline())
+            except ValueError:  # as an empty or a cut line does
+                pipes.pop(i % width).close()
+        yield report or _run_case(*job)
+
+
+def _run_jobs(jobs, fmt):
+    """Emit the reports of the (suite, case id, fn) *jobs* in job order.
+
+    With W = _cpus() CPUs and at least _MIN_SPLIT jobs, W - 1 forked
+    workers take jobs[k::W] for k = 1 .. W - 1 and the parent the rest;
+    otherwise W is 1 and the parent runs every job, as it runs the jobs of
+    a worker it could not fork.  Every worker is killed if still running
+    and reaped before this returns or raises.
+    """
+    width = _cpus() if len(jobs) >= _MIN_SPLIT else 1
+    pids, pipes = [], {}
+    try:
+        for k in range(1, width):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent runs the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _work(jobs[k::width], write_fd,
+                      [read_fd] + [pipe.fileno() for pipe in pipes.values()])
+            pids.append(pid)
+            os.close(write_fd)
+            pipes[k] = open(read_fd)
+        return _emit(_in_order(jobs, width, pipes), fmt)
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _given(value, default):
@@ -397,13 +480,13 @@ def cmd_verify(args) -> int:
     read = {key for name in names for key in _SUITE_BUILDERS[name][1]}
     _reject_unread(args, [key for key in ("n", "level", "seed", "p")
                           if key not in read], f"by --suite {args.suite}")
-    code = 0
+    jobs = []
     for name in names:
         cases = _SUITE_BUILDERS[name][0](args)
         if not cases:  # exit 0 must mean that some check passed
             raise ValueError(f"the {name} suite has no case at these sizes")
-        code |= _run_suite(name, cases, args.format)
-    return code
+        jobs += [(name, case_id, fn) for case_id, fn in cases]
+    return _run_jobs(jobs, args.format)
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,11 @@ def ks_brackets_numeric(f, mats) -> np.ndarray:
     gives every gradient; all pairs are contracted in one step.
     """
     mats = np.asarray(mats, dtype=float)
+    # Keeps out points where a trace function's M^-1 does not exist; a
+    # guard, not a conditioning test.  Every Stokes monodromy 1 - E_r G
+    # has det 1 - G_rr = -1, so it never fires on the realization, and a
+    # matrix of unit-scale entries that is singular comes out of LU with
+    # |det| at rounding level (about 1e-16), four decades below the gate.
     if np.any(np.abs(np.linalg.det(mats)) < 1e-12):
         raise ValueError("singular matrix in evaluation point")
     grads = complex_step_gradient(f, mats)

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -191,11 +195,22 @@ def test_reports_stream_in_case_order(monkeypatch):
             return True, tag, ""
         return run
 
-    cases = [(f"case {tag}", case(tag)) for tag in ("c", "a", "b")]
-    assert cli._run_suite("demo", cases, "json") == 0
+    jobs = [("demo", f"case {tag}", case(tag)) for tag in ("c", "a", "b")]
+    assert cli._run_jobs(jobs, "json") == 0
     reports = [json.loads(line) for line in out.getvalue().splitlines()]
     assert [r["case"] for r in reports] == ["case c", "case a", "case b"]
     assert written == [0, 1, 2]
+    # split over two processes, the parent's cases (every other one) still
+    # find the reports of all earlier cases written
+    out.truncate(0)
+    out.seek(0)
+    written.clear()
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    tags = [str(i) for i in range(cli._MIN_SPLIT)]
+    assert cli._run_jobs([("demo", t, case(t)) for t in tags], "json") == 0
+    assert [json.loads(line)["left"] for line in
+            out.getvalue().splitlines()] == tags
+    assert written == list(range(0, cli._MIN_SPLIT, 2))
 
 
 def test_invalid_subcommand_exit_code():
@@ -467,3 +482,164 @@ def test_exit_code_contract(argv, strays):
     assert (code == 1) == ("fail" in statuses)
     if argv[0] == "verify" and code == 0:
         assert statuses  # a pass that checked nothing is no pass
+
+
+# -- split runs: forked workers give the serial run's reports ----------------
+
+
+def _verify_run(monkeypatch, argv, cpus):
+    """Exit code and reports, without `ms`, of main(argv) on *cpus* CPUs,
+    and the number of workers forked."""
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    reports = [json.loads(line) for line in out.getvalue().splitlines()]
+    for rep in reports:
+        del rep["ms"]
+    return (code, reports), len(forks)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_split_matches_serial(monkeypatch, argv, code):
+    serial, forks = _verify_run(monkeypatch, argv, 1)
+    assert serial[0] == code and serial[1] and forks == 0
+    for cpus in (2, 3):
+        split, forks = _verify_run(monkeypatch, argv, cpus)
+        assert split == serial
+        assert forks == (cpus - 1 if len(serial[1]) >= cli._MIN_SPLIT else 0)
+    _assert_no_child()
+    return serial[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "ks", "--n", "3", "--level", "1"],
+    ["verify", "--suite", "jacobi", "--n", "3", "--level", "1"],
+    ["verify", "--suite", "goldman", "--n", "5"],  # 56 cases: not split
+    ["verify", "--suite", "all"],
+])
+def test_split_runs_match_the_serial_run(argv, monkeypatch):
+    _assert_split_matches_serial(monkeypatch, argv, 0)
+
+
+def _ks_pairs():
+    gens = dn_algebra.generator_tuples(3, 1)
+    return [(a, b) for idx, a in enumerate(gens) for b in gens[idx:]]
+
+
+_KS = ["verify", "--suite", "ks", "--n", "3", "--level", "1"]
+# the case both a 2-way and a 3-way split give to a worker
+_WORKER_CASE = 41
+
+
+def _plant_pair(monkeypatch, action):
+    """Pass the ks suite's constants for one pair, the one at
+    _WORKER_CASE, through *action*; return that pair."""
+    bad = _ks_pairs()[_WORKER_CASE]
+    real = dn_algebra._pair_bracket
+
+    def planted(alg, a, b):
+        return action(real(alg, a, b)) if (a, b) == bad else real(alg, a, b)
+    monkeypatch.setattr(dn_algebra, "_pair_bracket", planted)
+    return bad
+
+
+def test_a_failing_case_fails_the_split_run(monkeypatch):
+    a, b = _plant_pair(monkeypatch, lambda rhs: rhs + 1)
+    reports = _assert_split_matches_serial(monkeypatch, _KS, 1)
+    assert [r["case"] for r in reports if r["status"] == "fail"] == [
+        f"ks-vs-constants {a}x{b}"]
+
+
+def test_a_usage_error_forks_nothing(monkeypatch):
+    argv = ["verify", "--suite", "all", "--n", "2"]  # braid needs n >= 3
+    for cpus in (1, 2):
+        assert _verify_run(monkeypatch, argv, cpus) == ((2, []), 0)
+    _assert_no_child()
+
+
+def _worker_only(act):
+    """*act*() in a worker, nothing in the process that made this."""
+    parent = os.getpid()
+
+    def run(rhs):
+        if os.getpid() != parent:
+            act()
+        return rhs
+    return run
+
+
+def test_a_dead_worker_leaves_every_verdict(monkeypatch):
+    serial, _ = _verify_run(monkeypatch, _KS, 1)
+    _plant_pair(monkeypatch, _worker_only(lambda: os._exit(3)))
+    for cpus in (2, 3):
+        assert _verify_run(monkeypatch, _KS, cpus) == (serial, cpus - 1)
+    _assert_no_child()
+
+
+def test_a_garbled_worker_line_is_run_again_here(monkeypatch):
+    serial, _ = _verify_run(monkeypatch, _KS, 1)
+
+    def garble():  # this worker's own report lines stop parsing
+        cli.json = types.SimpleNamespace(dumps=lambda rep: "{garbled")
+    _plant_pair(monkeypatch, _worker_only(garble))
+    for cpus in (2, 3):
+        assert _verify_run(monkeypatch, _KS, cpus) == (serial, cpus - 1)
+    _assert_no_child()
+
+
+def test_a_failed_fork_leaves_its_jobs_to_the_parent(monkeypatch):
+    serial, _ = _verify_run(monkeypatch, _KS, 1)
+    fork, calls = os.fork, []
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+    monkeypatch.setattr(os, "fork", second_fails)
+    assert _verify_run(monkeypatch, _KS, 3) == (serial, 2)
+    _assert_no_child()
+
+
+class _Abort(BaseException):
+    """Escapes `_run_case`, as a KeyboardInterrupt does."""
+
+
+def test_an_exception_in_the_parent_kills_and_reaps_the_workers(monkeypatch):
+    parent = os.getpid()
+
+    def abort(alg, a, b):
+        if os.getpid() != parent:
+            time.sleep(60)  # a worker that would outlive the test
+        raise _Abort
+    monkeypatch.setattr(dn_algebra, "_pair_bracket", abort)
+    start = time.perf_counter()
+    with pytest.raises(_Abort):
+        _verify_run(monkeypatch, _KS, 2)
+    assert time.perf_counter() - start < 30
+    _assert_no_child()
+
+
+def test_a_fresh_interpreter_splits_with_blas_threads_alive(monkeypatch):
+    # numpy is imported, and its BLAS pool started, before the fork
+    argv = ["verify", "--suite", "jacobi", "--n", "3", "--level", "1"]
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "geoalg.cli"] + argv,
+                          capture_output=True, text=True, timeout=60, env=env)
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    for rep in reports:
+        del rep["ms"]
+    assert (proc.returncode, reports) == _verify_run(monkeypatch, argv, 1)[0]
