@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, ZERO, gen
+from .poly_core import Expr, _checked, _normalized, _symbol, gen
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +43,7 @@ from .poly_core import Expr, ZERO, gen
 
 _H = 1 << 20        # the code of H^0
 _SPLIT = _H >> 1    # M codes lie below, H codes above
+_BOTTOM = -_SPLIT   # below every letter code: the top of an empty stack
 
 
 def M(i: int):
@@ -95,20 +96,21 @@ def _normalize(work) -> tuple:
     """
     sign = 1
     out = []
+    top = _BOTTOM  # out[-1], or _BOTTOM while out is empty
     for x in work:
-        if out:
-            y = out[-1]
-            if x > _SPLIT and y > _SPLIT:
-                out.pop()
-                x = _merge(x, y)
-                if x != _H:
-                    out.append(x)
+        if x > _SPLIT and top > _SPLIT:
+            x = _merge(x, top)
+            if x != _H:
+                out[-1] = top = x
                 continue
-            if x == y:
-                out.pop()
-                sign = -sign
-                continue
-        out.append(x)
+        elif x != top:
+            out.append(x)
+            top = x
+            continue
+        else:
+            sign = -sign
+        out.pop()
+        top = out[-1] if out else _BOTTOM
     while len(out) >= 2:
         x, y = out[0], out[-1]
         if x > _SPLIT and y > _SPLIT:
@@ -281,10 +283,10 @@ def ks_bracket_symbolic(w1, w2) -> TraceExpr:
     if len(w1) < 2 or len(w2) < 2:
         return TraceExpr()  # scalars and Casimir parameters are central
     raw = {}  # the rule coefficients (in halves) summed per raw word
+    rotations = [(b, w2[q + 1:] + w2[:q]) for q, b in enumerate(w2)]
     for p, a in enumerate(w1):
         u = w1[p + 1:] + w1[:p]
-        for q, b in enumerate(w2):
-            v = w2[q + 1:] + w2[:q]
+        for b, v in rotations:
             for c, left, right in _rule(a, b):
                 word = left + v + right + u
                 raw[word] = raw.get(word, 0) + c
@@ -295,12 +297,14 @@ def ks_bracket_symbolic(w1, w2) -> TraceExpr:
             sums[w] = sums.get(w, 0) + c * s
     terms, scalars = {}, {}
     for w, s in sums.items():
-        coeff = Fraction(c1 * c2 * s, 2)
+        s *= c1 * c2
+        coeff = Fraction(s, 2) if s & 1 else s // 2
         if len(w) > 1:
             terms[w] = coeff
         else:
             scalars[_scalar_monomial(w)] = coeff
-    terms[()] = Expr(scalars)
+    if scalars:
+        terms[()] = Expr(scalars)
     return TraceExpr(terms)
 
 
@@ -313,9 +317,10 @@ class IrreducibleWord(Exception):
     """A trace word that cannot be written in the G[i,j,k] generator set."""
 
 
+@functools.cache  # one entry per index triple met
 def _canonical_generator(i: int, j: int, k: int) -> tuple:
-    """-Tr(M_i H^k M_j H^-k) as (factor, canonical generator name), or
-    (2, None) for the constant G[i,i,0] = 2.
+    """-Tr(M_i H^k M_j H^-k) as (factor, packed monomial of the canonical
+    generator), or (2, 0) for the constant G[i,i,0] = 2.
 
     The oracle's own mirror rule, kept apart from GenAlgebra.canonical so
     that the skein reduction shares no code with the structure constants
@@ -325,9 +330,9 @@ def _canonical_generator(i: int, j: int, k: int) -> tuple:
         i, j, k = j, i, -k
     if k == 0:
         if i == j:
-            return 2, None
+            return 2, 0
         i, j = min(i, j), max(i, j)
-    return 1, gen(i, j, k)
+    return 1, _symbol(gen(i, j, k))[0]
 
 
 @functools.cache  # one entry per word size
@@ -347,11 +352,11 @@ def _matchings(size: int) -> tuple:
     return tuple(out)
 
 
-def _wick(word, coeff, into):
-    """Add coeff * Tr(word), in generators, into *into*: a word of int
-    letter codes in canonical rotation, coeff rational.  *into* maps a
-    denominator d to {monomial (as Expr(mapping) reads it): int n}, for
-    the terms (n / d) monomial.
+def _wick(word, coeff, into) -> int:
+    """Add coeff * Tr(word), in generators, into *into* and return its
+    number of matched pairs: a word of int letter codes in canonical
+    rotation, coeff rational.  *into* maps a denominator d to {packed
+    monomial: int n}, for the terms (n / d) monomial.
 
     A cyclic word M_{i1} H^{a1} ... M_{ir} H^{ar} with balanced H exponent
     (sum a_t = 0) factors exactly as N_1 ... N_r with the conjugated letters
@@ -363,10 +368,13 @@ def _wick(word, coeff, into):
 
         Tr(N_1 .. N_r) = 2 sum_matchings sign prod (1/2) Tr(N_a N_b).
 
-    The signed matchings are counted per generator monomial as exact ints,
-    so the order in which they are visited cannot change the result.  Raises
-    IrreducibleWord for words outside the generator span: odd M-count or
-    unbalanced total H exponent.
+    A matching's monomial is the sum of its pairs' generator monomials,
+    and the signed matchings are counted per monomial as exact ints, so
+    the order in which they are visited cannot change the result.  The
+    word's scale, the factor 2 in front times (1/2) Tr(N_a N_b) = -G/2 per
+    pair times coeff, is one reduced int numerator and denominator.
+    Raises IrreducibleWord for words outside the generator span: odd
+    M-count or unbalanced total H exponent.
     """
     letters = []  # (index, conjugation exponent) of each M letter
     c = 0
@@ -381,44 +389,49 @@ def _wick(word, coeff, into):
     if c:
         raise IrreducibleWord(f"unbalanced H exponent {c} in "
                               f"{tuple(map(_letter, word))}")
-    counts = {}  # monomial -> signed number of matchings
+    counts = {}  # packed monomial -> signed number of matchings
     for sign, pairs in _matchings(len(letters)):
-        names = []
+        mono = 0
         for s, t in pairs:
             (i_s, c_s), (i_t, c_t) = letters[s], letters[t]
-            factor, name = _canonical_generator(i_s, i_t, c_t - c_s)
+            factor, unit = _canonical_generator(i_s, i_t, c_t - c_s)
             sign *= factor
-            if name:
-                names.append((name, 1))
-        key = tuple(sorted(names))
-        counts[key] = counts.get(key, 0) + sign
-    # the factor 2 in front and (1/2) Tr(N_a N_b) = -G/2 for each pair
+            mono += unit
+        counts[mono] = counts.get(mono, 0) + sign
     r = len(letters) // 2
-    scale = Fraction((-1) ** r * 2 * coeff.numerator, coeff.denominator << r)
-    part = into.setdefault(scale.denominator, {})
+    num = (-2 if r & 1 else 2) * coeff.numerator
+    den = coeff.denominator << r
+    g = math.gcd(num, den)
+    num //= g
+    part = into.setdefault(den // g, {})
     for mono, count in counts.items():
-        part[mono] = part.get(mono, 0) + count * scale.numerator
+        part[mono] = part.get(mono, 0) + count * num
+    return r
 
 
 def skein_reduce(e: TraceExpr) -> Expr:
     """Rewrite a TraceExpr as a polynomial in G[i,j,k] and TrH parameters.
 
-    The key () holds the scalar part; each word's Wick sum is added as
-    ints per denominator, and each monomial is divided once at the end.
+    The key () holds the scalar part.  Each word's Wick sum is added as
+    ints per denominator and packed monomial; each total is divided once
+    by the denominators' lcm, staying an int where it divides.  A word of
+    r pairs has exponents at most r.
     """
-    out, sums = ZERO, {}
+    scalar, sums, bound = None, {}, 0
     for word, coeff in e.terms.items():
         if word:
-            _wick(word, coeff, sums)
+            bound = max(bound, _wick(word, coeff, sums))
         else:
-            out = coeff
+            scalar = coeff
     lcm = math.lcm(*sums)
     totals = {}
     for d, counts in sums.items():
+        f = lcm // d
         for mono, n in counts.items():
-            totals[mono] = totals.get(mono, 0) + n * (lcm // d)
-    return out + Expr({mono: Fraction(n, lcm)
-                       for mono, n in totals.items()})
+            totals[mono] = totals.get(mono, 0) + n * f
+    out = _normalized({mono: Fraction(n, lcm) if n % lcm else n // lcm
+                       for mono, n in totals.items() if n}, _checked(bound))
+    return out if scalar is None else scalar + out
 
 
 # ---------------------------------------------------------------------------

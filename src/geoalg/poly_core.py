@@ -11,15 +11,16 @@ first used in the process, and the exponent of symbol i is the signed
 16-bit digit at position i, so multiplying monomials is adding ints.  An
 exponent must stay within +-(2^15 - 1); an operation that could leave that
 range raises ``OverflowError``.  Names are decoded only where they are
-shown (``terms()``, ``symbols()``, ``str``).
+shown (``terms()``, ``symbols()``, ``str``); ``terms()`` walks each
+monomial's nonzero digits rather than a row as wide as every symbol in use.
 
 ``str`` prints the terms in an order fixed by the value alone: by their
 monomials as ``terms()`` decodes them, fewer letters first, then
 lexicographically, so the text does not depend on the order in which
 symbols were first used.  A value of ``_VECTOR_TERMS`` terms or more finds
 that order by one numpy argsort over a byte key per monomial and reads its
-letters off the sorted exponent rows; a smaller one sorts decoded tuples.
-Both share the text assembly.
+letters off the sorted exponent rows; a smaller one sorts the tuples of
+``terms()``.  Both share the text assembly.
 
 A sum of products goes through ``dot``: it multiplies the monomials of
 each pair straight into one dict and normalizes once, where a chain of
@@ -47,7 +48,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import combinations, compress, islice, product
+from itertools import combinations, islice, product
 from math import inf
 from typing import Iterable, Mapping, Union
 
@@ -622,22 +623,35 @@ def _product_bound(a: dict, b: dict) -> int:
 
 
 def _decode_all(monos) -> list:
-    """((symbol, exponent), ...) sorted by symbol, for each monomial."""
-    if not monos or not _NAMES:
-        return [()] * len(monos)
-    flat, n = _exponents(monos)
-    names = _NAMES
-    return [tuple(sorted(zip(compress(names, row), filter(None, row))))
-            for row in (flat[i:i + n] for i in range(0, len(flat), n))]
+    """((symbol, exponent), ...) sorted by symbol, for each monomial, from
+    its nonzero digits alone, walked as gradient() walks them."""
+    bias = _BIASES[len(_NAMES)]
+    out = []
+    for mono in monos:
+        x = (mono + bias) ^ bias  # each digit its exponent, mod 2^16
+        letters = []
+        i = 0
+        while x:
+            skip = ((x & -x).bit_length() - 1) // _BITS
+            i += skip
+            x >>= _BITS * skip
+            letters.append((_NAMES[i], ((x & _MASK) ^ _LIMIT) - _LIMIT))
+            x >>= _BITS
+            i += 1
+        letters.sort()
+        out.append(tuple(letters))
+    return out
 
 
 # -- printing ----------------------------------------------------------------
 #
 # str's term order is in the module docstring.  Per term, the vector path
-# (_sorted_bodies) overtakes sorting decoded tuples at about 16 terms and
-# is 1.7x quicker at 64.  The cut sits at 64 so that passes on small values
-# (at most 30 terms each in `verify --suite all`, `ks` and `jacobi`) never
-# fill numpy's buffers, which would raise their peak memory.
+# (_sorted_bodies) and sorting the digit-walked tuples of terms() cross at
+# about 64 terms: the tuples are 1.6-2.5x quicker at 16 terms, 1.2-1.4x at
+# 32, even at 64, and the vector path is 1.2-1.4x quicker at 128.  The cut
+# also keeps passes on small values (at most 30 terms each in `verify
+# --suite all`, `ks` and `jacobi`) from ever filling numpy's buffers, which
+# would raise their peak memory.
 
 _VECTOR_TERMS = 64
 _NAME_COLUMNS: dict = {}  # row width n -> (ids 0..n-1 by name, their names)

@@ -333,7 +333,7 @@ def _ref_reduce(word):
     return out * const(Fraction(2 * (-1) ** r, 2 ** r))
 
 
-_LETTERS = [ks.M(i) for i in range(1, 5)] + [
+_LETTERS = [ks.M(i) for i in range(0, 5)] + [
     ks.H(k) for k in (-3, -2, -1, 1, 2, 3)]
 
 
@@ -362,6 +362,19 @@ def test_int_letters_match_the_tuple_reference(word):
             ks.skein_reduce(ks.TraceExpr.tr(word))
     else:
         assert ks.skein_reduce(ks.TraceExpr.tr(word)) == want
+
+
+@pytest.mark.parametrize("word", [
+    (ks.M(0), ks.M(0)),
+    (ks.M(0), ks.M(1), ks.M(1), ks.M(0)),
+    (ks.H(1), ks.H(-1), ks.M(1), ks.M(1)),
+    (ks.H(1), ks.H(-1), ks.M(0), ks.M(0)),
+    (ks.M(2), ks.H(2), ks.H(-2), ks.M(2), ks.M(0), ks.H(1)),
+])
+def test_normalize_empties_the_stack_before_any_letter(word):
+    # M_0 has code 0, and an H run that merges to H^0 at the bottom of the
+    # stack leaves it empty: neither may be read as a letter on the stack
+    assert _normalized(word) == _ref_normalize(word)
 
 
 def test_merged_h_exponents_keep_the_letter_range():
@@ -426,6 +439,25 @@ def test_a_flipped_rule_term_fails_the_ks_suite(rule, monkeypatch,
     monkeypatch.setattr(ks, rule, flipped)
     ks._rule.cache_clear()
     failed = sum(not run()[0] for _, run in cli._suite_ks(args))
+    assert failed > 0
+
+
+def test_a_flipped_wick_matching_fails_the_ks_suite(monkeypatch):
+    # one sign of the size-4 Wick sum flipped: the rules stay right, so
+    # only the Wick arithmetic can catch it
+    def flipped(size):
+        (sign, pairs), *rest = original(size)
+        return ((-sign, pairs), *rest) if size == 4 else original(size)
+
+    args = argparse.Namespace(n=3, level=1)
+    assert all(run()[0] for _, run in cli._suite_ks(args))
+    original = ks._matchings
+    original.cache_clear()
+    monkeypatch.setattr(ks, "_matchings", flipped)
+    try:
+        failed = sum(not run()[0] for _, run in cli._suite_ks(args))
+    finally:
+        original.cache_clear()  # larger sizes were built from the flip
     assert failed > 0
 
 

@@ -379,13 +379,21 @@ def test_terms_are_sorted_by_name_not_by_first_use():
     assert str(e) == "zq9 - 3/2*aq9*zq9^-2"
     assert Expr({(("zq9", -2), ("aq9", 1)): Fraction(-3, 2),
                  (("zq9", 1),): 1}) == e
+    # the digit walk meets "zq9" first, past the cut as below it
+    big = sum((late * E("x", k) - early * E("y", k) for k in range(40)), e)
+    assert len(e) < _VECTOR_TERMS <= len(big)
+    for value in (e, big):
+        assert all(list(mono) == sorted(mono) for mono, _ in value.terms())
+        assert str(value) == reference_str(value)
 
 
 def test_largest_exponents_round_trip():
     top = 2 ** 15 - 1
-    e = E("x", top) * E("y", -top) + E("x", -top)
+    e = E("x", top) * E("y", -top) + E("x", -top) - 3 * E("y", top)
     assert parse(str(e)) == e
-    assert dict(e.terms())[(("x", -top),)] == 1
+    assert dict(e.terms()) == {(("x", top), ("y", -top)): 1,
+                               (("x", -top),): 1, (("y", top),): -3}
+    assert str(e) == reference_str(e)
     # the range is checked symbol by symbol, not on the sum of the bounds
     assert E("x", top) * E("x", -1) == E("x", top - 1)
     assert E("x", top) * E("x", -top) == ONE
