@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -136,6 +137,18 @@ def test_reduce_streams(capsys):
     assert main(["reduce", "--dn", "--k", "2"]) == 0
     reports = _json_lines(capsys)
     assert len(reports) == 4
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_reports_match_their_golden_copy(command, capsys):
+    # case, status and left of every report as recorded, ms aside
+    assert main(shlex.split(command)) == 0
+    assert [[r["case"], r["status"], r["left"]]
+            for r in _json_lines(capsys)] == GOLDEN[command]
 
 
 def test_geodesic_at_point(capsys):
