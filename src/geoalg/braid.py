@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dn_algebra import dn_algebra, generator_tuples
+from .dn_algebra import dn_algebra, gcal_entry, generator_tuples
 from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat
 
 ADJ = "adj"
@@ -257,17 +257,9 @@ class LambdaMatrix:
 def gcal_matrix(fam: LevelFamily) -> LambdaMatrix:
     """The truncated generating matrix: upper-triangular level-0 part
     plus sum_{k=1..cap} G^(k) lam^-k."""
-    n = fam.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            a0 = ONE if i == j else (fam.get(i, j, 0) if i < j else ZERO)
-            row.append(dot([(1, a0, ONE)] + [
-                (1, fam.get(i, j, k), E("lam", -k))
-                for k in range(1, fam.cap + 1)]))
-        rows.append(row)
-    return LambdaMatrix(Mat(rows), fam.cap)
+    idx = range(1, fam.n + 1)
+    return LambdaMatrix(Mat([[gcal_entry(fam.get, i, j, fam.cap) for j in idx]
+                             for i in idx]), fam.cap)
 
 
 def act_matrix(b: BraidGen, gm: LambdaMatrix) -> LambdaMatrix:
@@ -331,60 +323,51 @@ def act_Dn(b: BraidGen, fam: dict, n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# combination matrices of the reduced algebra
+# the combination matrix of the reduced algebra
 # ---------------------------------------------------------------------------
 
 
-def rhat_matrix(n: int, fam=None) -> Mat:
-    """Skew-symmetric matrix with entries Ghat_ji + Ghat_ij - Ghat_ii
-    Ghat_jj above the diagonal (negated below)."""
-    f = fam if fam is not None else ghat_family(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append(ZERO)
-            else:
-                v = f[j, i] + f[i, j] - f[i, i] * f[j, j]
-                row.append(v if j > i else -v)
-        rows.append(row)
-    return Mat(rows)
+def combination_matrix(n: int, c_r: Expr, c_s: Expr, c_a: Expr, c_at: Expr,
+                       fam: dict) -> Mat:
+    """c_R Rhat + c_S Shat + c_A Ahat + c_AT Ahat^T on the reduced family
+    fam = {(i, j): Ghat_ij}, entry by entry, with
 
+    * Rhat skew: Ghat_ji + Ghat_ij - Ghat_ii Ghat_jj above the diagonal,
+      negated below it;
+    * Shat the rank-one matrix of products Ghat_ii Ghat_jj;
+    * Ahat upper-triangular with unit diagonal and Ghat_ij above it.
 
-def shat_matrix(n: int, fam=None) -> Mat:
-    """Symmetric rank-one matrix of products Ghat_ii Ghat_jj."""
-    f = fam if fam is not None else ghat_family(n)
-    return Mat([[f[i, i] * f[j, j] for j in range(1, n + 1)]
+    The reduction law's level matrices (reductions.dn_reduce) weight Rhat
+    by -rho_k, and the Casimir generating matrix
+    (centers.dn_generating_matrix) by -(lam - 1).  The wrap braid
+    generator pins that sign: with the opposite one the reduction's
+    commuting square fails and the determinant is not invariant.  The
+    adjacent generators cannot see it.
+    """
+    def entry(i, j):
+        terms = [(1, c_s, fam[i, i] * fam[j, j])]
+        if i == j:
+            return dot(terms + [(1, c_a + c_at, ONE)])
+        r = fam[j, i] + fam[i, j] - fam[i, i] * fam[j, j]
+        if i < j:
+            return dot(terms + [(1, c_r, r), (1, c_a, fam[i, j])])
+        return dot(terms + [(-1, c_r, r), (1, c_at, fam[j, i])])
+
+    return Mat([[entry(i, j) for j in range(1, n + 1)]
                 for i in range(1, n + 1)])
-
-
-def ahat_matrix(n: int, fam=None) -> Mat:
-    """Upper-triangular unit-diagonal matrix of Ghat_ij, i < j."""
-    f = fam if fam is not None else ghat_family(n)
-    return Mat([[ONE if i == j else (f[i, j] if i < j else ZERO)
-                 for j in range(1, n + 1)] for i in range(1, n + 1)])
-
-
-def combination_matrix(n: int, w1: Expr, w2: Expr, rho: Expr, sigma: Expr,
-                       fam=None) -> Mat:
-    """w1 Ahat + w2 Ahat^T + rho Rhat + sigma Shat."""
-    a = ahat_matrix(n, fam)
-    return (a.scale(w1) + a.transpose().scale(w2)
-            + rhat_matrix(n, fam).scale(rho) + shat_matrix(n, fam).scale(sigma))
 
 
 def combination_transform_check(n: int) -> dict:
     """Under each adjacent generator, the combination matrix (with formal
     weights) transforms by B M B^T with the same elementary B as at level
     0.  Exact symbolic check, reported per generator."""
-    w1, w2, rho, sigma = E("w1"), E("w2"), E("rho"), E("sigma")
+    weights = E("rho"), E("sigma"), E("w1"), E("w2")
     fam = ghat_family(n)
-    m0 = combination_matrix(n, w1, w2, rho, sigma, fam)
+    m0 = combination_matrix(n, *weights, fam)
     report = {"n": n, "checks": [], "ok": True}
     for i in range(1, n):
         f2 = act_Dn(adjacent(i), fam, n)
-        m2 = combination_matrix(n, w1, w2, rho, sigma, f2)
+        m2 = combination_matrix(n, *weights, f2)
         bm = elementary_matrix(n, i, i + 1, fam[i, i + 1], ONE)
         ok = m2 == bm * m0 * bm.transpose()
         report["checks"].append({"generator": i, "ok": bool(ok)})

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .poly_core import (Expr, Mat, E, ZERO, ONE, const, dot, gen, ghat,
+from .poly_core import (Mat, E, ZERO, ONE, const, dot, gen, ghat,
                         parse_gen, rational_rank)
-from .dn_algebra import an_algebra, dnp_algebra, bracket
+from .dn_algebra import dnp_algebra, bracket
 from .reductions import build_Gp
 from . import braid as _braid
 
@@ -82,10 +82,14 @@ def centers_An(n: int) -> CenterSet:
 # ---------------------------------------------------------------------------
 
 
-def dnp_generator_symbols(n: int, p: int) -> list:
-    alg = dnp_algebra(n, p)
+def generator_symbols(alg) -> list:
+    """The generator symbols of *alg* at levels 0 .. (period or 1) - 1, in
+    first-use order: every level of a level-p algebra, level 0 of the
+    others."""
+    n = alg.n
     return list(dict.fromkeys(
-        s for k in range(p) for i in range(1, n + 1) for j in range(1, n + 1)
+        s for k in range(alg.period or 1)
+        for i in range(1, n + 1) for j in range(1, n + 1)
         for s in alg.canonical(i, j, k).symbols()))
 
 
@@ -98,7 +102,7 @@ def centers_Dnp(n: int, p: int, seed: int = 0) -> CenterSet:
         c = c - c.at({s: 0 for s in c.symbols()})  # drop constants
         if not c.is_zero() and c not in coeffs:
             coeffs.append(c)
-    symbols = dnp_generator_symbols(n, p)
+    symbols = generator_symbols(dnp_algebra(n, p))
     rng = random.Random(seed)
     points = [{s: 1 for s in symbols}]
     points += [_random_point(symbols, rng) for _ in range(4)]
@@ -109,31 +113,13 @@ def centers_Dnp(n: int, p: int, seed: int = 0) -> CenterSet:
                       "rank": max(ranks)})
 
 
-def dnp_centrality_report(n: int, p: int) -> dict:
-    """{c, g} = 0 exactly for every coefficient and every generator."""
-    alg = dnp_algebra(n, p)
-    cs = centers_Dnp(n, p)
-    symbols = dnp_generator_symbols(n, p)
-    bad = []
-    for idx, c in enumerate(cs.coefficients):
-        for s in symbols:
-            if not bracket(alg, c, E(s)).is_zero():
-                bad.append((idx, s))
-    return {"n": n, "p": p, "tested": len(cs.coefficients) * len(symbols),
-            "failures": bad, "ok": not bad}
-
-
-def an_centrality_report(n: int) -> dict:
-    alg = an_algebra(n)
-    cs = centers_An(n)
-    symbols = [gen(i, j, 0) for i in range(1, n + 1)
-               for j in range(i + 1, n + 1)]
-    bad = []
-    for idx, c in enumerate(cs.coefficients):
-        for s in symbols:
-            if not bracket(alg, c, E(s)).is_zero():
-                bad.append((idx, s))
-    return {"n": n, "failures": bad, "ok": not bad}
+def centrality_report(alg, coeffs) -> dict:
+    """{c, g} = 0 exactly for every element c of *coeffs* and every
+    generator g of generator_symbols(alg)."""
+    symbols = generator_symbols(alg)
+    bad = [(idx, s) for idx, c in enumerate(coeffs) for s in symbols
+           if not bracket(alg, c, E(s)).is_zero()]
+    return {"failures": bad, "ok": not bad}
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +127,13 @@ def an_centrality_report(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def dn_generating_matrix(n: int, fam=None) -> Mat:
+def dn_generating_matrix(n: int) -> Mat:
     """-(lam-1) Rhat + (lam+1) Shat + (lam^2-1) Ahat
-    - (lam - lam^-1) Ahat^T.
-
-    The orientation of the skew matrix Rhat follows the reduction law
-    (see ``reductions.dn_reduce``); with the opposite sign the
-    determinant is not invariant under the wrap braid generator.
-    """
-    lam, lam_i = E("lam"), E("lam", -1)
-    a = _braid.ahat_matrix(n, fam)
-    return (_braid.rhat_matrix(n, fam).scale(-(lam - ONE))
-            + _braid.shat_matrix(n, fam).scale(lam + ONE)
-            + a.scale(lam * lam - ONE)
-            - a.transpose().scale(lam - lam_i))
+    - (lam - lam^-1) Ahat^T (Rhat's sign: braid.combination_matrix)."""
+    lam = E("lam")
+    return _braid.combination_matrix(n, ONE - lam, lam + ONE, lam * lam - ONE,
+                                     E("lam", -1) - lam,
+                                     _braid.ghat_family(n))
 
 
 def centers_Dn(n: int) -> CenterSet:
@@ -267,14 +246,6 @@ def corrected_d3_casimirs():
     return [c1, c2, c3]
 
 
-def casimir_invariance(cs, n: int) -> list:
-    """Per-element braid invariance under all generators (wrap included)."""
-    subs = [_braid.Dn_substitution(b, n)
-            for b in [_braid.adjacent(i) for i in range(1, n)]
-            + [_braid.wrap()]]
-    return [all(c.subst(s) == c for s in subs) for c in cs]
-
-
 def dn_relation_check(n: int) -> dict:
     """Exact polynomial relations between the determinant coefficients
     and the independent reference Casimirs.
@@ -350,34 +321,30 @@ def dn_diagonal_specialization(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def braid_invariance(flavor: str, cs: CenterSet, n: int,
-                     cap: int = 0) -> dict:
-    """Every braid generator fixes every center, exactly."""
+def braid_invariance(flavor: str, coeffs, n: int, p: int = 0,
+                     cap: int = 0) -> list:
+    """One flag per element of *coeffs*: every braid generator fixes it,
+    exactly.  The generators are the adjacent ones, and the wrap too but
+    for flavor "A"; "Dp" reads the period *p*, and its substitution is
+    built from levels up to max(cap, p + 2)."""
+    gens = [_braid.adjacent(i) for i in range(1, n)]
     if flavor == "A":
-        gens = [_braid.adjacent(i) for i in range(1, n)]
-        a0 = _braid.symbol_matrix(n)
-        images = {}
-        for b in gens:
-            a1 = _braid.act_An(b, a0)
-            sub = {gen(i, j, 0): a1[i - 1, j - 1]
-                   for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-            images[(b.kind, b.i)] = sub
+        subs = [_an_substitution(b, n) for b in gens]
     elif flavor == "D":
-        gens = [_braid.adjacent(i) for i in range(1, n)] + [_braid.wrap()]
-        images = {(b.kind, b.i): _braid.Dn_substitution(b, n) for b in gens}
+        subs = [_braid.Dn_substitution(b, n) for b in gens + [_braid.wrap()]]
     elif flavor == "Dp":
-        gens = [_braid.adjacent(i) for i in range(1, n)] + [_braid.wrap()]
-        images = {(b.kind, b.i): _dnp_substitution(b, n, cs.meta["p"], cap)
-                  for b in gens}
+        subs = [_dnp_substitution(b, n, p, cap)
+                for b in gens + [_braid.wrap()]]
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    report = {"flavor": flavor, "checks": [], "ok": True}
-    for key, sub in images.items():
-        bad = [i for i, c in enumerate(cs.coefficients)
-               if c.subst(sub) != c]
-        report["checks"].append({"generator": key, "failures": bad})
-        report["ok"] = report["ok"] and not bad
-    return report
+    return [all(c.subst(sub) == c for sub in subs) for c in coeffs]
+
+
+def _an_substitution(b, n: int) -> dict:
+    """The level-0 action of *b* on the symbols G[i,j,0], i < j."""
+    a1 = _braid.act_An(b, _braid.symbol_matrix(n))
+    return {gen(i, j, 0): a1[i - 1, j - 1]
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
 def _dnp_substitution(b, n: int, p: int, cap: int) -> dict:
@@ -386,16 +353,16 @@ def _dnp_substitution(b, n: int, p: int, cap: int) -> dict:
     raw = _braid.frakDn_substitution(b, n, max(cap, p + 2))
     return {s: raw[s].subst({x: alg.canonical(*t) for x in raw[s].symbols()
                              if (t := parse_gen(x))})
-            for s in dnp_generator_symbols(n, p)}
+            for s in generator_symbols(alg)}
 
 
-def vicinity_rank(n: int, seed: int = 0) -> dict:
+def vicinity_rank(n: int) -> dict:
     """Leading-order bracket matrix on the off-diagonal coordinates at a
     point with vanishing off-diagonal entries and pairwise distinct
     squared diagonal values: {Ghat_ij, Ghat_ji} = 2 Ghat_jj^2
     - 2 Ghat_ii^2 and all other off-diagonal pairs commute.  Full rank
     n(n-1) bounds the number of Casimirs by n."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     vals = []
     while len(vals) < n:
         v = Fraction(rng.randint(1, 50), rng.randint(1, 7))

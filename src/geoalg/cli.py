@@ -123,21 +123,20 @@ def _run_case(suite, case_id, fn):
     return clock.report(suite, case_id, left, right, status)
 
 
-def _emit(reports, fmt, stream=None):
-    stream = stream or sys.stdout
+def _emit(reports, fmt):
     failed = 0
     for rep in reports:
         if rep["status"] == "fail":
             failed += 1
         if fmt == "json":
-            stream.write(json.dumps(rep) + "\n")
+            sys.stdout.write(json.dumps(rep) + "\n")
         else:
             line = f"[{rep['status']:>7}] {rep['suite']}::{rep['case']} ({rep['ms']} ms)"
             if rep["status"] == "fail":
                 line += f"\n    left : {rep['left']}\n    right: {rep['right']}"
             elif rep["left"] and not rep["right"]:
                 line += f"  =  {rep['left']}"
-            stream.write(line + "\n")
+            sys.stdout.write(line + "\n")
     return 1 if failed else 0
 
 
@@ -223,8 +222,8 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _bool_case(value, detail=""):
-    return bool(value), detail or repr(value), "expected truthy"
+def _bool_case(value):
+    return bool(value), repr(value), "expected truthy"
 
 
 def _pair_verdict(lhs, rhs):
@@ -356,7 +355,9 @@ def _suite_centers(args):
 
     def an_case(n):
         def run():
-            rep = centers_mod.an_centrality_report(n)
+            cs = centers_mod.centers_An(n)
+            rep = centers_mod.centrality_report(dn_algebra.an_algebra(n),
+                                                cs.coefficients)
             return rep["ok"], rep, "all brackets zero"
         return run
 
@@ -383,10 +384,10 @@ def _suite_centers(args):
 
     def invariance_case():
         cs = centers_mod.corrected_d3_casimirs()
-        flags = centers_mod.casimir_invariance(cs, 3)
+        flags = centers_mod.braid_invariance("D", cs, 3)
         return all(flags), f"invariance flags {flags}", "all True"
 
-    cases.append(("involution casimirs n=3", lambda: invariance_case()))
+    cases.append(("involution casimirs n=3", invariance_case))
     return cases
 
 

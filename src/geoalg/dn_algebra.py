@@ -285,13 +285,13 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
 # mu^-b, 0 <= a, b <= order, early in lam (per lam side), in mu at the end.
 
 
-def gcal_entry(alg: GenAlgebra, i: int, j: int, order: int,
-               var="lam") -> Expr:
-    """Gcal_{i,j}(var) = A0_{i,j} + sum_{k=1..order} G^(k)_{i,j} var^-k."""
-    out = ONE if i == j else (alg.canonical(i, j, 0) if i < j else ZERO)
-    for k in range(1, order + 1):
-        out = out + alg.canonical(i, j, k) * E(var, -k)
-    return out
+def gcal_entry(level, i: int, j: int, order: int, var="lam") -> Expr:
+    """Gcal_{i,j}(var) = A0_{i,j} + sum_{k=1..order} G^(k)_{i,j} var^-k,
+    with G^(k)_{i,j} = level(i, j, k): an algebra's canonical or a
+    braid.LevelFamily's get."""
+    a0 = ONE if i == j else (level(i, j, 0) if i < j else ZERO)
+    return dot([(1, a0, ONE)] + [(1, level(i, j, k), E(var, -k))
+                                 for k in range(1, order + 1)])
 
 
 def _geometric(x: Expr, order: int) -> Expr:
@@ -328,9 +328,9 @@ def _reflection_tables(alg: GenAlgebra, order: int):
     n = alg.n
     rng = range(1, n + 1)
     idx = list(itertools.product(rng, repeat=2))
-    glam = {ij: gcal_entry(alg, *ij, order, "lam") for ij in idx}
-    gmu = {ij: gcal_entry(alg, *ij, order, "mu") for ij in idx}
-    gmu2 = {ij: gcal_entry(alg, *ij, 2 * order, "mu") for ij in idx}
+    glam = {ij: gcal_entry(alg.canonical, *ij, order, "lam") for ij in idx}
+    gmu = {ij: gcal_entry(alg.canonical, *ij, order, "mu") for ij in idx}
+    gmu2 = {ij: gcal_entry(alg.canonical, *ij, 2 * order, "mu") for ij in idx}
     rt, tt = _kernels(n, order)
     side = lambda k, g: (k * g).window("lam", -order, 0)
     abc = list(itertools.product(rng, repeat=3))

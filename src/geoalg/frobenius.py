@@ -68,13 +68,11 @@ class StokesMatrix:
 
     @staticmethod
     def from_rows(rows) -> "StokesMatrix":
-        coerced = [[a if isinstance(a, Expr) else const(a) for a in row]
-                   for row in rows]
-        return StokesMatrix(Mat(coerced))
+        return StokesMatrix(Mat(rows))
 
     @staticmethod
-    def symbolic(n: int, prefix: str = "s") -> "StokesMatrix":
-        rows = [[ONE if i == j else (E(f"{prefix}_{i + 1}_{j + 1}") if i < j
+    def symbolic(n: int) -> "StokesMatrix":
+        rows = [[ONE if i == j else (E(f"s_{i + 1}_{j + 1}") if i < j
                                      else ZERO)
                  for j in range(n)] for i in range(n)]
         return StokesMatrix(Mat(rows))
@@ -244,20 +242,20 @@ def gk_mirror_check(s: StokesMatrix, nt: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def characteristic_polynomial(m: Mat, var: str = "eta") -> Expr:
+def characteristic_polynomial(m: Mat) -> Expr:
     n = m.shape[0]
-    eta = E(var)
+    eta = E("eta")
     shifted = Mat([[m[i, j] - (eta if i == j else ZERO) for j in range(n)]
                    for i in range(n)])
     return shifted.det()
 
 
-def level_p_condition(st: StokesMatrix, p: int, head: int = 2) -> dict:
+def level_p_condition(st: StokesMatrix, p: int) -> dict:
     """Periodicity of the clash monodromy from its tail block.
 
     Checks (-St^{-1} St^T)^p = 1 and nondegeneracy of St + St^T; when both
     hold, the reflection product of ANY Stokes matrix with trailing block St
-    has order p, which is certified on a symbolic head of the given size.
+    has order p, which is certified on a symbolic head of size 2.
     """
     m = st.n
     tail = tail_matrix(st)
@@ -276,6 +274,7 @@ def level_p_condition(st: StokesMatrix, p: int, head: int = 2) -> dict:
         return report
     # embed under a fully symbolic head: the conclusion must be identical in
     # the head entries, not an accident of special values
+    head = 2
     n = head + m
     rows = []
     for i in range(n):
@@ -368,7 +367,7 @@ def _gk_values(g, nt: int, rank: int, top: int) -> dict:
 
 
 def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
-                      tol: float = 1e-9, pairs=None) -> dict:
+                      tol: float = 1e-9) -> dict:
     """Brackets of G^{(k)}_{i,j} vs 1/4 x level-graded structure constants.
 
     The first *rank* indices survive as marked points; the trailing block
@@ -393,9 +392,8 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
         raise ValueError("rank must leave a nonempty trailing block")
     nt = rank + 1
     alg = dn_algebra(rank)
-    if pairs is None:
-        gens = generator_tuples(rank, levels)
-        pairs = [(a, b) for idx, a in enumerate(gens) for b in gens[idx:]]
+    gens = generator_tuples(rank, levels)
+    pairs = [(a, b) for idx, a in enumerate(gens) for b in gens[idx:]]
     g = [[x.as_rational() for x in row] for row in s.symmetrization().rows]
     exact = _gk_values(g, nt, rank, 2 * levels)
     if any(v == 0 for v in exact.values()):

@@ -894,9 +894,8 @@ class Mat:
         return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(n: int, m: int | None = None) -> "Mat":
-        m = n if m is None else m
-        return Mat([[ZERO] * m for _ in range(n)])
+    def zero(n: int) -> "Mat":
+        return Mat([[ZERO] * n for _ in range(n)])
 
     @property
     def shape(self):
@@ -908,9 +907,6 @@ class Mat:
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
@@ -939,17 +935,6 @@ class Mat:
         bt = list(zip(*other.rows))
         return Mat([[dot([(1, a, b) for a, b in zip(row, col)])
                      for col in bt] for row in self.rows])
-
-    def __pow__(self, k: int) -> "Mat":
-        n, m = self.shape
-        if n != m:
-            raise ValueError("square matrices only")
-        if k < 0:
-            raise ValueError("use explicit inverses for matrix powers < 0")
-        out = Mat.identity(n)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.rows)))

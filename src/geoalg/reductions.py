@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, gen
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen
 from .dn_algebra import (dnp_algebra, gcal_entry, generator_tuples,
                          _structure_constant, _table)
 from . import braid as _braid
@@ -33,22 +33,23 @@ from . import braid as _braid
 def build_Gp(n: int, p: int) -> "_braid.LambdaMatrix":
     """The finite generating matrix Gp(lam) = A + G^(1)/lam + ... +
     G^(p-1)/lam^(p-1) + A^T/lam^p in canonical level-p symbols."""
-    alg = dnp_algebra(n, p)
+    level = dnp_algebra(n, p).canonical
     return _braid.LambdaMatrix(Mat([
-        [gcal_entry(alg, i, j, p - 1) + gcal_entry(alg, j, i, 0) * E("lam", -p)
+        [gcal_entry(level, i, j, p - 1)
+         + gcal_entry(level, j, i, 0) * E("lam", -p)
          for j in range(1, n + 1)] for i in range(1, n + 1)]), p)
 
 
 def gp_expansion_consistency(n: int, p: int, order: int) -> bool:
     """(lam^p - 1) G(lam) = Gp(lam) as truncated series under the
     level-p identification."""
-    alg = dnp_algebra(n, p)
+    level = dnp_algebra(n, p).canonical
     gp = build_Gp(n, p)
     lam_p = E("lam", p)
     # the common certified window: lam^(2p - order) .. lam^p
     lo = 2 * p - order
     return all(
-        ((lam_p - ONE) * gcal_entry(alg, i, j, order)).window("lam", lo, p)
+        ((lam_p - ONE) * gcal_entry(level, i, j, order)).window("lam", lo, p)
         == (gp.mat[i - 1, j - 1] * lam_p).window("lam", lo, p)
         for i in range(1, n + 1) for j in range(1, n + 1))
 
@@ -62,15 +63,14 @@ def gp_u_symmetry(n: int, p: int) -> bool:
     return h.transpose() == flipped
 
 
-def representative_independence(n: int, p: int, max_level=None) -> bool:
+def representative_independence(n: int, p: int) -> bool:
     """The level-p bracket does not depend on which representative of a
     generator class enters the structure constants: shifting a level by
     -p (equivalently applying the mirror through p-k) leaves the table
     row built from the closed form of every pair unchanged."""
     alg = dnp_algebra(n, p)
     terms = lambda a, b: _table(alg).compile(_structure_constant(alg, a, b))
-    levels = range(0, (p if max_level is None else max_level + 1))
-    idx = [(i, j, k) for k in levels
+    idx = [(i, j, k) for k in range(p)
            for i in range(1, n + 1) for j in range(1, n + 1)
            if not (k == 0 and i > j)]
     for a in idx:
@@ -126,22 +126,14 @@ class ReductionMapDn:
     c_ahat: Expr
     c_ahat_t: Expr
 
-    def as_matrix(self, n: int, fam=None) -> Mat:
-        a = _braid.ahat_matrix(n, fam)
-        return (_braid.rhat_matrix(n, fam).scale(self.c_rhat)
-                + _braid.shat_matrix(n, fam).scale(self.c_shat)
-                + a.scale(self.c_ahat)
-                + a.transpose().scale(self.c_ahat_t))
+    def as_matrix(self, n: int, fam: dict) -> Mat:
+        return _braid.combination_matrix(n, self.c_rhat, self.c_shat,
+                                         self.c_ahat, self.c_ahat_t, fam)
 
 
 def dn_reduce(k: int) -> ReductionMapDn:
-    """The reduction law for level k >= 0, in closed form.
-
-    Note the Rhat stream enters with coefficient -rho_k relative to the
-    skew-symmetric matrix convention of ``braid.rhat_matrix``; this sign
-    is pinned by the mechanized commuting square with the wrap braid
-    generator (adjacent generators alone cannot see it).
-    """
+    """The reduction law for level k >= 0, in closed form; the Rhat
+    stream is -rho_k (its sign: braid.combination_matrix)."""
     if k < 0:
         raise ValueError("negative levels via transposition of dn_reduce(-k)")
     if k == 0:
@@ -210,10 +202,8 @@ def dn_sum(order: int = 12) -> dict:
     Verifies, exactly and cross-multiplied in w = 1/lam, that the four
     coefficient streams sum to the rational closed form
 
-      G(lam) -> [w Rhat* + w(1+w)/(1-w) Shat + (1+w) Ahat
-                 - w(1+w) Ahat^T] / ((1 - w h^2)(1 - w h^-2)),
-
-    where Rhat* carries the same orientation sign as dn_reduce.
+      G(lam) -> [-w Rhat + w(1+w)/(1-w) Shat + (1+w) Ahat
+                 - w(1+w) Ahat^T] / ((1 - w h^2)(1 - w h^-2)).
     """
     w, h2, h2i = E("w"), E("h", 2), E("h", -2)
     denom = (ONE - w) * (ONE - w * h2) * (ONE - w * h2i)
@@ -242,18 +232,8 @@ def dn_sum(order: int = 12) -> dict:
 
 def _fold_h(e: Expr, p: int) -> Expr:
     """Impose h^(2p) = 1 by reducing every h exponent modulo 2p."""
-    out = {}
-    for mono, c in e.terms():
-        parts = []
-        for name, exp in mono:
-            if name == "h":
-                exp %= 2 * p
-                if exp == 0:
-                    continue
-            parts.append((name, exp))
-        key = tuple(sorted(parts))
-        out[key] = out.get(key, 0) + c
-    return Expr(out)
+    return dot([(1, c, E("h", k % (2 * p)))
+                for k, c in e.coeffs_in("h").items()])
 
 
 def _cyclotomic(p: int) -> list:
@@ -286,20 +266,17 @@ def _eval_at_root(e: Expr, p: int) -> tuple:
     h^2 a primitive p-th root of unity, as a vector mod the cyclotomic
     polynomial."""
     coeffs = [Fraction(0)] * p
-    for mono, c in e.terms():
-        xexp = 0
-        for name, exp in mono:
-            if name != "h":
-                raise ValueError("expected a polynomial in h only")
-            if exp % 2:
-                raise ValueError("expected even powers of h")
-            xexp = (exp // 2) % p
-        coeffs[xexp] += c
+    for k, c in e.coeffs_in("h").items():
+        if not c.is_rational():
+            raise ValueError("expected a polynomial in h only")
+        if k % 2:
+            raise ValueError("expected even powers of h")
+        coeffs[k // 2 % p] += c.as_rational()
     _, rem = _poly_divmod(coeffs, _cyclotomic(p))
     return tuple(rem)
 
 
-def periodicity_check(p: int, levels: int = 4) -> bool:
+def periodicity_check(p: int) -> bool:
     """With h^(2p) = 1 the reduction law is p-periodic in the level.
 
     Two exact forms of the statement are verified.  First, for every p,
@@ -314,8 +291,9 @@ def periodicity_check(p: int, levels: int = 4) -> bool:
     x, xi = _X, _XI
     denoms = {"c_rhat": x - xi, "c_shat": (x - ONE) * (ONE - xi),
               "c_ahat": x - ONE, "c_ahat_t": x - ONE}
-    # at k = 0 the symmetric level-0 form, which the statement is about
-    for k in range(levels + 1):
+    # levels 0..4; at k = 0 the symmetric level-0 form, which the statement
+    # is about
+    for k in range(5):
         lo, hi = _closed_form(k), _closed_form(k + p)
         for field, den in denoms.items():
             diff = getattr(hi, field) - getattr(lo, field)

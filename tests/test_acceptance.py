@@ -16,8 +16,8 @@ import pytest
 from geoalg import braid, centers, fatgraph, frobenius, ks_calculus as ks
 from geoalg import reductions
 from geoalg.dn_algebra import (
-    an_algebra, bracket, dn_algebra, generator_tuples, jacobi_check,
-    semiclassical_reflection_check, _pair_bracket,
+    an_algebra, bracket, dn_algebra, dnp_algebra, generator_tuples,
+    jacobi_check, semiclassical_reflection_check, _pair_bracket,
 )
 from geoalg.poly_core import Mat, ONE, parse_gen
 
@@ -177,9 +177,9 @@ def test_braid_componentwise_vs_matrix(n, b):
 
 @pytest.mark.parametrize("n,p,rank", [(2, 2, 2), (3, 2, 3), (2, 3, 3)])
 def test_periodic_centers(n, p, rank):
-    rep = centers.dnp_centrality_report(n, p)
-    assert rep["ok"], rep["failures"]
     cs = centers.centers_Dnp(n, p)
+    rep = centers.centrality_report(dnp_algebra(n, p), cs.coefficients)
+    assert rep["ok"], rep["failures"]
     assert cs.meta["count"] == rank
     assert len(cs.meta["jacobian_ranks"]) == 5
     assert all(r == rank for r in cs.meta["jacobian_ranks"])
@@ -213,12 +213,12 @@ def test_casimir_relations(n):
 
 
 def test_casimir_invariance_profiles():
-    assert centers.casimir_invariance(
-        centers.corrected_d3_casimirs(), 3) == [True, True, True]
-    assert centers.casimir_invariance(
-        centers.printed_d3_casimirs(), 3) == [False, True, False]
-    assert centers.casimir_invariance(
-        centers.printed_d2_casimirs(), 2) == [True, True]
+    assert centers.braid_invariance(
+        "D", centers.corrected_d3_casimirs(), 3) == [True, True, True]
+    assert centers.braid_invariance(
+        "D", centers.printed_d3_casimirs(), 3) == [False, True, False]
+    assert centers.braid_invariance(
+        "D", centers.printed_d2_casimirs(), 2) == [True, True]
 
 
 # -- criterion 9: special Stokes points -------------------------------------

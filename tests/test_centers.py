@@ -3,13 +3,14 @@
 import pytest
 
 from geoalg import braid, centers
-from geoalg.dn_algebra import an_algebra, bracket
+from geoalg.dn_algebra import an_algebra, dnp_algebra
 from geoalg.poly_core import E, ghat
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_level0_centers_commute(n):
-    rep = centers.an_centrality_report(n)
+    rep = centers.centrality_report(an_algebra(n),
+                                    centers.centers_An(n).coefficients)
     assert rep["ok"], rep["failures"]
 
 
@@ -22,8 +23,8 @@ def test_level0_center_count(n):
 
 def test_level0_centers_braid_invariant():
     cs = centers.centers_An(4)
-    rep = centers.braid_invariance("A", cs, 4)
-    assert rep["ok"], rep["checks"]
+    flags = centers.braid_invariance("A", cs.coefficients, 4)
+    assert all(flags), flags
 
 
 def test_generating_polynomial_is_even():
@@ -43,14 +44,15 @@ def test_periodic_center_independence(n, p, rank):
 
 @pytest.mark.parametrize("n,p", [(2, 2), (3, 2)])
 def test_periodic_centrality(n, p):
-    rep = centers.dnp_centrality_report(n, p)
+    rep = centers.centrality_report(dnp_algebra(n, p),
+                                    centers.centers_Dnp(n, p).coefficients)
     assert rep["ok"], rep["failures"]
 
 
 def test_periodic_centers_braid_invariant():
     cs = centers.centers_Dnp(2, 2)
-    rep = centers.braid_invariance("Dp", cs, 2, cap=6)
-    assert rep["ok"], rep["checks"]
+    flags = centers.braid_invariance("Dp", cs.coefficients, 2, p=2, cap=6)
+    assert all(flags), flags
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -62,8 +64,8 @@ def test_reduced_center_count(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_reduced_centers_braid_invariant(n):
     cs = centers.centers_Dn(n)
-    rep = centers.braid_invariance("D", cs, n)
-    assert rep["ok"], rep["checks"]
+    flags = centers.braid_invariance("D", cs.coefficients, n)
+    assert all(flags), flags
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -73,12 +75,12 @@ def test_reference_relations(n):
 
 
 def test_reference_invariance_profiles():
-    assert centers.casimir_invariance(centers.corrected_d3_casimirs(), 3) == [
-        True, True, True]
-    assert centers.casimir_invariance(centers.printed_d3_casimirs(), 3) == [
-        False, True, False]
-    assert centers.casimir_invariance(centers.printed_d2_casimirs(), 2) == [
-        True, True]
+    assert centers.braid_invariance(
+        "D", centers.corrected_d3_casimirs(), 3) == [True, True, True]
+    assert centers.braid_invariance(
+        "D", centers.printed_d3_casimirs(), 3) == [False, True, False]
+    assert centers.braid_invariance(
+        "D", centers.printed_d2_casimirs(), 2) == [True, True]
 
 
 def test_d2_pfaffian_identity():

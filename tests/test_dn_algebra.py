@@ -355,9 +355,10 @@ def test_shared_lam_sides_give_the_windowed_full_product(n, order):
     alg = dn_algebra(n)
     tables = dn._reflection_tables(alg, order)
     rt, tt = dn._kernels(n, order)
-    glam = {(a, b): dn.gcal_entry(alg, a, b, order, "lam")
+    glam = {(a, b): dn.gcal_entry(alg.canonical, a, b, order, "lam")
             for a, b in itertools.product(range(1, n + 1), repeat=2)}
-    gmu2 = {ab: dn.gcal_entry(alg, *ab, 2 * order, "mu") for ab in glam}
+    gmu2 = {ab: dn.gcal_entry(alg.canonical, *ab, 2 * order, "mu")
+            for ab in glam}
     for j, i, p, l in itertools.product(range(1, n + 1), repeat=4):
         full = (rt[j, p] * glam[p, i] * gmu2[j, l]
                 - rt[l, i] * glam[j, l] * gmu2[p, i]

@@ -2,9 +2,10 @@
 
 A top-level function or class of a `geoalg` module counts as used when
 some module names it outside its own definition: a call, an attribute
-(`centers.centers_An`), an import or a reference.  The unused ones may
-only be the claim checks that no `verify` case runs yet and the oracles
-the README lists; a new function that only tests call fails here.
+(`centers.centers_An`), an import or a reference.  The unused ones must
+be exactly the claim checks that no `verify` case runs yet and the
+oracles the README lists: a new function that only tests call fails
+here, and so does a pinned one that gains a caller or goes.
 """
 
 import ast
@@ -17,10 +18,8 @@ SRC = Path(geoalg.__file__).parent
 # claim checks of the paper that tests call and no verify case runs yet
 CLAIM_CHECKS = {
     "braid.combination_transform_check",
-    "centers.braid_invariance",
     "centers.d2_pfaffian_identity",
     "centers.dn_diagonal_specialization",
-    "centers.dnp_centrality_report",
     "centers.match_printed_casimirs",
     "centers.vicinity_rank",
     "dn_algebra.quantum_r_expansion",
@@ -61,9 +60,8 @@ def unused_definitions(root=SRC) -> set:
 
 
 def test_unused_definitions_are_pinned():
-    unused = unused_definitions()
-    assert unused <= CLAIM_CHECKS | ORACLES, sorted(unused - CLAIM_CHECKS
-                                                    - ORACLES)
+    unused, pinned = unused_definitions(), CLAIM_CHECKS | ORACLES
+    assert unused == pinned, (sorted(unused - pinned), sorted(pinned - unused))
 
 
 def test_the_scan_sees_a_definition_only_tests_call(tmp_path):

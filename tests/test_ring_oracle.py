@@ -19,6 +19,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 from geoalg import centers
+from geoalg.dn_algebra import dnp_algebra
 from geoalg.poly_core import (E, Expr, Mat, ONE, ZERO, _VECTOR_TERMS, const,
                               dot, parse, rational_rank)
 
@@ -259,7 +260,7 @@ def test_at_is_exact_and_names_what_is_unbound():
 @pytest.mark.parametrize("n,p", [(3, 2), (2, 3)])
 def test_jacobian_rank_matches_diff_and_subst(n, p):
     cs = centers.centers_Dnp(n, p)
-    symbols = centers.dnp_generator_symbols(n, p)
+    symbols = centers.generator_symbols(dnp_algebra(n, p))
     rng = random.Random(0)
     pts = [{s: 1 for s in symbols}]
     pts += [centers._random_point(symbols, rng) for _ in range(4)]
