@@ -278,12 +278,11 @@ def _suite_ks(args):
     level = _given(args.level, 1)
     alg = dn_algebra.dn_algebra(n)
     gens = dn_algebra.generator_tuples(n, level)
+    memo = {}
 
     def pair_case(a, b):
         def run():
-            lhs = ks_calculus.skein_reduce(
-                ks_calculus.ks_bracket_symbolic(ks_calculus.gen_word(*a),
-                                                 ks_calculus.gen_word(*b)))
+            lhs = ks_calculus.generator_bracket(a, b, memo)
             rhs = dn_algebra._pair_bracket(alg, a, b)
             return _pair_verdict(lhs, rhs)
         return run
@@ -520,9 +519,7 @@ def cmd_bracket(args) -> int:
         if a is None or b is None:
             status, right = "skipped", "oracle needs single-generator operands"
         elif args.oracle == "ks":
-            right = _in_algebra(alg, ks_calculus.skein_reduce(
-                ks_calculus.ks_bracket_symbolic(ks_calculus.gen_word(*a),
-                                                ks_calculus.gen_word(*b))))
+            right = _in_algebra(alg, ks_calculus.generator_bracket(a, b, {}))
             status = "pass" if right == result else "fail"
         elif args.oracle == "goldman":
             n = alg.n

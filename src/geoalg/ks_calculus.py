@@ -14,7 +14,8 @@ Two independent realizations:
   Words are then rewritten into polynomials in the generators
   G[i,j,k] = -Tr(M_i H^k M_j H^-k) and the Casimir parameters Tr(H^k)
   via the SL(2) identities Tr M_i = 0, M_i^-1 = -M_i, M_i^2 = -1 and the
-  skein relation Tr A Tr B = Tr(AB) + Tr(AB^-1).
+  skein relation Tr A Tr B = Tr(AB) + Tr(AB^-1).  M indices enter only
+  through == and <: an increasing renaming of them commutes with it all.
 
 * numeric -- the entrywise structure constants on concrete matrices of any
   size, with batched complex-step differentiation for the chain rule.
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly_core import Expr, _checked, _normalized, _symbol, gen
+from .poly_core import Expr, _checked, _normalized, _symbol, gen, parse_gen
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +433,26 @@ def skein_reduce(e: TraceExpr) -> Expr:
     out = _normalized({mono: Fraction(n, lcm) if n % lcm else n // lcm
                        for mono, n in totals.items() if n}, _checked(bound))
     return out if scalar is None else scalar + out
+
+
+def _ranked(a, b) -> tuple:
+    """The distinct M indices of a and b, increasing, and a, b by rank."""
+    index = sorted({a[0], a[1], b[0], b[1]})
+    rank = {x: r for r, x in enumerate(index, 1)}
+    return index, *((rank[i], rank[j], k) for i, j, k in (a, b))
+
+
+def generator_bracket(a, b, memo: dict) -> Expr:
+    """{G_a, G_b} for index triples a, b: reduced once per index pattern
+    and levels into *memo*, then renamed from the ranks to the indices."""
+    index, ka, kb = _ranked(a, b)
+    hit = memo.get((ka, kb))
+    if hit is None:
+        e = skein_reduce(ks_bracket_symbolic(gen_word(*ka), gen_word(*kb)))
+        hit = memo[ka, kb] = e, [(s, t) for s in e.symbols()
+                                 if (t := parse_gen(s))]
+    return hit[0].rename({s: gen(index[i - 1], index[j - 1], k)
+                          for s, (i, j, k) in hit[1]})
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,17 @@ class Expr:
             products.append((1, term, last))
         return dot(products)
 
+    def rename(self, names: Mapping[str, str]) -> "Expr":
+        """The value with its symbols renamed at once through *names*, which
+        must send them to distinct symbols: each exponent digit moves."""
+        moves = [(sym, _symbol(new)[0] - sym[0]) for old, new in names.items()
+                 if old != new and (sym := _SYMBOLS.get(old)) is not None]
+        d = {}
+        for mono, c in self._d.items():
+            d[mono + sum((((mono + bias) >> shift & _MASK) - _LIMIT) * delta
+                         for (_, shift, bias), delta in moves)] = c
+        return _expr(d, self._bound)
+
     def coeffs_in(self, name: str) -> dict:
         """View the value as a Laurent polynomial in one symbol.
 

@@ -461,6 +461,71 @@ def test_a_flipped_wick_matching_fails_the_ks_suite(monkeypatch):
     assert failed > 0
 
 
+@pytest.mark.parametrize("n,level", [(4, 2), (5, 1)])
+def test_generator_bracket_is_the_direct_oracle(n, level):
+    gens, memo = generator_tuples(n, level), {}
+    for idx, a in enumerate(gens):
+        for b in gens[idx:]:
+            assert ks.generator_bracket(a, b, memo) == ks.skein_reduce(
+                ks.ks_bracket_symbolic(ks.gen_word(*a), ks.gen_word(*b)))
+
+
+@pytest.mark.parametrize("n,level,patterns", [(3, 1, 50), (4, 2, 222),
+                                              (6, 2, 222)])
+def test_the_ks_suite_runs_the_oracle_once_per_pattern(n, level, patterns,
+                                                       monkeypatch):
+    calls = []
+
+    def counted(w1, w2):
+        calls.append((w1, w2))
+        return original(w1, w2)
+
+    original = ks.ks_bracket_symbolic
+    monkeypatch.setattr(ks, "ks_bracket_symbolic", counted)
+    cases = cli._suite_ks(argparse.Namespace(n=n, level=level))
+    assert all(run()[0] for _, run in cases)
+    assert len(calls) == patterns
+
+
+class _LevelBlind(dict):
+    """A memo whose keys drop the two levels."""
+
+    def get(self, key):
+        return super().get(self._blind(key))
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._blind(key), value)
+
+    @staticmethod
+    def _blind(key):
+        return tuple(t[:2] for t in key)
+
+
+def _first_seen(a, b):
+    index = list(dict.fromkeys((a[0], a[1], b[0], b[1])))
+    rank = {x: r for r, x in enumerate(index, 1)}
+    return index, *((rank[i], rank[j], k) for i, j, k in (a, b))
+
+
+@pytest.mark.parametrize("mutant,pairs", [("identity rename", 20),
+                                          ("key without levels", 22),
+                                          ("ranks by first appearance", 19)])
+def test_a_wrong_pattern_memo_fails_the_ks_suite(mutant, pairs, monkeypatch):
+    # each mutant gets some of the 78 pairs wrong, and the suite says so
+    args = argparse.Namespace(n=3, level=1)
+    assert all(run()[0] for _, run in cli._suite_ks(args))
+    if mutant == "identity rename":
+        monkeypatch.setattr(Expr, "rename", lambda self, names: self)
+    elif mutant == "key without levels":
+        original, blind = ks.generator_bracket, _LevelBlind()
+        monkeypatch.setattr(ks, "generator_bracket",
+                            lambda a, b, memo: original(a, b, blind))
+    else:
+        monkeypatch.setattr(ks, "_ranked", _first_seen)
+    failed = sum(not run()[0] for _, run in cli._suite_ks(args))
+    assert failed == pairs
+
+
 def _rule_words(w1, w2):
     """The raw words left + v + right + u of every rule term of {Tr w1,
     Tr w2}, each with its coefficient (in halves), as words of int codes;

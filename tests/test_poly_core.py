@@ -57,6 +57,15 @@ def test_subst_identity(a):
     assert a.subst({n: E(n) for n in NAMES}) == a
 
 
+@settings(max_examples=60, deadline=None)
+@given(exprs())
+def test_rename_is_the_substitution_of_symbols(a):
+    # a one-to-one map whose targets include symbols of the value itself
+    names = {"x": "y", "y": "w", "z": "x"}
+    assert a.rename(names) == a.subst({n: E(m) for n, m in names.items()})
+    assert a.rename({n: n for n in NAMES}) == a
+
+
 def test_monomial_inverse():
     m = const(Fraction(3, 2)) * E("x", 2) * E("y", -1)
     assert m * m.inverse() == ONE
