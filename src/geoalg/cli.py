@@ -16,15 +16,18 @@ error; an option that the command would not read (say `verify --suite
 frobenius --n 7`, or any `verify --p`) is a usage error, not dropped.
 
 A `verify` run builds the cases of its suites into one list and may run
-them in forked workers, one per CPU beyond the first: with W CPUs, worker
-k takes every W-th case from the k-th.  The reports still come in case order, each as
-soon as it and every earlier one are done, and they are the ones a serial
-run gives apart from `ms`.  Each `ms` is its own case's time, so the `ms`
-of a split run can add up to more than its wall time, and the workers'
-memory is not in the parent's `ru_maxrss`.  The run stays in one process
-with one CPU, without `os.fork`, or with fewer than 64 cases.  Python 3.12
-and later warn (DeprecationWarning) when a process that has threads forks,
-and numpy's BLAS pool is such a thread; Python 3.11 does not warn.
+them in forked workers, one per CPU beyond the first.  Cases that share
+work share a key (a `ks` pair's is its index pattern, memoized per
+process); with W CPUs the keys, a case with no key being its own, are
+dealt to the W processes in turn in order of first appearance.  The
+reports still come in case order, each as soon as it and every earlier one
+are done, and they are the ones a serial run gives apart from `ms`.  Each
+`ms` is its own case's time, so the `ms` of a split run can add up to more
+than its wall time, and the workers' memory is not in the parent's
+`ru_maxrss`.  The run stays in one process with one CPU, without `os.fork`,
+or with fewer than 64 cases.  Python 3.12 and later warn
+(DeprecationWarning) when a process that has threads forks, and numpy's
+BLAS pool is such a thread; Python 3.11 does not warn.
 
 Braid words
 -----------
@@ -124,12 +127,18 @@ def _run_case(suite, case_id, fn):
 
 
 def _emit(reports, fmt):
+    return _write(((rep, None) for rep in reports), fmt)
+
+
+def _write(reports, fmt):
+    """Write each (report, the JSON line a worker sent it as, or None) of
+    *reports*, a sent line as is; return the exit code."""
     failed = 0
-    for rep in reports:
+    for rep, sent in reports:
         if rep["status"] == "fail":
             failed += 1
         if fmt == "json":
-            sys.stdout.write(json.dumps(rep) + "\n")
+            sys.stdout.write(sent or json.dumps(rep) + "\n")
         else:
             line = f"[{rep['status']:>7}] {rep['suite']}::{rep['case']} ({rep['ms']} ms)"
             if rep["status"] == "fail":
@@ -160,37 +169,47 @@ def _work(jobs, fd, inherited):
             os.close(pipe)
         with open(fd, "w") as out:
             for job in jobs:
-                out.write(json.dumps(_run_case(*job)) + "\n")
+                out.write(json.dumps(_run_case(*job[:3])) + "\n")
                 out.flush()
     finally:
         os._exit(0)
 
 
-def _in_order(jobs, width, pipes):
-    """Every job's report in job order.  Job i is the parent's when
-    i % width is 0 and runs here; the others are read from worker
-    i % width's pipe.  A pipe that ends early or sends a line that does
+def _owners(jobs, width):
+    """Each job's process (0: the parent): keys, a job with no key being
+    its own, dealt to the *width* processes in turn by first appearance."""
+    dealt = {}
+    return [dealt.setdefault(job[3:] or i, len(dealt) % width)
+            for i, job in enumerate(jobs)]
+
+
+def _in_order(jobs, owners, pipes):
+    """Every job's (report, line) in job order.  A job of owner 0 or of a
+    worker with no pipe runs here (line None); the others are read from
+    their worker's pipe.  A pipe that ends early or sends a line that does
     not parse is closed, and that worker's remaining jobs run here."""
-    for i, job in enumerate(jobs):
-        report = None
-        if i % width in pipes:
-            try:
-                report = json.loads(pipes[i % width].readline())
-            except ValueError:  # as an empty or a cut line does
-                pipes.pop(i % width).close()
-        yield report or _run_case(*job)
+    for job, k in zip(jobs, owners):
+        report = line = None
+        if k in pipes:
+            line = pipes[k].readline()
+            try:  # a line cut before its newline is an unparsed one
+                report = json.loads(line if line.endswith("\n") else "")
+            except ValueError:
+                pipes.pop(k).close()
+        yield (report, line) if report else (_run_case(*job[:3]), None)
 
 
 def _run_jobs(jobs, fmt):
-    """Emit the reports of the (suite, case id, fn) *jobs* in job order.
+    """Emit the reports of the (suite, case id, fn[, key]) *jobs* in order.
 
     With W = _cpus() CPUs and at least _MIN_SPLIT jobs, W - 1 forked
-    workers take jobs[k::W] for k = 1 .. W - 1 and the parent the rest;
+    workers take the jobs that _owners gives them and the parent the rest;
     otherwise W is 1 and the parent runs every job, as it runs the jobs of
     a worker it could not fork.  Every worker is killed if still running
     and reaped before this returns or raises.
     """
     width = _cpus() if len(jobs) >= _MIN_SPLIT else 1
+    owners = _owners(jobs, width)
     pids, pipes = [], {}
     try:
         for k in range(1, width):
@@ -202,12 +221,12 @@ def _run_jobs(jobs, fmt):
                 os.close(write_fd)
                 break
             if pid == 0:
-                _work(jobs[k::width], write_fd,
+                _work([j for j, o in zip(jobs, owners) if o == k], write_fd,
                       [read_fd] + [pipe.fileno() for pipe in pipes.values()])
             pids.append(pid)
             os.close(write_fd)
             pipes[k] = open(read_fd)
-        return _emit(_in_order(jobs, width, pipes), fmt)
+        return _write(_in_order(jobs, owners, pipes), fmt)
     finally:
         for pipe in pipes.values():
             pipe.close()
@@ -287,7 +306,8 @@ def _suite_ks(args):
             return _pair_verdict(lhs, rhs)
         return run
 
-    return [(f"ks-vs-constants {a}x{b}", pair_case(a, b))
+    return [(f"ks-vs-constants {a}x{b}", pair_case(a, b),
+             ks_calculus._ranked(a, b)[1:])
             for idx, a in enumerate(gens) for b in gens[idx:]]
 
 
@@ -485,7 +505,7 @@ def cmd_verify(args) -> int:
         cases = _SUITE_BUILDERS[name][0](args)
         if not cases:  # exit 0 must mean that some check passed
             raise ValueError(f"the {name} suite has no case at these sizes")
-        jobs += [(name, case_id, fn) for case_id, fn in cases]
+        jobs += [(name, *case) for case in cases]
     return _run_jobs(jobs, args.format)
 
 

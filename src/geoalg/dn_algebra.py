@@ -15,10 +15,10 @@ Each algebra compiles its structure constants into one table (_Table,
 one per algebra and process).  Each canonical generator triple has an int
 id from 1 up; one index canonicalization, (i, j, k) -> (factor, id or
 None for the constant 2), also serves GenAlgebra.canonical.  The row of
-an id pair is {G_x, G_y} = sum c G_u G_v as a flat tuple (c, m, u, v,
-...), built once from the (c, x, y) lists of _structure_constant with no
-Expr: m is the packed monomial of G_u G_v, constants are folded into c,
-id 0 is the factor 1, and d/dG_u of a term is c G_v.  Readers:
+an id pair is {G_x, G_y} = sum c G_u G_v as a tuple of term tuples
+(c, m, u, v), built once from the (c, x, y) lists of _structure_constant
+with no Expr: m is the packed monomial of G_u G_v, constants are folded
+into c, id 0 is the factor 1, and d/dG_u of a term is c G_v.  Readers:
 _pair_bracket (a row's Expr), jacobi_check, the Stokes realization
 (sum c v[u] v[v] at floats) and representative_independence.
 
@@ -165,11 +165,8 @@ class _Table:
             if u > v:
                 u, v = v, u
             acc.setdefault(units[u] + units[v], [0, u, v])[0] += c * fa * fb
-        out = []
-        for m, (c, u, v) in sorted(acc.items()):
-            if c:
-                out += _rat(c), share(m, m), u, v
-        return tuple(out)
+        return tuple((_rat(c), share(m, m), u, v)
+                     for m, (c, u, v) in sorted(acc.items()) if c)
 
 
 @cache
@@ -180,7 +177,7 @@ def _table(alg: GenAlgebra) -> _Table:
 def _pair_bracket(alg: GenAlgebra, a, b) -> Expr:
     """{G^(m)_{j,i}, G^(k)_{p,l}}: the Expr of the table's row."""
     t = _table(alg).pair(a, b)
-    return _expr(dict(zip(t[1::4], t[::4])), 2)  # exponents are <= 2
+    return _expr({m: c for c, m, _, _ in t}, 2)  # exponents are <= 2
 
 
 def _structure_constant(alg: GenAlgebra, a, b) -> list:
@@ -262,15 +259,13 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
     get = acc.get
     rows, row, units = table.rows, table.row, table.units
     for x, y, z in ((x, y, z), (y, z, x), (z, x, y)):
-        t = rows.get((x, y)) or row(x, y)
-        for c, u, v in zip(t[::4], t[2::4], t[3::4]):
+        for c, _, u, v in rows.get((x, y)) or row(x, y):
             # d/dG_w of c G_u G_v is c times the other factor, w = u, v
             for w, other in ((u, v), (v, u)):
                 if not w:  # the factor 1
                     continue
-                t2 = rows.get((w, z)) or row(w, z)
                 m = units[other]
-                for k2, m2 in zip(t2[::4], t2[1::4]):
+                for k2, m2, _, _ in rows.get((w, z)) or row(w, z):
                     mono = m + m2
                     acc[mono] = get(mono, 0) + c * k2
     out = {m: c for m, c in acc.items() if c}

@@ -411,8 +411,7 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     values = [1.0] + [floats.get(x) for x in table.triples[1:]]
     worst = 0.0
     for (a, b), t in zip(pairs, rows):
-        rhs = factor * sum(c * values[u] * values[v]
-                           for c, u, v in zip(t[::4], t[2::4], t[3::4]))
+        rhs = factor * sum(c * values[u] * values[v] for c, _, u, v in t)
         lhs = float(brackets[index[a], index[b]]) / (4 * floats[a] * floats[b])
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return {"pairs": len(pairs), "max_deviation": worst, "ok": worst <= tol}

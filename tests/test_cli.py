@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON reports, option handling."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geoalg import centers, cli, dn_algebra
+from geoalg import centers, cli, dn_algebra, ks_calculus
 from geoalg.cli import main
 from geoalg.poly_core import E, Expr, ZERO
 
@@ -541,6 +542,8 @@ def _assert_split_matches_serial(monkeypatch, argv, code):
     ["verify", "--suite", "jacobi", "--n", "3", "--level", "1"],
     ["verify", "--suite", "goldman", "--n", "5"],  # 56 cases: not split
     ["verify", "--suite", "all"],
+    # 4-index level-2 patterns first appear at n = 4
+    ["verify", "--suite", "ks", "--n", "4", "--level", "2"],
 ])
 def test_split_runs_match_the_serial_run(argv, monkeypatch):
     _assert_split_matches_serial(monkeypatch, argv, 0)
@@ -551,14 +554,59 @@ def _ks_pairs():
     return [(a, b) for idx, a in enumerate(gens) for b in gens[idx:]]
 
 
+def _ks_jobs(n, level):
+    """The jobs of `verify --suite ks --n n --level level`, as cmd_verify
+    builds them."""
+    args = argparse.Namespace(n=n, level=level)
+    return [("ks", *case) for case in cli._suite_ks(args)]
+
+
 _KS = ["verify", "--suite", "ks", "--n", "3", "--level", "1"]
-# the case both a 2-way and a 3-way split give to a worker
-_WORKER_CASE = 41
+# the first case past the middle of _KS that a 2-way split gives to its
+# worker; _plant_pair checks that a 3-way split gives it to a worker too
+_WORKER_CASE = cli._owners(_ks_jobs(3, 1), 2).index(1, len(_ks_pairs()) // 2)
+
+
+def test_a_ks_pattern_runs_in_one_process():
+    jobs = _ks_jobs(4, 2)
+    owners = cli._owners(jobs, 2)
+    patterns = [set(), set()]
+    for (_, _, _, key), k in zip(jobs, owners):
+        patterns[k].add(key)
+    assert len(jobs) == 741
+    assert [owners.count(k) for k in (0, 1)] == [375, 366]
+    assert not patterns[0] & patterns[1]
+    assert len(patterns[0]) + len(patterns[1]) == 222
+    # jobs with no key keep the stride: job i goes to process i % W
+    plain = [("demo", str(i), None) for i in range(10)]
+    for cpus in (1, 2, 3):
+        assert cli._owners(plain, cpus) == [i % cpus for i in range(10)]
+
+
+def test_a_split_ks_run_reduces_each_pattern_once(tmp_path, monkeypatch):
+    # every process appends one line per oracle run to one shared file
+    log = tmp_path / "runs"
+    original = ks_calculus.ks_bracket_symbolic
+
+    def counted(w1, w2):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, f"{os.getpid()}\n".encode())
+        os.close(fd)
+        return original(w1, w2)
+    monkeypatch.setattr(ks_calculus, "ks_bracket_symbolic", counted)
+    argv = ["verify", "--suite", "ks", "--n", "4", "--level", "2"]
+    (code, reports), forks = _verify_run(monkeypatch, argv, 2)
+    assert (code, len(reports), forks) == (0, 741, 1)
+    pids = log.read_text().split()
+    assert len(pids) == 222 and len(set(pids)) == 2
+    _assert_no_child()
 
 
 def _plant_pair(monkeypatch, action):
     """Pass the ks suite's constants for one pair, the one at
     _WORKER_CASE, through *action*; return that pair."""
+    assert all(cli._owners(_ks_jobs(3, 1), cpus)[_WORKER_CASE]
+               for cpus in (2, 3))
     bad = _ks_pairs()[_WORKER_CASE]
     real = dn_algebra._pair_bracket
 
@@ -607,6 +655,27 @@ def test_a_garbled_worker_line_is_run_again_here(monkeypatch):
     def garble():  # this worker's own report lines stop parsing
         cli.json = types.SimpleNamespace(dumps=lambda rep: "{garbled")
     _plant_pair(monkeypatch, _worker_only(garble))
+    for cpus in (2, 3):
+        assert _verify_run(monkeypatch, _KS, cpus) == (serial, cpus - 1)
+    _assert_no_child()
+
+
+def test_a_line_cut_before_its_newline_is_run_again_here(monkeypatch):
+    # the worker dies after sending the planted case's JSON, before its
+    # newline: the text parses, but the parent must not relay it
+    serial, _ = _verify_run(monkeypatch, _KS, 1)
+    a, b = _ks_pairs()[_WORKER_CASE]
+    work, dumps = cli._work, json.dumps
+
+    def cut_work(jobs, fd, inherited):
+        def cut(rep):
+            if rep["case"] == f"ks-vs-constants {a}x{b}":
+                os.write(fd, dumps(rep).encode())
+                os._exit(0)
+            return dumps(rep)
+        cli.json = types.SimpleNamespace(dumps=cut)
+        work(jobs, fd, inherited)
+    monkeypatch.setattr(cli, "_work", cut_work)
     for cpus in (2, 3):
         assert _verify_run(monkeypatch, _KS, cpus) == (serial, cpus - 1)
     _assert_no_child()

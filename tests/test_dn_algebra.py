@@ -97,7 +97,7 @@ def _row_views(alg, row):
     reads it, c * G_v for w = u plus c * G_u for w = v."""
     table = dn._table(alg)
     g = [ONE] + [E(gen(*t)) for t in table.triples[1:]]
-    terms = list(zip(row[::4], row[2::4], row[3::4]))
+    terms = [(c, u, v) for c, _, u, v in row]
     partials = {}
     for c, u, v in terms:
         for w, other in ((u, v), (v, u)):

@@ -434,11 +434,11 @@ def test_a_flipped_rule_term_fails_the_ks_suite(rule, monkeypatch,
         return [(-c, *pieces)] + rest
 
     args = argparse.Namespace(n=3, level=1)
-    assert all(run()[0] for _, run in cli._suite_ks(args))
+    assert all(run()[0] for _, run, _ in cli._suite_ks(args))
     original = getattr(ks, rule)
     monkeypatch.setattr(ks, rule, flipped)
     ks._rule.cache_clear()
-    failed = sum(not run()[0] for _, run in cli._suite_ks(args))
+    failed = sum(not run()[0] for _, run, _ in cli._suite_ks(args))
     assert failed > 0
 
 
@@ -450,12 +450,12 @@ def test_a_flipped_wick_matching_fails_the_ks_suite(monkeypatch):
         return ((-sign, pairs), *rest) if size == 4 else original(size)
 
     args = argparse.Namespace(n=3, level=1)
-    assert all(run()[0] for _, run in cli._suite_ks(args))
+    assert all(run()[0] for _, run, _ in cli._suite_ks(args))
     original = ks._matchings
     original.cache_clear()
     monkeypatch.setattr(ks, "_matchings", flipped)
     try:
-        failed = sum(not run()[0] for _, run in cli._suite_ks(args))
+        failed = sum(not run()[0] for _, run, _ in cli._suite_ks(args))
     finally:
         original.cache_clear()  # larger sizes were built from the flip
     assert failed > 0
@@ -483,7 +483,7 @@ def test_the_ks_suite_runs_the_oracle_once_per_pattern(n, level, patterns,
     original = ks.ks_bracket_symbolic
     monkeypatch.setattr(ks, "ks_bracket_symbolic", counted)
     cases = cli._suite_ks(argparse.Namespace(n=n, level=level))
-    assert all(run()[0] for _, run in cases)
+    assert all(run()[0] for _, run, _ in cases)
     assert len(calls) == patterns
 
 
@@ -513,7 +513,7 @@ def _first_seen(a, b):
 def test_a_wrong_pattern_memo_fails_the_ks_suite(mutant, pairs, monkeypatch):
     # each mutant gets some of the 78 pairs wrong, and the suite says so
     args = argparse.Namespace(n=3, level=1)
-    assert all(run()[0] for _, run in cli._suite_ks(args))
+    assert all(run()[0] for _, run, _ in cli._suite_ks(args))
     if mutant == "identity rename":
         monkeypatch.setattr(Expr, "rename", lambda self, names: self)
     elif mutant == "key without levels":
@@ -522,7 +522,7 @@ def test_a_wrong_pattern_memo_fails_the_ks_suite(mutant, pairs, monkeypatch):
                             lambda a, b, memo: original(a, b, blind))
     else:
         monkeypatch.setattr(ks, "_ranked", _first_seen)
-    failed = sum(not run()[0] for _, run in cli._suite_ks(args))
+    failed = sum(not run()[0] for _, run, _ in cli._suite_ks(args))
     assert failed == pairs
 
 
