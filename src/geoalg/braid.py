@@ -297,28 +297,19 @@ def act_Dn(b: BraidGen, fam: dict, n: int) -> dict:
     g = f[i, ip]
     out = dict(f)
     others = [k for k in range(1, n + 1) if k not in (i, ip)]
-    if not b.inverse:
-        for k in others:
-            out[ip, k] = f[i, k]
-            out[i, k] = f[i, k] * g - f[ip, k]
-            out[k, ip] = f[k, i]
-            out[k, i] = f[k, i] * g - f[k, ip]
-        out[i, ip] = g
-        out[ip, ip] = f[i, i]
-        out[i, i] = f[i, i] * g - f[ip, ip]
-        out[ip, i] = (f[ip, i] + f[i, ip] * f[i, i] * f[i, i]
-                      - const(2) * f[i, i] * f[ip, ip])
-    else:
-        for k in others:
-            out[i, k] = f[ip, k]
-            out[ip, k] = f[ip, k] * g - f[i, k]
-            out[k, i] = f[k, ip]
-            out[k, ip] = f[k, ip] * g - f[k, i]
-        out[i, ip] = g
-        out[i, i] = f[ip, ip]
-        out[ip, ip] = f[ip, ip] * g - f[i, i]
-        out[ip, i] = (f[ip, i] + f[i, ip] * f[ip, ip] * f[ip, ip]
-                      - const(2) * f[ip, ip] * f[i, i])
+    # the inverse is the forward action with the two points' roles swapped,
+    # save for the pair entries out[i, ip] and out[ip, i]
+    a, c = (ip, i) if b.inverse else (i, ip)
+    for k in others:
+        out[c, k] = f[a, k]
+        out[a, k] = f[a, k] * g - f[c, k]
+        out[k, c] = f[k, a]
+        out[k, a] = f[k, a] * g - f[k, c]
+    out[i, ip] = g
+    out[c, c] = f[a, a]
+    out[a, a] = f[a, a] * g - f[c, c]
+    out[ip, i] = (f[ip, i] + g * f[a, a] * f[a, a]
+                  - const(2) * f[a, a] * f[c, c])
     return out
 
 

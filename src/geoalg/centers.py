@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import prod
 
 from .poly_core import (Mat, E, ZERO, ONE, const, dot, gen, ghat,
-                        parse_gen, rational_rank)
+                        rational_rank)
 from .dn_algebra import dnp_algebra, bracket
 from .reductions import build_Gp
 from . import braid as _braid
@@ -166,26 +166,6 @@ def centers_Dn(n: int) -> CenterSet:
         if quo.get(1 - i, ZERO) != sign * cs[i - 1]:
             raise ValueError("palindromic symmetry violated")
     return CenterSet("D", cs, {"n": n})
-
-
-def match_printed_casimirs(computed, printed, rng=None) -> dict:
-    """Fit computed = alpha * printed + beta (alpha, beta rational) on
-    random points, then assert the relation exactly; returns the fits."""
-    rng = rng or random.Random(7)
-    fits = []
-    for c, ref in zip(computed, printed):
-        symbols = sorted(c.symbols() | ref.symbols())
-        p1 = _random_point(symbols, rng)
-        p2 = _random_point(symbols, rng)
-        c1, c2 = c.at(p1), c.at(p2)
-        r1, r2 = ref.at(p1), ref.at(p2)
-        if r1 == r2:
-            raise ValueError("degenerate sample; reseed")
-        alpha = (c1 - c2) / (r1 - r2)
-        beta = c1 - alpha * r1
-        exact = (c - const(alpha) * ref - const(beta)).is_zero()
-        fits.append({"alpha": alpha, "beta": beta, "exact": exact})
-    return {"fits": fits, "ok": all(f["exact"] for f in fits)}
 
 
 def printed_d2_casimirs():
@@ -351,9 +331,7 @@ def _dnp_substitution(b, n: int, p: int, cap: int) -> dict:
     """Braid substitution folded to canonical level-p symbols."""
     alg = dnp_algebra(n, p)
     raw = _braid.frakDn_substitution(b, n, max(cap, p + 2))
-    return {s: raw[s].subst({x: alg.canonical(*t) for x in raw[s].symbols()
-                             if (t := parse_gen(x))})
-            for s in generator_symbols(alg)}
+    return {s: alg.storage_form(raw[s]) for s in generator_symbols(alg)}
 
 
 def vicinity_rank(n: int) -> dict:

@@ -452,9 +452,13 @@ def _suite_frobenius(args):
         return ok, "block/product/mirror identities", "all exact"
 
     cases.append(("monodromy identities", matrix_identities))
+
+    def all_ones(m):
+        rep = frobenius.all_ones_report(m)
+        return _bool_case(rep["char_poly_ok"] and all(rep["level_p"].values()))
+
     for m in (2, 3):
-        cases.append((f"all-ones tail m={m}", lambda m=m: _bool_case(
-            frobenius.all_ones_report(m)["char_poly_ok"])))
+        cases.append((f"all-ones tail m={m}", lambda m=m: all_ones(m)))
     cases.append(("bracket realization", lambda: _bool_case(
         frobenius.realization_suite(3, seed=seed)["ok"])))
 
@@ -539,7 +543,7 @@ def cmd_bracket(args) -> int:
         if a is None or b is None:
             status, right = "skipped", "oracle needs single-generator operands"
         elif args.oracle == "ks":
-            right = _in_algebra(alg, ks_calculus.generator_bracket(a, b, {}))
+            right = alg.storage_form(ks_calculus.generator_bracket(a, b, {}))
             status = "pass" if right == result else "fail"
         elif args.oracle == "goldman":
             n = alg.n
@@ -555,14 +559,6 @@ def cmd_bracket(args) -> int:
     case = f"{{{args.exprs[0]}, {args.exprs[1]}}}"
     return _emit([clock.report("bracket", case, result, right, status)],
                  args.format)
-
-
-def _in_algebra(alg, e: Expr) -> Expr:
-    """*e* with every generator in *alg*'s storage form: the trace
-    oracle indexes generators freely, and the period relation of `dnp`
-    folds its levels (G[3,2,1] is G[2,3,1] at period 2)."""
-    return e.subst({name: alg.canonical(*idx) for name in e.symbols()
-                    if (idx := parse_gen(name))})
 
 
 def _single_generator(e: Expr):

@@ -84,6 +84,14 @@ class GenAlgebra:
         factor, x = table.canonical(i, j, k)
         return const(factor) if x is None else E(gen(*table.triples[x]))
 
+    def storage_form(self, e: Expr) -> Expr:
+        """*e* with every generator symbol in canonical storage form: the
+        trace oracle and the braid substitutions index generators freely,
+        and the period relation of `Dp` folds their levels (G[3,2,1] is
+        G[2,3,1] at period 2)."""
+        return e.subst({name: self.canonical(*idx) for name in e.symbols()
+                        if (idx := parse_gen(name))})
+
 
 def an_algebra(n: int) -> GenAlgebra:
     return GenAlgebra(n, FLAVOR_A)

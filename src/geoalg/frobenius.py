@@ -9,7 +9,8 @@ which realize the monodromies of an n-dimensional Fuchsian system.  The
 product of a trailing run of reflections M_h = M_nt ... M_n plays the role
 of the clashed-hole monodromy: it has a block structure with an identity
 head and the tail -St^{-1} St^T built from the trailing principal Stokes
-block St, and it intertwines G via G M_h = M_h^{-T} G.  The family
+block St, and it intertwines G via G M_h = M_h^{-T} G.  Every exact
+identity here reads its powers from clash_monodromy(s, nt, k).  The family
 
     G^{(k)} = G M_h^k
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -121,60 +123,37 @@ def random_stokes(n: int, rng) -> StokesMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _reflection(g: Mat, k: int) -> Mat:
-    """M_k = 1 - E_k G (1-based k)."""
-    n = g.shape[0]
-    return Mat([[(ONE if i == j else ZERO) - (g[i, j] if i == k - 1 else ZERO)
-                 for j in range(n)] for i in range(n)])
-
-
-def monodromy_from_stokes(s: StokesMatrix, k: int) -> Mat:
-    """M_k = 1 - E_k (S + S^T); an involutive reflection (1-based k)."""
-    if not 1 <= k <= s.n:
-        raise ValueError(f"index {k} out of range 1..{s.n}")
-    return _reflection(s.symmetrization(), k)
-
-
 def monodromies(s: StokesMatrix):
-    """M_1, ..., M_n, all from one G = S + S^T."""
+    """M_1, ..., M_n, each M_k = 1 - E_k G an involutive reflection, all
+    from one G = S + S^T."""
     g = s.symmetrization()
-    return [_reflection(g, k) for k in range(1, s.n + 1)]
+    n = s.n
+    return [Mat([[(ONE if i == j else ZERO) - (g[i, j] if i == k else ZERO)
+                  for j in range(n)] for i in range(n)]) for k in range(n)]
 
 
 def reflection_check(s: StokesMatrix, k: int) -> bool:
-    """M_k^2 = 1 exactly (the diagonal of G is 2)."""
-    m = monodromy_from_stokes(s, k)
+    """M_k^2 = 1 exactly (the diagonal of G is 2); k is 1-based."""
+    if not 1 <= k <= s.n:
+        raise ValueError(f"index {k} out of range 1..{s.n}")
+    m = monodromies(s)[k - 1]
     return m * m == Mat.identity(s.n)
 
 
 def product_identity(s: StokesMatrix) -> bool:
     """S M_1 M_2 ... M_n = -S^T."""
-    return _product(monodromies(s), s.mat) == s.mat.transpose().scale(
+    return prod(monodromies(s), start=s.mat) == s.mat.transpose().scale(
         const(-1))
 
 
-def _product(mats, start: Mat) -> Mat:
-    """start * mats[0] * mats[1] * ..."""
-    for m in mats:
-        start = start * m
-    return start
-
-
-def _trailing(s: StokesMatrix, nt: int):
-    """The reflections M_nt, ..., M_n."""
-    if nt < 1:
-        raise ValueError(f"index {nt} out of range 1..{s.n}")
-    return monodromies(s)[nt - 1:]
-
-
-def clash_monodromy(s: StokesMatrix, nt: int) -> Mat:
-    """M_h = M_nt M_{nt+1} ... M_n."""
-    return _product(_trailing(s, nt), Mat.identity(s.n))
-
-
-def clash_monodromy_inverse(s: StokesMatrix, nt: int) -> Mat:
-    """M_h^{-1} = M_n ... M_nt (each factor is an involution)."""
-    return _product(_trailing(s, nt)[::-1], Mat.identity(s.n))
+def clash_monodromy(s: StokesMatrix, nt: int, k: int) -> Mat:
+    """M_h^k for M_h = M_nt M_{nt+1} ... M_n and any integer k; each factor
+    is an involution, so M_h^{-1} = M_n ... M_nt."""
+    if not 1 <= nt <= s.n:
+        raise ValueError(f"clash start {nt} out of range 1..{s.n}")
+    ms = monodromies(s)[nt - 1:]
+    step = prod(ms if k >= 0 else ms[::-1], start=Mat.identity(s.n))
+    return prod([step] * abs(k), start=Mat.identity(s.n))
 
 
 def tail_matrix(st: StokesMatrix) -> Mat:
@@ -184,9 +163,6 @@ def tail_matrix(st: StokesMatrix) -> Mat:
 
 @dataclass(frozen=True)
 class ClashReport:
-    mh: Mat
-    b_block: Mat
-    tail: Mat
     head_identity_ok: bool
     zero_block_ok: bool
     tail_ok: bool
@@ -201,23 +177,18 @@ class ClashReport:
 def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
     """Block structure of M_h: identity head, tail -St^{-1} St^T, and the
     intertwining G M_h = M_h^{-T} G."""
+    mh = clash_monodromy(s, nt, 1)
     n = s.n
-    if not 1 <= nt <= n:
-        raise ValueError(f"clash start {nt} out of range 1..{n}")
-    mh = clash_monodromy(s, nt)
     h = nt - 1  # head size
     head_ok = all(mh[i, j] == (ONE if i == j else ZERO)
                   for i in range(h) for j in range(h))
     zero_ok = all(mh[i, j].is_zero() for i in range(h) for j in range(h, n))
-    b_block = (Mat([[mh[i, j] for j in range(h)] for i in range(h, n)])
-               if h else None)
     lower = Mat([[mh[i, j] for j in range(h, n)] for i in range(h, n)])
-    tail = tail_matrix(s.trailing_block(nt))
-    tail_ok = lower == tail
+    tail_ok = lower == tail_matrix(s.trailing_block(nt))
     g = s.symmetrization()
-    mh_inv_t = clash_monodromy_inverse(s, nt).transpose()
+    mh_inv_t = clash_monodromy(s, nt, -1).transpose()
     inter_ok = g * mh == mh_inv_t * g
-    return ClashReport(mh, b_block, tail, head_ok, zero_ok, tail_ok, inter_ok)
+    return ClashReport(head_ok, zero_ok, tail_ok, inter_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +197,8 @@ def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
 
 
 def gk_family(s: StokesMatrix, nt: int, k: int) -> Mat:
-    """G^{(k)} = G M_h^k; negative k uses the reversed reflection product."""
-    ms = _trailing(s, nt)
-    step = _product(ms if k >= 0 else ms[::-1], Mat.identity(s.n))
-    return _product([step] * abs(k), s.symmetrization())
+    """G^{(k)} = G M_h^k, M_h^k = clash_monodromy(s, nt, k)."""
+    return s.symmetrization() * clash_monodromy(s, nt, k)
 
 
 def gk_mirror_check(s: StokesMatrix, nt: int, k: int) -> bool:
@@ -290,11 +259,8 @@ def level_p_condition(st: StokesMatrix, p: int) -> dict:
                 row.append(st.mat[i - head, j - head])
         rows.append(row)
     full = StokesMatrix(Mat(rows))
-    mh = clash_monodromy(full, head + 1)
-    acc = Mat.identity(n)
-    for _ in range(p):
-        acc = acc * mh
-    report["full_period"] = acc == Mat.identity(n)
+    report["full_period"] = (clash_monodromy(full, head + 1, p)
+                             == Mat.identity(n))
     return report
 
 
@@ -322,6 +288,8 @@ def all_ones_report(m: int) -> dict:
 
 
 REALIZATION_FACTOR = Fraction(1, 4)
+# relative: see realization_check
+REALIZATION_TOL = 1e-9
 
 
 def _trace_family(gens, nt: int):
@@ -366,9 +334,9 @@ def _gk_values(g, nt: int, rank: int, top: int) -> dict:
     return out
 
 
-def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
-                      tol: float = 1e-9) -> dict:
-    """Brackets of G^{(k)}_{i,j} vs 1/4 x level-graded structure constants.
+def realization_check(s: StokesMatrix, rank: int) -> dict:
+    """Brackets of G^{(k)}_{i,j} vs 1/4 x level-graded structure constants,
+    for the generators of levels 0 and 1.
 
     The first *rank* indices survive as marked points; the trailing block
     of size n - rank is clashed into the hole (nt = rank + 1).  The exact
@@ -380,8 +348,8 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
     structure-constant table, v the exact G^{(k)} values as floats.  The
     verdict is this float check.
 
-    The gate is relative: a pair passes when |lhs - rhs| <= tol *
-    max(1, |lhs|, |rhs|).  Float rounding in the products of n x n
+    The gate is relative: a pair passes when |lhs - rhs| <= REALIZATION_TOL
+    * max(1, |lhs|, |rhs|).  Float rounding in the products of n x n
     matrices grows with their entries, and the generator values reach
     thousands at some rational points, so an absolute tolerance fails
     there although the identity holds.  max_deviation is the largest
@@ -392,10 +360,10 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
         raise ValueError("rank must leave a nonempty trailing block")
     nt = rank + 1
     alg = dn_algebra(rank)
-    gens = generator_tuples(rank, levels)
+    gens = generator_tuples(rank, 1)
     pairs = [(a, b) for idx, a in enumerate(gens) for b in gens[idx:]]
     g = [[x.as_rational() for x in row] for row in s.symmetrization().rows]
-    exact = _gk_values(g, nt, rank, 2 * levels)
+    exact = _gk_values(g, nt, rank, 2)  # level-1 brackets reach level 2
     if any(v == 0 for v in exact.values()):
         raise ValueError("degenerate point: a generator value vanishes")
     index = {x: p for p, x in enumerate(
@@ -414,7 +382,8 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
         rhs = factor * sum(c * values[u] * values[v] for c, _, u, v in t)
         lhs = float(brackets[index[a], index[b]]) / (4 * floats[a] * floats[b])
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    return {"pairs": len(pairs), "max_deviation": worst, "ok": worst <= tol}
+    return {"pairs": len(pairs), "max_deviation": worst,
+            "ok": worst <= REALIZATION_TOL}
 
 
 # Degenerate draws are rare (about one in ten), so a suite that needs more
@@ -422,12 +391,11 @@ def realization_check(s: StokesMatrix, rank: int, levels: int = 1,
 DRAWS_PER_TRIAL = 10
 
 
-def realization_suite(trials: int, rank: int = 3, clash: int = 2,
-                      levels: int = 1, tol: float = 1e-9,
-                      seed: int = 0) -> dict:
-    """Run realization_check at random rational points (resampling the rare
-    degenerate draws, at most DRAWS_PER_TRIAL * trials draws in all) and
-    aggregate the worst deviation."""
+def realization_suite(trials: int, seed: int) -> dict:
+    """Run realization_check at random rational 5 x 5 Stokes points, rank 3
+    with a clashed block of 2 (resampling the rare degenerate draws, at most
+    DRAWS_PER_TRIAL * trials draws in all), and aggregate the worst
+    deviation."""
     import random
 
     rng = random.Random(seed)
@@ -436,9 +404,9 @@ def realization_suite(trials: int, rank: int = 3, clash: int = 2,
     for _ in range(DRAWS_PER_TRIAL * trials):
         if done == trials:
             break
-        s = random_stokes(rank + clash, rng)
+        s = random_stokes(5, rng)
         try:
-            rep = realization_check(s, rank, levels=levels, tol=tol)
+            rep = realization_check(s, 3)
         except ValueError as exc:
             rejected = exc
             continue
@@ -447,7 +415,8 @@ def realization_suite(trials: int, rank: int = 3, clash: int = 2,
     if done < trials:
         raise ValueError(f"only {done} of {trials} Stokes points were usable "
                          f"in {DRAWS_PER_TRIAL * trials} draws ({rejected})")
-    return {"trials": done, "max_deviation": worst, "ok": worst <= tol}
+    return {"trials": done, "max_deviation": worst,
+            "ok": worst <= REALIZATION_TOL}
 
 
 # ---------------------------------------------------------------------------

@@ -234,8 +234,7 @@ def test_stokes_special_points():
 
 
 def test_realization_50_points():
-    rep = frobenius.realization_suite(50, rank=3, clash=2, levels=1,
-                                      tol=1e-9, seed=2024)
+    rep = frobenius.realization_suite(50, seed=2024)
     assert rep["trials"] == 50
     assert rep["ok"], rep["max_deviation"]
 

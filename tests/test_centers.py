@@ -4,7 +4,7 @@ import pytest
 
 from geoalg import braid, centers
 from geoalg.dn_algebra import an_algebra, dnp_algebra
-from geoalg.poly_core import E, ghat
+from geoalg.poly_core import E
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -102,11 +102,3 @@ def test_rational_rank():
     assert centers.rational_rank([[1, 2], [2, 4]]) == 1
     assert centers.rational_rank([[1, 0], [0, 1]]) == 2
     assert centers.rational_rank([[0, 0]]) == 0
-
-
-def test_match_printed_casimirs_detects_affine_fit():
-    g = E(ghat(1, 1))
-    rep = centers.match_printed_casimirs([2 * g + E(ghat(1, 2))],
-                                         [g + E(ghat(1, 2)) / 2])
-    assert rep["fits"][0]["alpha"] == 2
-    assert rep["ok"]

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geoalg import centers, cli, dn_algebra, ks_calculus
+from geoalg import centers, cli, dn_algebra, frobenius, ks_calculus
 from geoalg.cli import main
 from geoalg.poly_core import E, Expr, ZERO
 
@@ -62,6 +62,20 @@ def test_verify_frobenius_seed5_passes(capsys):
     # generator values reach thousands at this seed's first Stokes point
     assert main(["verify", "--suite", "frobenius", "--seed", "5"]) == 0
     assert all(r["status"] == "pass" for r in _json_lines(capsys))
+
+
+def test_verify_frobenius_gates_on_the_level_p_period(monkeypatch, capsys):
+    # the all-ones cases read every level_p verdict, not only the
+    # characteristic polynomial: with the full period of the symbolic head
+    # taken to p - 1 they fail (only level_p_condition asks for M_h^k with
+    # k >= 3, at p = 3 and 4)
+    clash = frobenius.clash_monodromy
+    monkeypatch.setattr(frobenius, "clash_monodromy", lambda s, nt, k: clash(
+        s, nt, k - 1 if k >= 3 else k))
+    assert main(["verify", "--suite", "frobenius"]) == 1
+    assert [r["case"] for r in _json_lines(capsys)
+            if r["status"] == "fail"] == ["all-ones tail m=2",
+                                          "all-ones tail m=3"]
 
 
 def test_verify_braid_text_format(capsys):
@@ -348,9 +362,10 @@ def test_bracket_trace_oracle_folds_the_period(capsys):
 
 
 def test_bracket_trace_oracle_fails_the_wrong_period(monkeypatch, capsys):
-    fold = cli._in_algebra
-    monkeypatch.setattr(cli, "_in_algebra", lambda alg, e: fold(
-        dn_algebra.dnp_algebra(alg.n, alg.period + 1), e))
+    fold = dn_algebra.GenAlgebra.storage_form
+    monkeypatch.setattr(dn_algebra.GenAlgebra, "storage_form",
+                        lambda alg, e: fold(
+                            dn_algebra.dnp_algebra(alg.n, alg.period + 1), e))
     assert main(["bracket", "--alg", "dnp", "--p", "2", "--n", "3",
                  "--oracle", "ks", "G[1,2,1]", "G[1,3,0]"]) == 1
     assert _json_lines(capsys)[0]["status"] == "fail"

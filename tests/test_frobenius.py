@@ -33,7 +33,7 @@ def test_product_identity_random():
 def test_index_validation():
     s = _rand(3)
     with pytest.raises(ValueError):
-        fro.monodromy_from_stokes(s, 0)
+        fro.reflection_check(s, 0)
     with pytest.raises(ValueError):
         fro.clash_block(s, s.n + 1)
 
@@ -51,8 +51,9 @@ def test_clash_block_symbolic():
 
 def test_clash_inverse():
     s = _rand(5)
-    m = fro.clash_monodromy(s, 2) * fro.clash_monodromy_inverse(s, 2)
-    assert m == Mat.identity(s.n)
+    for k in (1, 2, 3):
+        m = fro.clash_monodromy(s, 2, k) * fro.clash_monodromy(s, 2, -k)
+        assert m == Mat.identity(s.n), k
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -99,7 +100,7 @@ def test_realization_factor_value():
 
 
 def test_realization_at_random_points():
-    rep = fro.realization_suite(3, rank=3, clash=2, levels=1, seed=11)
+    rep = fro.realization_suite(3, seed=11)
     assert rep["ok"], rep
 
 

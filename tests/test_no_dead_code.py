@@ -20,7 +20,6 @@ CLAIM_CHECKS = {
     "braid.combination_transform_check",
     "centers.d2_pfaffian_identity",
     "centers.dn_diagonal_specialization",
-    "centers.match_printed_casimirs",
     "centers.vicinity_rank",
     "dn_algebra.quantum_r_expansion",
     "fatgraph.clashed_hole_coords",

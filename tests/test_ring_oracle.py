@@ -145,23 +145,17 @@ def test_as_rational_is_always_a_fraction():
     assert a / b == Fraction(2, 3)
 
 
-class _IntegerPoints(random.Random):
-    """`centers._random_point` draws each denominator as randint(1, 7);
-    pin those draws to 1 so that every sample point is integral."""
-
-    def randint(self, a, b):
-        return 1 if a == 1 else super().randint(a, b)
-
-
 def test_casimir_fit_exact_at_integer_points():
     p = parse("G[1,2,0] G[2,3,0] + G[1,3,0]")
-    # at integer points both sides take integer values, and the slope 2/3
-    # must come out as a Fraction for the fit to be exact
-    rep = centers.match_printed_casimirs([2 * p + 5], [3 * p],
-                                         rng=_IntegerPoints(3))
-    (fit,) = rep["fits"]
-    assert rep["ok"] and fit["exact"]
-    assert fit["alpha"] == Fraction(2, 3) and fit["beta"] == 5
+    # at integer points `at` still hands back Fractions, so a slope fitted
+    # between two samples (2/3 here) is exact, not a float quotient of ints
+    pts = [{"G[1,2,0]": 1, "G[2,3,0]": 2, "G[1,3,0]": 3},
+           {"G[1,2,0]": 4, "G[2,3,0]": -1, "G[1,3,0]": 2}]
+    c1, c2 = ((2 * p + 5).at(pt) for pt in pts)
+    r1, r2 = ((3 * p).at(pt) for pt in pts)
+    assert all(type(v) is Fraction for v in (c1, c2, r1, r2))
+    assert (c1 - c2) / (r1 - r2) == Fraction(2, 3)
+    assert c1 - Fraction(2, 3) * r1 == 5
 
 
 @settings(max_examples=80, deadline=None)
