@@ -57,12 +57,14 @@ def wrap(inverse: bool = False) -> BraidGen:
 
 def _points(b: BraidGen, n: int):
     """(i, ip, s) of the forward generator: adjacent(i) is (i, i+1, 0),
-    the wrap is (n, 1, 1)."""
+    the wrap is (n, 1, 1), which needs two distinct points (n >= 2)."""
     if b.kind == ADJ:
         if not 1 <= b.i <= n - 1:
             raise ValueError(f"adjacent index {b.i} out of range for n={n}")
         return b.i, b.i + 1, 0
     if b.kind == WRAP:
+        if n < 2:
+            raise ValueError(f"the wrap needs n >= 2, not n={n}")
         return n, 1, 1
     raise ValueError(f"unknown braid kind {b.kind!r}")
 

@@ -332,26 +332,3 @@ def _dnp_substitution(b, n: int, p: int, cap: int) -> dict:
     alg = dnp_algebra(n, p)
     raw = _braid.frakDn_substitution(b, n, max(cap, p + 2))
     return {s: alg.storage_form(raw[s]) for s in generator_symbols(alg)}
-
-
-def vicinity_rank(n: int) -> dict:
-    """Leading-order bracket matrix on the off-diagonal coordinates at a
-    point with vanishing off-diagonal entries and pairwise distinct
-    squared diagonal values: {Ghat_ij, Ghat_ji} = 2 Ghat_jj^2
-    - 2 Ghat_ii^2 and all other off-diagonal pairs commute.  Full rank
-    n(n-1) bounds the number of Casimirs by n."""
-    rng = random.Random(0)
-    vals = []
-    while len(vals) < n:
-        v = Fraction(rng.randint(1, 50), rng.randint(1, 7))
-        if all(v * v != w * w for w in vals):
-            vals.append(v)
-    coords = [(i, j) for i in range(1, n + 1)
-              for j in range(1, n + 1) if i != j]
-    size = len(coords)
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for a, (i, j) in enumerate(coords):
-        bpos = coords.index((j, i))
-        m[a][bpos] = 2 * vals[j - 1] ** 2 - 2 * vals[i - 1] ** 2
-    rank = rational_rank(m)
-    return {"n": n, "rank": rank, "full": rank == n * (n - 1)}

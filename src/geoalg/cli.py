@@ -57,7 +57,7 @@ from fractions import Fraction
 from . import braid as braid_mod
 from . import centers as centers_mod
 from . import dn_algebra, fatgraph, frobenius, ks_calculus, reductions
-from .poly_core import Expr, _mono_sort_key, const, parse, parse_gen
+from .poly_core import Expr, _mono_sort_key, const, gen, parse, parse_gen
 
 _BRAID_TOKEN = re.compile(
     r"b(?:(?P<n1>n1)|(?P<i>[0-9]+),(?P<j>[0-9]+)|(?P<i1>[0-9])(?P<j1>[0-9]))")
@@ -261,15 +261,12 @@ def _suite_goldman(args):
     n = _given(args.n, 4)
     graph = fatgraph.canonical_disc_graph(n)
     alg = dn_algebra.an_algebra(n)
-    geo = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            geo[f"G[{i},{j},0]"] = fatgraph.geodesic_function(n, i, j)
+    geo = fatgraph.geodesic_functions(n)
     cases = [("perimeter", lambda: _bool_case(fatgraph.perimeter_identity(n)))]
     fields = {}  # geodesic -> its shear gradient and Hamiltonian field
 
     def field(i, j):
-        name = f"G[{i},{j},0]"
+        name = gen(i, j, 0)
         if name not in fields:
             grad = fatgraph.shear_gradient(geo[name], graph)
             fields[name] = grad, fatgraph.hamiltonian_field(grad, graph)
@@ -546,10 +543,8 @@ def cmd_bracket(args) -> int:
             right = alg.storage_form(ks_calculus.generator_bracket(a, b, {}))
             status = "pass" if right == result else "fail"
         elif args.oracle == "goldman":
-            n = alg.n
-            geo = {f"G[{i},{j},0]": fatgraph.geodesic_function(n, i, j)
-                   for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-            graph = fatgraph.canonical_disc_graph(n)
+            geo = fatgraph.geodesic_functions(alg.n)
+            graph = fatgraph.canonical_disc_graph(alg.n)
             lhs = fatgraph.goldman_bracket(
                 alg.canonical(*a).subst(geo), alg.canonical(*b).subst(geo),
                 graph)

@@ -344,7 +344,7 @@ def _reflection_tables(alg: GenAlgebra, order: int):
         {(a, b, c): side(tt[a, b], glam[a, c]) for a, b, c in abc})
 
 
-def generating_bracket(alg: GenAlgebra, ji, pl, order: int, tables=None):
+def generating_bracket(alg: GenAlgebra, ji, pl, order: int, tables):
     """Both sides of the generating-function bracket identity.
 
     Left: {Gcal_{j,i}(lam), Gcal_{p,l}(mu)} by Leibniz from the structure
@@ -360,8 +360,7 @@ def generating_bracket(alg: GenAlgebra, ji, pl, order: int, tables=None):
     in lam) with their Gcal(mu), cut in mu.  *tables* is
     _reflection_tables(alg, order), built once for many entries.
     """
-    glam, gmu, gmu2, (s1, s2, s3, s4) = (tables
-                                         or _reflection_tables(alg, order))
+    glam, gmu, gmu2, (s1, s2, s3, s4) = tables
     j, i = ji
     p, l = pl
     lhs = bracket(alg, glam[j, i], gmu[p, l])
@@ -393,36 +392,6 @@ def semiclassical_reflection_check(alg: GenAlgebra, order: int):
             mismatches.append(((j, i), (p, l), lhs, rhs))
     return {"checked": checked, "mismatches": mismatches,
             "ok": not mismatches, "printed_orientation_sign": -1}
-
-
-def quantum_r_expansion(n: int):
-    """Exact hbar-expansion of the quantum R-matrix at q = -exp(i pi hbar).
-
-    Returns (h0, h1): dicts {((i,al),(j,be)): Expr in lam, mu} with the
-    order-0 term and the coefficient of (i pi hbar).  h1 is the classical
-    r-matrix; note the order-0 term is (lam - mu) on the off-diagonal
-    tensor part but -(lam - mu) on the diagonal E_ii (x) E_ii part
-    (q -> -1 makes q^-1 lam - q mu -> -(lam - mu)).
-    """
-    lam, mu = E("lam"), E("mu")
-    h0 = {}
-    h1 = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                h0[((i, j), (i, j))] = lam - mu
-            else:
-                # q^-1 lam - q mu at q=-e^{i pi hbar}:
-                #   order 0: -(lam-mu); order (i pi hbar): lam + mu
-                h0[((i, i), (i, i))] = -(lam - mu)
-                h1[((i, i), (i, i))] = lam + mu
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < j:
-                h1[((i, j), (j, i))] = const(2) * lam
-            elif i > j:
-                h1[((i, j), (j, i))] = const(2) * mu
-    return h0, h1
 
 
 def classical_r_matrix(n: int):

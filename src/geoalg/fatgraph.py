@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot
+from .poly_core import Expr, Mat, E, ZERO, ONE, const, dot, gen
 
 HALF = Fraction(1, 2)
 
@@ -67,19 +67,6 @@ class Mat2Word:
         if self.sign < 0:
             m = -m
         return m
-
-    def inverse(self) -> "Mat2Word":
-        # Letterwise: X^-1 = -X, R^-1 = -L, L^-1 = -R, F^-1 = -F.
-        inv = {"R": "L", "L": "R", "F": "F"}
-        out = []
-        sign = self.sign
-        for letter in reversed(self.letters):
-            if isinstance(letter, str):
-                out.append(inv[letter])
-            else:
-                out.append(letter)
-            sign = -sign
-        return Mat2Word(tuple(out), sign)
 
 
 @dataclass(frozen=True)
@@ -158,6 +145,12 @@ def geodesic_function(n: int, i: int, j: int) -> Expr:
     return -(words[i - 1].evaluate() * words[j - 1].evaluate()).trace()
 
 
+def geodesic_functions(n: int) -> dict:
+    """{gen(i, j, 0): geodesic_function(n, i, j)} for 1 <= i < j <= n."""
+    return {gen(i, j, 0): geodesic_function(n, i, j)
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+
+
 def shear_gradient(f: Expr, graph: FatGraph) -> dict:
     """d f / d X for every edge X of *graph* (X a shear coordinate, taken
     through its half-variable), keyed by half-variable; *f* may hold no
@@ -167,7 +160,8 @@ def shear_gradient(f: Expr, graph: FatGraph) -> dict:
     if foreign:
         raise ValueError(f"foreign variables {sorted(foreign)} for this graph")
     # d/dX in terms of u = e^{X/2}:  (u/2) df/du
-    return {v: f.diff(v) * E(v) * const(HALF) for v in allowed}
+    grad = f.gradient()
+    return {v: grad.get(v, ZERO) * E(v) * const(HALF) for v in allowed}
 
 
 def hamiltonian_field(dg: dict, graph: FatGraph) -> dict:
@@ -214,13 +208,6 @@ def perimeter_identity(n: int) -> bool:
     if (n - 1) % 2 == 1:
         rhs = -rhs
     return inv_trace == rhs
-
-
-def skein_check(a: Mat2Word, b: Mat2Word) -> bool:
-    """Tr A Tr B = Tr(AB) + Tr(AB^-1), exactly on the evaluated matrices."""
-    ma, mb = a.evaluate(), b.evaluate()
-    mb_inv = b.inverse().evaluate()
-    return ma.trace() * mb.trace() == (ma * mb).trace() + (ma * mb_inv).trace()
 
 
 def _reduce_quadratic(e: Expr, var: str, csum: Expr) -> Expr:

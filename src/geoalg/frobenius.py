@@ -176,7 +176,13 @@ class ClashReport:
 
 def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
     """Block structure of M_h: identity head, tail -St^{-1} St^T, and the
-    intertwining G M_h = M_h^{-T} G."""
+    intertwining G M_h = M_h^{-T} G.
+
+    G M_h = (M_n ... M_nt)^T G holds for any symmetric G, as G M_k =
+    M_k^T G for each factor.  The reversed product is M_h^{-1} only when
+    every M_k is an involution, so the intertwining verdict also requires
+    M_h M_n ... M_nt = 1.
+    """
     mh = clash_monodromy(s, nt, 1)
     n = s.n
     h = nt - 1  # head size
@@ -186,8 +192,9 @@ def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
     lower = Mat([[mh[i, j] for j in range(h, n)] for i in range(h, n)])
     tail_ok = lower == tail_matrix(s.trailing_block(nt))
     g = s.symmetrization()
-    mh_inv_t = clash_monodromy(s, nt, -1).transpose()
-    inter_ok = g * mh == mh_inv_t * g
+    mh_inv = clash_monodromy(s, nt, -1)
+    inter_ok = (mh * mh_inv == Mat.identity(n)
+                and g * mh == mh_inv.transpose() * g)
     return ClashReport(head_ok, zero_ok, tail_ok, inter_ok)
 
 
@@ -245,20 +252,9 @@ def level_p_condition(st: StokesMatrix, p: int) -> dict:
     # the head entries, not an accident of special values
     head = 2
     n = head + m
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(ONE)
-            elif i > j:
-                row.append(ZERO)
-            elif i < head:
-                row.append(E(f"b_{i + 1}_{j + 1}"))
-            else:
-                row.append(st.mat[i - head, j - head])
-        rows.append(row)
-    full = StokesMatrix(Mat(rows))
+    tail_entries = {f"s_{head + i + 1}_{head + j + 1}": st.mat[i, j]
+                    for i in range(m) for j in range(i + 1, m)}
+    full = StokesMatrix(StokesMatrix.symbolic(n).mat.subst(tail_entries))
     report["full_period"] = (clash_monodromy(full, head + 1, p)
                              == Mat.identity(n))
     return report

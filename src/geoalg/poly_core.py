@@ -315,8 +315,8 @@ class Expr:
     # -- calculus ---------------------------------------------------------
 
     def gradient(self) -> dict:
-        """{name: self.diff(name)} over the symbols with a nonzero partial,
-        in one pass over the terms."""
+        """{name: formal partial derivative in name} over the symbols with
+        a nonzero partial, in one pass over the terms."""
         parts: dict = {}  # symbol id -> {monomial: coefficient}
         bias = _BIASES[len(_NAMES)]
         for mono, c in self._d.items():
@@ -341,27 +341,6 @@ class Expr:
             out[_NAMES[i]] = _normalized(
                 d, bound if bound < _LIMIT else _checked(_max_exponent(d)))
         return out
-
-    def diff(self, name: str) -> "Expr":
-        """Formal partial derivative with respect to any symbol."""
-        sym = _SYMBOLS.get(name)
-        if sym is None:
-            return ZERO
-        unit, shift, bias = sym
-        d = {}
-        for mono, c in self._d.items():
-            e = ((mono + bias) >> shift & _MASK) - _LIMIT
-            if e:
-                rest = mono - unit
-                val = d.get(rest, 0) + c * e
-                if val:
-                    d[rest] = val
-                else:
-                    del d[rest]
-        bound = self._bound + 1
-        if bound >= _LIMIT:
-            bound = _checked(_max_exponent(d))
-        return _normalized(d, bound)
 
     def at(self, point: Mapping[str, "Rat | float"]):
         """The value at *point* ({name: number} over every symbol of the

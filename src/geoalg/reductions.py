@@ -175,10 +175,16 @@ def reduction_substitution(n: int, cap: int) -> dict:
             for i, j, k in generator_tuples(n, cap)}
 
 
-def th_dn_check(n: int, cap: int = 4, levels: int = 2) -> dict:
+def th_dn_check(n: int) -> dict:
     """Mechanized commuting square: reducing after a braid action equals
     acting on the reduced generators, for every braid generator and every
-    entry up to the given level."""
+    entry up to level 2.
+
+    The generic family carries levels 0..4 (cap): the wrap certifies two
+    levels fewer than its input (braid.act_frakDn), so level 2 is the
+    highest that every generator's output holds, and the one compared.
+    """
+    cap, levels = 4, 2
     report = {"n": n, "checks": [], "ok": True}
     red = reduction_substitution(n, cap)
     fam0 = _braid.LevelFamily.generic(n, cap)
@@ -189,14 +195,14 @@ def th_dn_check(n: int, cap: int = 4, levels: int = 2) -> dict:
         dsub = _braid.Dn_substitution(b, n)
         bad = sum(fam1.data[t].subst(red)
                   != fam0.data[t].subst(red).subst(dsub)
-                  for t in generator_tuples(n, min(levels, fam1.cap)))
+                  for t in generator_tuples(n, levels))
         report["checks"].append(
             {"generator": (b.kind, b.i, b.inverse), "mismatches": bad})
         report["ok"] = report["ok"] and bad == 0
     return report
 
 
-def dn_sum(order: int = 12) -> dict:
+def dn_sum() -> dict:
     """Summation of the reduction law over lam^-k.
 
     Verifies, exactly and cross-multiplied in w = 1/lam, that the four
@@ -204,7 +210,13 @@ def dn_sum(order: int = 12) -> dict:
 
       G(lam) -> [-w Rhat + w(1+w)/(1-w) Shat + (1+w) Ahat
                  - w(1+w) Ahat^T] / ((1 - w h^2)(1 - w h^-2)).
+
+    The coefficients w^0 .. w^12 are compared (order 12).  The numerators
+    have degree 3 at most and the common denominator is cubic, so w^0 ..
+    w^3 fix the numerators, and each w^m past w^3 is the streams' cubic
+    recursion on their terms k = m - 3 .. m: nine instances, up to k = 12.
     """
+    order = 12
     w, h2, h2i = E("w"), E("h", 2), E("h", -2)
     denom = (ONE - w) * (ONE - w * h2) * (ONE - w * h2i)
     numerators = {

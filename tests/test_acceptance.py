@@ -29,8 +29,7 @@ def test_bracket_triple_oracle_n4():
     n = 4
     alg = an_algebra(n)
     graph = fatgraph.canonical_disc_graph(n)
-    geo = {f"G[{i},{j},0]": fatgraph.geodesic_function(n, i, j)
-           for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    geo = fatgraph.geodesic_functions(n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for x, a in enumerate(pairs):
         for b in pairs[x:]:
@@ -189,7 +188,7 @@ def test_periodic_centers(n, p, rank):
 
 
 def test_reduction_commuting_square():
-    rep = reductions.th_dn_check(3, cap=4, levels=2)
+    rep = reductions.th_dn_check(3)
     assert rep["ok"], rep["checks"]
 
 

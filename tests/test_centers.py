@@ -92,12 +92,6 @@ def test_diagonal_specialization(n):
     assert centers.dn_diagonal_specialization(n)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_vicinity_rank_is_full(n):
-    rep = centers.vicinity_rank(n)
-    assert rep["full"]
-
-
 def test_rational_rank():
     assert centers.rational_rank([[1, 2], [2, 4]]) == 1
     assert centers.rational_rank([[1, 0], [0, 1]]) == 2

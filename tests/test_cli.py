@@ -257,7 +257,10 @@ def test_invalid_subcommand_exit_code():
     ["braid", "--alg", "frakdn", "--matrix", "--n", "3", "--word", "b34"],
 ] + [["braid", "--alg", "dn", "--n", "12", "--word", word]
      for word in ("b1011", "b10,12", "b1,3", "b10,", "b12,1,")]
-    + [["bracket", "Ghat[1,2]", "G[1,2,0]"]])
+    + [["bracket", "Ghat[1,2]", "G[1,2,0]"]]
+    # the wrap exchanges point n with point 1: at n = 1 there is no pair
+    + [["braid", "--alg", alg, "--n", "1", "--word", "bn1"] + opt
+       for alg, opt in (("dn", []), ("frakdn", []), ("frakdn", ["--matrix"]))])
 def test_input_errors_exit_2(argv, capsys):
     # a bad value, not a crash: no traceback, one `error:` line
     with pytest.raises(SystemExit) as exc:

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import geoalg.dn_algebra as dn
 from geoalg import cli
 from geoalg.dn_algebra import (
-    an_algebra, bracket, classical_r_matrix, dn_algebra, dnp_algebra,
-    generating_bracket, generator_tuples, jacobi_check, quantum_r_expansion,
-    semiclassical_reflection_check, _pair_bracket,
+    an_algebra, bracket, dn_algebra, dnp_algebra, generating_bracket,
+    generator_tuples, jacobi_check, semiclassical_reflection_check,
+    _pair_bracket,
 )
 from geoalg.poly_core import E, ONE, ZERO, const, dot, gen, parse_gen
 
@@ -307,7 +307,8 @@ def test_jacobi_suite_builds_each_row_once(monkeypatch):
                                    ((2, 2), (1, 3))])
 def test_generating_function_identity(ji, pl):
     alg = dn_algebra(3)
-    lhs, rhs = generating_bracket(alg, ji, pl, 2)
+    lhs, rhs = generating_bracket(alg, ji, pl, 2,
+                                  dn._reflection_tables(alg, 2))
     assert lhs == rhs
 
 
@@ -316,14 +317,6 @@ def test_reflection_form_small():
     assert rep["ok"]
     assert rep["checked"] == 16
     assert rep["printed_orientation_sign"] == -1
-
-
-def test_quantum_r_linear_term_is_classical_r():
-    h0, h1 = quantum_r_expansion(3)
-    assert h1 == classical_r_matrix(3)
-    lam, mu = E("lam"), E("mu")
-    assert h0[((1, 2), (1, 2))] == lam - mu
-    assert h0[((1, 1), (1, 1))] == -(lam - mu)
 
 
 def test_reflection_check_catches_a_wrong_structure_constant(monkeypatch):

@@ -23,29 +23,10 @@ def test_perimeter_identity(n):
     assert fatgraph.perimeter_identity(n)
 
 
-def test_word_inverse():
-    for w in fatgraph.basis_words(4):
-        m = w.evaluate() * w.inverse().evaluate()
-        assert m == fatgraph.Mat.identity(2)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_skein_relation_on_basis_words(n):
-    words = fatgraph.basis_words(n)
-    for a in words:
-        for b in words:
-            assert fatgraph.skein_check(a, b)
-
-
-def _geodesics(n):
-    return {f"G[{i},{j},0]": fatgraph.geodesic_function(n, i, j)
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_goldman_matches_structure_constants(n):
     graph = fatgraph.canonical_disc_graph(n)
-    geo = _geodesics(n)
+    geo = fatgraph.geodesic_functions(n)
     alg = an_algebra(n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for x, a in enumerate(pairs):
@@ -68,7 +49,7 @@ def test_goldman_rejects_foreign_variables():
 def test_gradient_pairing_is_the_goldman_bracket():
     n = 4
     graph = fatgraph.canonical_disc_graph(n)
-    geo = list(_geodesics(n).values())
+    geo = list(fatgraph.geodesic_functions(n).values())
     # products and constants too, not only the geodesics themselves
     values = geo + [geo[0] * geo[3] - geo[2], const(Fraction(3, 2)) + geo[5]]
     grads = [fatgraph.shear_gradient(f, graph) for f in values]
@@ -86,7 +67,7 @@ def test_hamiltonian_field_pairing_is_the_vertex_cyclic_sum():
     n = 5
     graph = fatgraph.canonical_disc_graph(n)
     grads = [fatgraph.shear_gradient(f, graph)
-             for f in _geodesics(n).values()]
+             for f in fatgraph.geodesic_functions(n).values()]
     fields = [fatgraph.hamiltonian_field(dg, graph) for dg in grads]
 
     def cyclic_sum(df, dg):

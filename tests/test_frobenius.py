@@ -49,6 +49,20 @@ def test_clash_block_symbolic():
     assert rep.ok
 
 
+def test_intertwining_needs_involutions(monkeypatch):
+    # M_k = 1 - 3 E_k G keeps G M_k = M_k^T G but not M_k^2 = 1, so the
+    # reversed product is no longer M_h^-1
+    def tripled(s):
+        g, n = s.symmetrization(), s.n
+        return [Mat.identity(n) - Mat([[3 * g[i, j] if i == k else 0
+                                        for j in range(n)] for i in range(n)])
+                for k in range(n)]
+
+    monkeypatch.setattr(fro, "monodromies", tripled)
+    for nt in (2, 3, 4):
+        assert not fro.clash_block(_rand(4), nt).intertwining_ok, nt
+
+
 def test_clash_inverse():
     s = _rand(5)
     for k in (1, 2, 3):

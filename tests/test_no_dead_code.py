@@ -20,10 +20,7 @@ CLAIM_CHECKS = {
     "braid.combination_transform_check",
     "centers.d2_pfaffian_identity",
     "centers.dn_diagonal_specialization",
-    "centers.vicinity_rank",
-    "dn_algebra.quantum_r_expansion",
     "fatgraph.clashed_hole_coords",
-    "fatgraph.skein_check",
     "frobenius.reflection_check",
     "reductions.dn_reduce_recursive",
     "reductions.gp_expansion_consistency",

@@ -61,16 +61,6 @@ def test_representative_independence():
     assert red.representative_independence(3, 2)
 
 
-def test_commuting_square():
-    rep = red.th_dn_check(3, cap=4, levels=2)
-    assert rep["ok"], rep["checks"]
-
-
-def test_stream_summation():
-    rep = red.dn_sum(order=10)
-    assert rep["ok"], rep["streams"]
-
-
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_periodicity(p):
     assert red.periodicity_check(p)
