@@ -14,13 +14,15 @@ where g is the generator's own entry G_{i,ip} (invariant under it).
 * an inverse is the swapped pair (ip, i, -s), with the same g: the block's
   inverse is the same block on (ip, i) with x^-1.
 
-So one componentwise rule (`_exchange`) covers the level-0 matrix, where
-the family has G_ii = 2, and every generator of the level-graded family;
-a shift s consumes levels k +- s, so the output is certified 2|s| levels
-lower.  The matrix form B(lam) Gcal(lam) B(lam^-1)^T is computed
-independently and checks it.  The reduced n x n algebra of entries
-Ghat[i,j] has its own tables (its diagonal is not constant and it has no
-swap symmetry), with cubic lines.
+The level-graded family has one container, `LambdaMatrix`: Gcal(lam) =
+A0 + sum_k G^(k) lam^-k with its certified window, and the level-0
+matrix is its cap-0 case.  One componentwise rule (`_exchange`, in
+`act_frakDn`) covers every generator at every cap, where the family has
+G_ii = 2; a shift s consumes levels k +- s, so the output is certified
+2|s| levels lower.  The matrix form B(lam) Gcal(lam) B(lam^-1)^T
+(`act_matrix`) is computed independently and checks it.  The reduced
+n x n algebra of entries Ghat[i,j] has its own tables (its diagonal is
+not constant and it has no swap symmetry), with cubic lines.
 """
 
 from __future__ import annotations
@@ -124,114 +126,12 @@ def elementary_matrix(n: int, i: int, ip: int, g: Expr, x: Expr) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# level 0: upper-triangular matrix form
-# ---------------------------------------------------------------------------
-
-
-def symbol_matrix(n: int) -> Mat:
-    """Generic upper-triangular matrix with unit diagonal of G[i,j,0]."""
-    rows = [[ONE if i == j else (E(gen(i, j, 0)) if i < j else ZERO)
-             for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return Mat(rows)
-
-
-def act_An(b: BraidGen, a_mat: Mat) -> Mat:
-    """Act on an upper-triangular level-0 matrix; checks that the
-    componentwise map and the conjugation B A B^T agree entrywise."""
-    n = len(a_mat.rows)
-    if b.kind != ADJ:
-        raise ValueError("the wrap generator is not defined at level 0 only")
-    i, ip, _ = _pair(b, n)
-
-    def f(r, c, k):
-        # the level-0 family: G_rc = G_cr off the diagonal, G_rr = 2
-        return const(2) if r == c else a_mat[min(r, c) - 1, max(r, c) - 1]
-
-    new = _exchange(f, i, ip, 0)
-    out = Mat([[new(r, c, 0) if r < c else (ONE if r == c else ZERO)
-                for c in range(1, n + 1)] for r in range(1, n + 1)])
-    bm = elementary_matrix(n, i, ip, f(i, ip, 0), ONE)
-    conj = bm * a_mat * bm.transpose()
-    # matrix-form agreement on the upper triangle
-    for r in range(n):
-        for c in range(r + 1, n):
-            if out[r, c] != conj[r, c]:
-                raise AssertionError(
-                    f"componentwise and matrix forms disagree at {(r, c)}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# level-graded family
+# the level-graded family: Gcal(lam) with its certified window
 # ---------------------------------------------------------------------------
 
 
 class CertificationError(Exception):
     """Requested a level beyond what the action chain certifies."""
-
-
-class LevelFamily:
-    """Entries G^(k)_{i,j} for 0 <= k <= cap, all i, j in 1..n.
-
-    Negative levels resolve through the mirror G^(-k)_{i,j} = G^(k)_{j,i};
-    reading past the certified cap raises CertificationError.
-    """
-
-    __slots__ = ("n", "cap", "data")
-
-    def __init__(self, n: int, cap: int, data):
-        self.n = n
-        self.cap = cap
-        self.data = data  # {(i, j, k): Expr} for 0 <= k <= cap
-
-    @staticmethod
-    def generic(n: int, cap: int) -> "LevelFamily":
-        g = dn_algebra(n).canonical
-        return LevelFamily(n, cap, {
-            (i, j, k): g(i, j, k) for k in range(cap + 1)
-            for i in range(1, n + 1) for j in range(1, n + 1)})
-
-    def get(self, i, j, k) -> Expr:
-        if k < 0:
-            i, j, k = j, i, -k
-        if k > self.cap:
-            raise CertificationError(
-                f"level {k} beyond certified cap {self.cap}")
-        return self.data[i, j, k]
-
-    def __eq__(self, other):
-        if not isinstance(other, LevelFamily) or self.n != other.n:
-            return False
-        cap = min(self.cap, other.cap)
-        return all(self.data[i, j, k] == other.data[i, j, k]
-                   for k in range(cap + 1)
-                   for i in range(1, self.n + 1)
-                   for j in range(1, self.n + 1))
-
-
-def act_frakDn(b: BraidGen, fam: LevelFamily) -> LevelFamily:
-    """Componentwise action on the level-graded family.
-
-    Adjacent generators preserve level (output cap unchanged); the wrap
-    generator consumes levels k +- 2, so the output is certified two
-    levels lower.
-    """
-    n = fam.n
-    i, ip, s = _pair(b, n)
-    new = _exchange(fam.get, i, ip, s)
-    cap = fam.cap - 2 * abs(s)
-    if cap < 0:
-        raise CertificationError(
-            "wrap generator needs input levels up to cap >= 2")
-    return LevelFamily(n, cap, {(a, c, k): new(a, c, k)
-                                for k in range(cap + 1)
-                                for a in range(1, n + 1)
-                                for c in range(1, n + 1)})
-
-
-# ---------------------------------------------------------------------------
-# spectral-parameter matrix form
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -242,26 +142,77 @@ class LambdaMatrix:
     mat: Mat
     cert: int
 
-    def coefficient(self, k: int) -> Mat:
+    @staticmethod
+    def generic(n: int, cap: int) -> "LambdaMatrix":
+        """Gcal of the generic level-graded family, certified to cap."""
+        return gcal_matrix(dn_algebra(n).canonical, n, cap)
+
+    def certify(self, k: int):
         if k > self.cert:
             raise CertificationError(
                 f"level {k} beyond certified cap {self.cert}")
+
+    def coefficient(self, k: int) -> Mat:
+        self.certify(k)
         return self.mat.map(lambda e: e.coeff_of("lam", -k))
 
     def window(self, k: int) -> Mat:
         """The terms lam^0 .. lam^-k of every entry."""
-        if k > self.cert:
-            raise CertificationError(
-                f"level {k} beyond certified cap {self.cert}")
+        self.certify(k)
         return self.mat.map(lambda e: e.window("lam", -k, 0))
 
+    def levels(self) -> dict:
+        """{(i, j, k): G^(k)_{i,j}} for 0 <= k <= cert, all i, j.
 
-def gcal_matrix(fam: LevelFamily) -> LambdaMatrix:
-    """The truncated generating matrix: upper-triangular level-0 part
-    plus sum_{k=1..cap} G^(k) lam^-k."""
-    idx = range(1, fam.n + 1)
-    return LambdaMatrix(Mat([[gcal_entry(fam.get, i, j, fam.cap) for j in idx]
-                             for i in idx]), fam.cap)
+        Gcal holds level 0 above the diagonal only: below it level 0 is
+        the mirror, and the diagonal is 2.  That is faithful because every
+        generator keeps level 0 symmetric with diagonal 2.
+        """
+        n = len(self.mat.rows)
+        out = {}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                by_power = self.mat[i - 1, j - 1].coeffs_in("lam")
+                for k in range(self.cert + 1):
+                    out[i, j, k] = by_power.get(-k, ZERO)
+        for i in range(1, n + 1):
+            for j in range(1, i + 1):
+                out[i, j, 0] = out[j, i, 0] if j < i else const(2)
+        return out
+
+
+def gcal_matrix(level, n: int, cap: int) -> LambdaMatrix:
+    """The truncated generating matrix of a family level(i, j, k):
+    upper-triangular level-0 part plus sum_{k=1..cap} G^(k) lam^-k."""
+    idx = range(1, n + 1)
+    return LambdaMatrix(Mat([[gcal_entry(level, i, j, cap) for j in idx]
+                             for i in idx]), cap)
+
+
+def act_frakDn(b: BraidGen, gm: LambdaMatrix) -> LambdaMatrix:
+    """Componentwise action on the level-graded family.
+
+    Adjacent generators preserve level (output cap unchanged); the wrap
+    generator reads levels k +- 1, so the output is certified two levels
+    lower.
+    """
+    n = len(gm.mat.rows)
+    i, ip, s = _pair(b, n)
+    levels = gm.levels()
+
+    def get(a, c, k):
+        # negative levels resolve through the mirror G^(-k)_{a,c} = G^(k)_{c,a}
+        if k < 0:
+            a, c, k = c, a, -k
+        gm.certify(k)
+        return levels[a, c, k]
+
+    new = _exchange(get, i, ip, s)
+    cap = gm.cert - 2 * abs(s)
+    if cap < 0:
+        raise CertificationError(
+            "wrap generator needs input levels up to cap >= 2")
+    return gcal_matrix(new, n, cap)
 
 
 def act_matrix(b: BraidGen, gm: LambdaMatrix) -> LambdaMatrix:
@@ -377,8 +328,9 @@ def frakDn_substitution(b: BraidGen, n: int, cap: int) -> dict:
     """Symbol substitution realizing the action on the level-graded
     generators; covers canonical symbols up to level cap (cap - 2 for
     the wrap generator)."""
-    out = act_frakDn(b, LevelFamily.generic(n, cap))
-    return {gen(*t): out.data[t] for t in generator_tuples(n, out.cap)}
+    out = act_frakDn(b, LambdaMatrix.generic(n, cap))
+    levels = out.levels()
+    return {gen(*t): levels[t] for t in generator_tuples(n, out.cert)}
 
 
 def Dn_substitution(b: BraidGen, n: int) -> dict:
@@ -398,14 +350,15 @@ def _apply(act, word, x):
     return x
 
 
-def verify_relations(flavor: str, n: int, cap: int = 0) -> dict:
+def verify_relations(flavor: str, n: int) -> dict:
     """Exact symbolic verification of the braid relations.
 
-    flavor "A": adjacent RRR relations plus the order-n relation
-    (beta_{n-1,n} ... beta_{1,2})^n = Id on the generic symbol matrix.
-    flavor "D": componentwise RRR for all adjacent pairs mod n (wrap
-    included).  flavor "frakD": RRR in the matrix form with the given
-    level cap, compared on the jointly certified window.
+    flavor "A": on the level-0 matrix (Gcal at cap 0), the adjacent RRR
+    relations and the order-n relation (beta_{n-1,n} ... beta_{1,2})^n =
+    Id in the matrix form, the inverses componentwise.  flavor "D":
+    componentwise RRR for all adjacent pairs mod n (wrap included).
+    flavor "frakD": RRR in the matrix form at cap 6, compared on the
+    jointly certified window, the inverses componentwise.
     """
     report = {"flavor": flavor, "n": n, "checks": [], "ok": True}
 
@@ -414,21 +367,21 @@ def verify_relations(flavor: str, n: int, cap: int = 0) -> dict:
         report["ok"] = report["ok"] and bool(ok)
 
     if flavor == "A":
-        a0 = symbol_matrix(n)
+        a0 = LambdaMatrix.generic(n, 0)
         for i in range(2, n):
-            lhs = _apply(act_An,
+            lhs = _apply(act_matrix,
                          [adjacent(i - 1), adjacent(i), adjacent(i - 1)], a0)
-            rhs = _apply(act_An,
+            rhs = _apply(act_matrix,
                          [adjacent(i), adjacent(i - 1), adjacent(i)], a0)
             record(f"RRR({i - 1},{i})", lhs == rhs)
         word = [adjacent(i) for i in range(1, n)]
         full = a0
         for _ in range(n):
-            full = _apply(act_An, word, full)
+            full = _apply(act_matrix, word, full)
         record(f"(b_n-1,n...b_1,2)^{n}=Id", full == a0)
         for i in range(1, n):
-            record(f"inverse({i})",
-                   _apply(act_An, [adjacent(i), adjacent(i, True)], a0) == a0)
+            record(f"inverse({i})", _apply(
+                act_frakDn, [adjacent(i), adjacent(i, True)], a0) == a0)
     elif flavor == "D":
         f0 = ghat_family(n)
 
@@ -446,8 +399,9 @@ def verify_relations(flavor: str, n: int, cap: int = 0) -> dict:
             record(f"inverse({b.kind}{b.i})",
                    _apply(act, [b, b.inv()], f0) == f0)
     elif flavor == "frakD":
-        fam = LevelFamily.generic(n, cap)
-        gm = gcal_matrix(fam)
+        # the wrap's relation holds a word with two wraps, which consume
+        # four levels: cap 6 compares it on lam^0 .. lam^-2
+        gm = LambdaMatrix.generic(n, 6)
         pairs = [(adjacent(i), adjacent(i + 1)) for i in range(1, n - 1)]
         pairs.append((adjacent(n - 1), wrap()))
         for b1, b2 in pairs:
@@ -458,8 +412,9 @@ def verify_relations(flavor: str, n: int, cap: int = 0) -> dict:
                    lhs.window(window) == rhs.window(window))
         # componentwise inverses
         for b in [adjacent(1), wrap()]:
-            f2 = _apply(act_frakDn, [b, b.inv()], fam)
-            record(f"inverse({b.kind}{b.i})", f2 == fam)
+            f2 = _apply(act_frakDn, [b, b.inv()], gm)
+            record(f"inverse({b.kind}{b.i})",
+                   f2.window(f2.cert) == gm.window(f2.cert))
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     return report

@@ -70,7 +70,7 @@ def jacobian_rank(coeffs, symbols, point) -> int:
 def centers_An(n: int) -> CenterSet:
     """The floor(n/2) nontrivial Casimirs of the level-0 algebra: the
     coefficients of lam^(n-2m), 0 < m <= n/2, of det(lam A + lam^-1 A^T)."""
-    a = _braid.symbol_matrix(n)
+    a = _braid.LambdaMatrix.generic(n, 0).mat
     mat = a.scale(E("lam")) + a.transpose().scale(E("lam", -1))
     by_power = mat.det_by_power("lam", lo=n % 2)
     coeffs = [by_power.get(n - 2 * m, ZERO) for m in range(1, n // 2 + 1)]
@@ -322,7 +322,7 @@ def braid_invariance(flavor: str, coeffs, n: int, p: int = 0,
 
 def _an_substitution(b, n: int) -> dict:
     """The level-0 action of *b* on the symbols G[i,j,0], i < j."""
-    a1 = _braid.act_An(b, _braid.symbol_matrix(n))
+    a1 = _braid.act_matrix(b, _braid.LambdaMatrix.generic(n, 0)).mat
     return {gen(i, j, 0): a1[i - 1, j - 1]
             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 

@@ -336,9 +336,9 @@ def _suite_braid(args):
         # the braid relations between them are not the group's
         raise ValueError(f"the braid suite needs --n at least 3, not {n}")
     cases = []
-    for flavor, cap in (("A", 0), ("D", 0), ("frakD", 4)):
-        def run(flavor=flavor, cap=cap):
-            rep = braid_mod.verify_relations(flavor, n, cap)
+    for flavor in ("A", "D", "frakD"):
+        def run(flavor=flavor):
+            rep = braid_mod.verify_relations(flavor, n)
             bad = [c["relation"] for c in rep["checks"] if not c["ok"]]
             return rep["ok"], f"failing: {bad}" if bad else "all relations", \
                 f"{len(rep['checks'])} relations"
@@ -543,11 +543,14 @@ def cmd_bracket(args) -> int:
             right = alg.storage_form(ks_calculus.generator_bracket(a, b, {}))
             status = "pass" if right == result else "fail"
         elif args.oracle == "goldman":
+            ops = alg.canonical(*a), alg.canonical(*b)
+            if any(parse_gen(s)[2] for e in ops for s in e.symbols()):
+                raise ValueError("the Goldman oracle realizes level-0 "
+                                 "generators only")
             geo = fatgraph.geodesic_functions(alg.n)
             graph = fatgraph.canonical_disc_graph(alg.n)
-            lhs = fatgraph.goldman_bracket(
-                alg.canonical(*a).subst(geo), alg.canonical(*b).subst(geo),
-                graph)
+            lhs = fatgraph.goldman_bracket(ops[0].subst(geo),
+                                           ops[1].subst(geo), graph)
             rhs = result.subst(geo)
             right = "goldman realization"
             status = "pass" if lhs == rhs else "fail"
@@ -599,13 +602,13 @@ def cmd_braid(args) -> int:
     word = _parse_braid_word(args.word, n)
     reports = []
     if args.alg == "an":
-        mat = braid_mod.symbol_matrix(n)
+        gm = braid_mod.LambdaMatrix.generic(n, 0)
         for b in word:
-            mat = braid_mod.act_An(b, mat)
+            gm = braid_mod.act_matrix(b, gm)
         for i in range(n):
             for j in range(i + 1, n):
                 reports.append(clock.report("braid", f"G[{i+1},{j+1},0]",
-                                            mat[i, j]))
+                                            gm.mat[i, j]))
     elif args.alg == "dn":
         fam = braid_mod.ghat_family(n)
         for b in word:
@@ -613,19 +616,16 @@ def cmd_braid(args) -> int:
         for (i, j), val in sorted(fam.items()):
             reports.append(clock.report("braid", f"Ghat[{i},{j}]", val))
     else:  # level-graded family
-        cap = _given(args.cap, 4)
-        fam = braid_mod.LevelFamily.generic(n, cap)
+        gm = braid_mod.LambdaMatrix.generic(n, _given(args.cap, 4))
+        act = braid_mod.act_matrix if args.matrix else braid_mod.act_frakDn
+        for b in word:
+            gm = act(b, gm)
         if args.matrix:
-            gm = braid_mod.gcal_matrix(fam)
-            for b in word:
-                gm = braid_mod.act_matrix(b, gm)
             for k in range(gm.cert + 1):
                 reports.append(clock.report("braid", f"lam^-{k}",
                                             gm.coefficient(k).rows))
         else:
-            for b in word:
-                fam = braid_mod.act_frakDn(b, fam)
-            for (i, j, k), val in sorted(fam.data.items()):
+            for (i, j, k), val in sorted(gm.levels().items()):
                 reports.append(clock.report("braid", f"G[{i},{j},{k}]",
                                             val))
     return _emit(reports, args.format)
@@ -673,7 +673,7 @@ def cmd_reduce(args) -> int:
                 "reduce", f"level-p={args.level_p} lam^-{k}",
                 gm.coefficient(k).rows))
     else:
-        raise SystemExit(2)
+        raise ValueError("reduce needs --k or --level-p")
     return _emit(reports, args.format)
 
 

@@ -290,8 +290,8 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
 
 def gcal_entry(level, i: int, j: int, order: int, var="lam") -> Expr:
     """Gcal_{i,j}(var) = A0_{i,j} + sum_{k=1..order} G^(k)_{i,j} var^-k,
-    with G^(k)_{i,j} = level(i, j, k): an algebra's canonical or a
-    braid.LevelFamily's get."""
+    with G^(k)_{i,j} = level(i, j, k): an algebra's canonical or the
+    componentwise rule of braid.act_frakDn."""
     a0 = ONE if i == j else (level(i, j, 0) if i < j else ZERO)
     return dot([(1, a0, ONE)] + [(1, level(i, j, k), E(var, -k))
                                  for k in range(1, order + 1)])

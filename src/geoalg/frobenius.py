@@ -124,20 +124,13 @@ def random_stokes(n: int, rng) -> StokesMatrix:
 
 
 def monodromies(s: StokesMatrix):
-    """M_1, ..., M_n, each M_k = 1 - E_k G an involutive reflection, all
-    from one G = S + S^T."""
+    """M_1, ..., M_n, each M_k = 1 - E_k G a reflection, all from one
+    G = S + S^T.  M_k^2 = 1 + (G_kk - 2) E_k G, so each is an involution
+    because StokesMatrix enforces a unit diagonal (G_kk = 2)."""
     g = s.symmetrization()
     n = s.n
     return [Mat([[(ONE if i == j else ZERO) - (g[i, j] if i == k else ZERO)
                   for j in range(n)] for i in range(n)]) for k in range(n)]
-
-
-def reflection_check(s: StokesMatrix, k: int) -> bool:
-    """M_k^2 = 1 exactly (the diagonal of G is 2); k is 1-based."""
-    if not 1 <= k <= s.n:
-        raise ValueError(f"index {k} out of range 1..{s.n}")
-    m = monodromies(s)[k - 1]
-    return m * m == Mat.identity(s.n)
 
 
 def product_identity(s: StokesMatrix) -> bool:

@@ -9,10 +9,11 @@
   exponentiated half-perimeter of the hole, Pi = h + h^-1 the hole's
   geodesic function).
 
-The coefficient functions are implemented both in closed form and via
-the three-term recursion f_{k+1} = (Pi^2 - 2) f_k - f_{k-1} (+2 for the
-Shat stream), and the whole map is certified by a mechanized commuting
-square against the braid actions (th_dn_check).
+The coefficient functions are implemented in closed form.  The summation
+identity of dn_sum certifies them against the rotation recursion
+f_{k+1} = (Pi^2 - 2) f_k - f_{k-1} (+2 for the Shat stream), and the
+whole map is certified by a mechanized commuting square against the braid
+actions (th_dn_check).
 """
 
 from __future__ import annotations
@@ -148,24 +149,6 @@ def _closed_form(k: int) -> ReductionMapDn:
                           a_coeff(k), -a_coeff(k - 1))
 
 
-def dn_reduce_recursive(k: int) -> ReductionMapDn:
-    """Same map computed by the rotation recursion
-    G^(k+1) = (Pi^2 - 2) G^(k) - G^(k-1) + 2 Shat, starting from the
-    symmetric level-0 matrix Ahat + Ahat^T and level 1."""
-    if k < 0:
-        raise ValueError("negative levels via transposition")
-    if k == 0:
-        return dn_reduce(0)
-    pi2m2 = _X + _XI  # Pi^2 - 2
-    prev = (ZERO, ZERO, ONE, ONE)        # symmetric G^(0) = Ahat + Ahat^T
-    cur = (-ONE, ONE, _X + ONE + _XI, -ONE)   # level 1
-    for _ in range(k - 1):
-        nxt = tuple(pi2m2 * c - p for c, p in zip(cur, prev))
-        nxt = (nxt[0], nxt[1] + const(2), nxt[2], nxt[3])
-        prev, cur = cur, nxt
-    return ReductionMapDn(k, *cur)
-
-
 def reduction_substitution(n: int, cap: int) -> dict:
     """Substitution map sending every canonical generator symbol with
     level <= cap to its Ghat/h expression."""
@@ -187,14 +170,14 @@ def th_dn_check(n: int) -> dict:
     cap, levels = 4, 2
     report = {"n": n, "checks": [], "ok": True}
     red = reduction_substitution(n, cap)
-    fam0 = _braid.LevelFamily.generic(n, cap)
+    gm0 = _braid.LambdaMatrix.generic(n, cap)
+    fam0 = gm0.levels()
     gens = [_braid.adjacent(i) for i in range(1, n)]
     gens += [_braid.wrap(), _braid.wrap(True)]
     for b in gens:
-        fam1 = _braid.act_frakDn(b, fam0)
+        fam1 = _braid.act_frakDn(b, gm0).levels()
         dsub = _braid.Dn_substitution(b, n)
-        bad = sum(fam1.data[t].subst(red)
-                  != fam0.data[t].subst(red).subst(dsub)
+        bad = sum(fam1[t].subst(red) != fam0[t].subst(red).subst(dsub)
                   for t in generator_tuples(n, levels))
         report["checks"].append(
             {"generator": (b.kind, b.i, b.inverse), "mismatches": bad})
@@ -215,6 +198,10 @@ def dn_sum() -> dict:
     have degree 3 at most and the common denominator is cubic, so w^0 ..
     w^3 fix the numerators, and each w^m past w^3 is the streams' cubic
     recursion on their terms k = m - 3 .. m: nine instances, up to k = 12.
+    That cubic recursion is the rotation recursion G^(k+1) = (Pi^2 - 2)
+    G^(k) - G^(k-1) + 2 Shat differenced once, and w^0 .. w^3 fix its
+    constant: the identity certifies closed form = rotation recursion for
+    every level k <= 12.
     """
     order = 12
     w, h2, h2i = E("w"), E("h", 2), E("h", -2)

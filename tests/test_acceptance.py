@@ -143,7 +143,7 @@ def test_braid_relations_level0(n):
 
 
 def test_braid_relations_graded_and_periodic():
-    rep = braid.verify_relations("frakD", 3, cap=4)
+    rep = braid.verify_relations("frakD", 3)
     assert rep["ok"], rep["checks"]
     rep = braid.verify_relations("D", 3)
     assert rep["ok"], rep["checks"]
@@ -162,9 +162,9 @@ def _braid_token(b):
 def test_braid_componentwise_vs_matrix(n, b):
     # the matrix form is the independent reference of the one exchange
     # rule, for every generator and its inverse
-    fam = braid.LevelFamily.generic(n, cap=4)
-    via_fam = braid.gcal_matrix(braid.act_frakDn(b, fam))
-    via_mat = braid.act_matrix(b, braid.gcal_matrix(fam))
+    gm = braid.LambdaMatrix.generic(n, 4)
+    via_fam = braid.act_frakDn(b, gm)
+    via_mat = braid.act_matrix(b, gm)
     window = min(via_fam.cert, via_mat.cert)
     assert window >= 1
     for k in range(window + 1):

@@ -30,7 +30,7 @@ def test_level0_centers_braid_invariant():
 def test_generating_polynomial_is_even():
     # det(lam A + lam^-1 A^T) lam^-n holds only even powers of lam
     n = 3
-    a = braid.symbol_matrix(n)
+    a = braid.LambdaMatrix.generic(n, 0).mat
     m = a.scale(E("lam")) + a.transpose().scale(E("lam", -1))
     assert all((k - n) % 2 == 0 for k in m.det_by_power("lam"))
 

@@ -112,6 +112,22 @@ def test_bracket_oracle_skips_composite_operands(capsys):
     assert rep["status"] == "skipped"
 
 
+def test_goldman_oracle_rejects_a_higher_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "--alg", "dn", "--n", "3", "--oracle", "goldman",
+              "G[1,2,1]", "G[1,3,0]"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: the Goldman oracle realizes level-0 generators only\n")
+
+
+def test_goldman_oracle_takes_a_level_folded_to_zero(capsys):
+    # at period 2, G[1,2,2] is the level-0 generator G[1,2,0]
+    assert main(["bracket", "--alg", "dnp", "--p", "2", "--n", "3",
+                 "--oracle", "goldman", "G[1,2,2]", "G[1,3,0]"]) == 0
+    assert _json_lines(capsys)[0]["status"] == "pass"
+
+
 def test_braid_word_action(capsys):
     assert main(["braid", "--alg", "an", "--n", "3",
                  "--word", "b12 b23 b12^-1"]) == 0
@@ -260,7 +276,13 @@ def test_invalid_subcommand_exit_code():
     + [["bracket", "Ghat[1,2]", "G[1,2,0]"]]
     # the wrap exchanges point n with point 1: at n = 1 there is no pair
     + [["braid", "--alg", alg, "--n", "1", "--word", "bn1"] + opt
-       for alg, opt in (("dn", []), ("frakdn", []), ("frakdn", ["--matrix"]))])
+       for alg, opt in (("dn", []), ("frakdn", []), ("frakdn", ["--matrix"]))]
+    + [["reduce"],
+       # the level-0 matrix has no level-1 corner entry for the wrap
+       ["braid", "--alg", "an", "--n", "3", "--word", "bn1"],
+       # the second wrap reads level 1 of a family certified to level 0
+       ["braid", "--alg", "frakdn", "--n", "3", "--cap", "2",
+        "--word", "bn1 bn1"]])
 def test_input_errors_exit_2(argv, capsys):
     # a bad value, not a crash: no traceback, one `error:` line
     with pytest.raises(SystemExit) as exc:

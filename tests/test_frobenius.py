@@ -13,17 +13,16 @@ def _rand(seed=0, n=4):
     return fro.random_stokes(n, random.Random(seed))
 
 
-def test_reflections_are_involutions():
-    s = _rand(1)
-    for k in range(1, s.n + 1):
-        assert fro.reflection_check(s, k)
-
-
 def test_reflections_symbolic():
     s = fro.StokesMatrix.symbolic(3)
-    for k in range(1, 4):
-        assert fro.reflection_check(s, k)
     assert fro.product_identity(s)
+
+
+def test_stokes_matrix_needs_a_unit_diagonal():
+    # M_k^2 = 1 + (G_kk - 2) E_k G: the reflections are involutions
+    # because a Stokes matrix has a unit diagonal
+    with pytest.raises(ValueError, match="diagonal"):
+        fro.StokesMatrix.from_rows([[1, 2], [0, 3]])
 
 
 def test_product_identity_random():
@@ -32,8 +31,6 @@ def test_product_identity_random():
 
 def test_index_validation():
     s = _rand(3)
-    with pytest.raises(ValueError):
-        fro.reflection_check(s, 0)
     with pytest.raises(ValueError):
         fro.clash_block(s, s.n + 1)
 

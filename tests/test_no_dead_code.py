@@ -21,8 +21,6 @@ CLAIM_CHECKS = {
     "centers.d2_pfaffian_identity",
     "centers.dn_diagonal_specialization",
     "fatgraph.clashed_hole_coords",
-    "frobenius.reflection_check",
-    "reductions.dn_reduce_recursive",
     "reductions.gp_expansion_consistency",
     "reductions.gp_u_symmetry",
 }

@@ -6,14 +6,6 @@ from geoalg import reductions as red
 from geoalg.poly_core import E, ONE, ZERO
 
 
-@pytest.mark.parametrize("k", range(6))
-def test_closed_form_matches_recursion(k):
-    a = red.dn_reduce(k)
-    b = red.dn_reduce_recursive(k)
-    assert (a.c_rhat, a.c_shat, a.c_ahat, a.c_ahat_t) == (
-        b.c_rhat, b.c_shat, b.c_ahat, b.c_ahat_t)
-
-
 def test_level_zero_map():
     r = red.dn_reduce(0)
     assert (r.c_rhat, r.c_shat, r.c_ahat, r.c_ahat_t) == (
