@@ -14,12 +14,15 @@ generating polynomial, expanded by Mat.det_by_power graded by lam:
   (lam-1)^(n-1) times a palindromic polynomial whose coefficients are
   the n Casimirs.
 
-Centrality is verified exactly with the structure constants;
-independence by the exact rational rank of the Jacobian of the
-coefficient map at rational points.  A rank at one point is a
-deterministic lower bound on the generic rank (a minor that is nonzero
-at a point is a nonzero polynomial), so reaching floor(np/2) at any point
-certifies independence with no probability.
+Centrality is verified exactly with the structure constants, and
+invariance under every braid generator by exact substitution
+(braid_invariance) of the level-0 and level-p centers and of the
+reference Casimirs that the reduced ones are tied to; independence by
+the exact rational rank of the Jacobian of the coefficient map at
+rational points.  A rank at one point is a deterministic lower bound on
+the generic rank (a minor that is nonzero at a point is a nonzero
+polynomial), so reaching floor(np/2) at any point certifies
+independence with no probability.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 
-from .poly_core import (Mat, E, ZERO, ONE, const, dot, gen, ghat,
-                        rational_rank)
+from .poly_core import Mat, E, ZERO, ONE, const, gen, ghat, rational_rank
 from .dn_algebra import dnp_algebra, bracket
 from .reductions import build_Gp
 from . import braid as _braid
@@ -234,8 +235,8 @@ def dn_relation_check(n: int) -> dict:
     n=3 (refs the corrected triple): c1 = C1^2 - C3 + 6,
     c2 = C3 - C2 - 6, c3 = C2 - 1.  The degree-3 reference enters only
     through its square: the determinant cannot see it linearly (for
-    n = 2 it is recovered as -Pf(M(-1))/2, where the generating matrix
-    at lam = -1 degenerates to twice the skew matrix).
+    n = 2, combination_matrix's weights at lam = -1 leave M(-1) = 2 Rhat,
+    whose determinant is 4 Rhat_12^2, and Rhat_12 = -C1).
     """
     cs = centers_Dn(n).coefficients
     if n == 2:
@@ -256,65 +257,23 @@ def dn_relation_check(n: int) -> dict:
     return {"n": n, "relations": rel, "ok": all(rel.values())}
 
 
-def d2_pfaffian_identity() -> bool:
-    """For n = 2 the degree-2 reference Casimir is the Pfaffian of the
-    generating matrix at lam = -1 (which degenerates to 2 Rhat):
-    C1 = -M(-1)[0,1] / 2."""
-    m = dn_generating_matrix(2).subst({"lam": const(-1)})
-    c1 = printed_d2_casimirs()[0]
-    return (m[0, 1] + const(2) * c1).is_zero() and m[0, 0].is_zero() \
-        and (m[0, 1] + m[1, 0]).is_zero()
-
-
-def dn_diagonal_specialization(n: int) -> bool:
-    """At Ghat_ij = 0 (i != j) the determinant expands over subsets of
-    the diagonal as sum_k e^(n-k) d_k SYM_k(Ghat_11^2, ..., Ghat_nn^2),
-    where e is the scalar part of a diagonal entry and d_k depends only
-    on the subset size (the inner matrix pattern: diagonal 1+lam, 2 lam
-    above, 2 below, is principal-submatrix invariant)."""
-    import itertools
-
-    lam, lam_i = E("lam"), E("lam", -1)
-    diag = {ghat(i, j): ZERO
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-    det = dn_generating_matrix(n).det().subst(diag)
-    e_scalar = lam * lam - ONE - lam + lam_i
-
-    def pattern_det(k):
-        m = Mat([[(ONE + lam) if a == b else
-                  (const(2) * lam if a < b else const(2))
-                  for b in range(k)] for a in range(k)])
-        return m.det()
-
-    def symmetric(k):  # e_k of the Ghat_ii^2
-        return sum((prod([E(ghat(i, i)) ** 2 for i in sub], start=ONE)
-                    for sub in itertools.combinations(range(1, n + 1), k)),
-                   ZERO)
-
-    expect = dot([(1, e_scalar ** (n - k) * pattern_det(k), symmetric(k))
-                  for k in range(n + 1)])
-    return det == expect
-
-
 # ---------------------------------------------------------------------------
 # braid invariance
 # ---------------------------------------------------------------------------
 
 
-def braid_invariance(flavor: str, coeffs, n: int, p: int = 0,
-                     cap: int = 0) -> list:
+def braid_invariance(flavor: str, coeffs, n: int, p: int = 0) -> list:
     """One flag per element of *coeffs*: every braid generator fixes it,
     exactly.  The generators are the adjacent ones, and the wrap too but
     for flavor "A"; "Dp" reads the period *p*, and its substitution is
-    built from levels up to max(cap, p + 2)."""
+    built from levels up to p + 2."""
     gens = [_braid.adjacent(i) for i in range(1, n)]
     if flavor == "A":
         subs = [_an_substitution(b, n) for b in gens]
     elif flavor == "D":
         subs = [_braid.Dn_substitution(b, n) for b in gens + [_braid.wrap()]]
     elif flavor == "Dp":
-        subs = [_dnp_substitution(b, n, p, cap)
-                for b in gens + [_braid.wrap()]]
+        subs = [_dnp_substitution(b, n, p) for b in gens + [_braid.wrap()]]
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     return [all(c.subst(sub) == c for sub in subs) for c in coeffs]
@@ -327,8 +286,8 @@ def _an_substitution(b, n: int) -> dict:
             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
-def _dnp_substitution(b, n: int, p: int, cap: int) -> dict:
+def _dnp_substitution(b, n: int, p: int) -> dict:
     """Braid substitution folded to canonical level-p symbols."""
     alg = dnp_algebra(n, p)
-    raw = _braid.frakDn_substitution(b, n, max(cap, p + 2))
+    raw = _braid.frakDn_substitution(b, n, p + 2)
     return {s: alg.storage_form(raw[s]) for s in generator_symbols(alg)}

@@ -262,7 +262,8 @@ def _suite_goldman(args):
     graph = fatgraph.canonical_disc_graph(n)
     alg = dn_algebra.an_algebra(n)
     geo = fatgraph.geodesic_functions(n)
-    cases = [("perimeter", lambda: _bool_case(fatgraph.perimeter_identity(n)))]
+    cases = [("perimeter", lambda: _bool_case(
+        fatgraph.perimeter_identity(n) and fatgraph.clashed_hole_coords()))]
     fields = {}  # geodesic -> its shear gradient and Hamiltonian field
 
     def field(i, j):
@@ -374,7 +375,9 @@ def _suite_centers(args):
             cs = centers_mod.centers_An(n)
             rep = centers_mod.centrality_report(dn_algebra.an_algebra(n),
                                                 cs.coefficients)
-            return rep["ok"], rep, "all brackets zero"
+            ok = rep["ok"] and all(
+                centers_mod.braid_invariance("A", cs.coefficients, n))
+            return ok, rep, "all brackets zero"
         return run
 
     for n in (2, 3):
@@ -383,7 +386,9 @@ def _suite_centers(args):
     def dnp_case(n, p):
         def run():
             cs = centers_mod.centers_Dnp(n, p, seed=seed)
-            return _rank_case(cs, (n * p) // 2)
+            ok, left, right = _rank_case(cs, (n * p) // 2)
+            return ok and all(centers_mod.braid_invariance(
+                "Dp", cs.coefficients, n, p)), left, right
         return run
 
     for n, p in ((2, 2), (3, 2), (2, 3)):
@@ -419,11 +424,12 @@ def _rank_case(cs, want):
 def _suite_reduction(args):
     cases = [
         ("commuting square n=3", lambda: _bool_case(
-            reductions.th_dn_check(3)["ok"])),
+            reductions.th_dn_check(3)["ok"]
+            and braid_mod.combination_transform_check(3)["ok"])),
         ("generating-series sum", lambda: _bool_case(
             reductions.dn_sum()["ok"])),
         ("resolution identity", lambda: _bool_case(
-            reductions.resolution_identity())),
+            reductions.resolution_identity(3))),
     ]
     for p in (2, 3, 4):
         cases.append((f"periodicity p={p}", lambda p=p: _bool_case(
@@ -811,12 +817,15 @@ def _read_config(args):
 
 
 def _check_options(args):
-    """Sizes must be positive and levels (a series order, a certified
-    cap) nonnegative, whether given on the line or in --config."""
-    for key, least in (("n", 1), ("p", 1), ("level", 0), ("cap", 0)):
+    """Sizes and periods must be positive and levels (a series order, a
+    certified cap, a reduction level) nonnegative, whether given on the
+    line or in --config."""
+    for key, least in (("n", 1), ("p", 1), ("level_p", 1), ("level", 0),
+                       ("cap", 0), ("k", 0)):
         value = getattr(args, key, None)
         if value is not None and value < least:
-            raise ValueError(f"--{key} must be at least {least}, not {value}")
+            flag = key.replace("_", "-")
+            raise ValueError(f"--{flag} must be at least {least}, not {value}")
 
 
 def main(argv=None) -> int:

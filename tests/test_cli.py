@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, JSON reports, option handling."""
 
 import argparse
+import collections
 import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geoalg import centers, cli, dn_algebra, frobenius, ks_calculus
+from geoalg import (braid, centers, cli, dn_algebra, fatgraph, frobenius,
+                    ks_calculus)
 from geoalg.cli import main
 from geoalg.poly_core import E, Expr, ZERO
 
@@ -296,12 +299,18 @@ def test_input_errors_exit_2(argv, capsys):
     ["bracket", "--alg", "dnp", "--p", "0", "G[1,2,0]", "G[1,3,1]"],
     ["stokes", "--point", "random", "--n", "0"],
     ["centers", "--alg", "an", "--n", "-1"],
+    ["reduce", "--level-p", "0"],
+    ["reduce", "--level-p", "-2"],
+    ["reduce", "--k", "-1"],
 ])
 def test_zero_sizes_are_rejected_not_defaulted(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    # the message names the option as it was typed, and the value given
+    said = re.fullmatch(r"error: (--[a-z-]+) must be at least [01], "
+                        r"not (-?\d+)\n", capsys.readouterr().err)
+    assert said and argv[argv.index(said[1]) + 1] == said[2]
 
 
 def test_zero_sizes_from_config_are_rejected(tmp_path, capsys):
@@ -338,6 +347,39 @@ def test_level_p_centers_take_the_generic_rank(seed, capsys):
     ranks = json.loads(case["left"].removeprefix("ranks "))
     assert (min(ranks), max(ranks)) == (2, 3)
     assert case["right"] == "expected rank 3"
+
+
+def _unfolded_dnp_substitution(b, n, p):
+    raw = braid.frakDn_substitution(b, n, p + 2)
+    return {s: raw[s]
+            for s in centers.generator_symbols(dn_algebra.dnp_algebra(n, p))}
+
+
+@pytest.mark.parametrize("suite,module,name,mutant,case", [
+    pytest.param("goldman", fatgraph, "_reduce_quadratic",
+                 lambda old: lambda e, var, csum: e, "perimeter",
+                 id="clashed hole"),
+    pytest.param("reduction", braid, "combination_transform_check",
+                 lambda old: lambda n: {"ok": False}, "commuting square n=3",
+                 id="combination transform"),
+    pytest.param("centers", centers, "_an_substitution",
+                 lambda old: lambda b, n: {s: 2 * e
+                                           for s, e in old(b, n).items()},
+                 "level-0 centers n=2", id="level-0 invariance"),
+    pytest.param("centers", centers, "_dnp_substitution",
+                 lambda old: _unfolded_dnp_substitution,
+                 "level-p centers (2,2)", id="level-p invariance"),
+])
+def test_a_folded_check_fails_its_verify_case(suite, module, name, mutant,
+                                              case, monkeypatch, capsys):
+    # each claim check runs inside the verdict of the case that checks the
+    # same object: breaking it fails that case, by its value, not a crash
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    assert main(["verify", "--suite", suite]) == 1
+    failed = {r["case"]: r["left"] for r in _json_lines(capsys)
+              if r["status"] == "fail"}
+    assert case in failed
+    assert not failed[case].startswith("exception")
 
 
 def test_level_p_centers_fail_a_wrong_rank():
@@ -586,7 +628,12 @@ def _assert_split_matches_serial(monkeypatch, argv, code):
     ["verify", "--suite", "ks", "--n", "4", "--level", "2"],
 ])
 def test_split_runs_match_the_serial_run(argv, monkeypatch):
-    _assert_split_matches_serial(monkeypatch, argv, 0)
+    reports = _assert_split_matches_serial(monkeypatch, argv, 0)
+    if argv == ["verify", "--suite", "all"]:
+        # the verdicts per suite that perfbench/oracle.py expects of it
+        assert collections.Counter(r["suite"] for r in reports) == {
+            "jacobi": 220, "ks": 78, "goldman": 22, "reduction": 9,
+            "centers": 8, "frobenius": 5, "braid": 3, "yangian": 2}
 
 
 def _ks_pairs():

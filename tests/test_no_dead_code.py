@@ -3,9 +3,9 @@
 A top-level function or class of a `geoalg` module counts as used when
 some module names it outside its own definition: a call, an attribute
 (`centers.centers_An`), an import or a reference.  The unused ones must
-be exactly the claim checks that no `verify` case runs yet and the
-oracles the README lists: a new function that only tests call fails
-here, and so does a pinned one that gains a caller or goes.
+be exactly the oracles the README lists: every claim check of the paper
+runs inside a `verify` case, so a new function that only tests call
+fails here, and so does a pinned oracle that gains a caller or goes.
 """
 
 import ast
@@ -15,15 +15,6 @@ import geoalg
 
 SRC = Path(geoalg.__file__).parent
 
-# claim checks of the paper that tests call and no verify case runs yet
-CLAIM_CHECKS = {
-    "braid.combination_transform_check",
-    "centers.d2_pfaffian_identity",
-    "centers.dn_diagonal_specialization",
-    "fatgraph.clashed_hole_coords",
-    "reductions.gp_expansion_consistency",
-    "reductions.gp_u_symmetry",
-}
 # independent oracles, kept for the tests on purpose (README)
 ORACLES = {"ks_calculus.ks_bracket_numeric"}
 
@@ -54,8 +45,9 @@ def unused_definitions(root=SRC) -> set:
 
 
 def test_unused_definitions_are_pinned():
-    unused, pinned = unused_definitions(), CLAIM_CHECKS | ORACLES
-    assert unused == pinned, (sorted(unused - pinned), sorted(pinned - unused))
+    unused = unused_definitions()
+    assert unused == ORACLES, (sorted(unused - ORACLES),
+                               sorted(ORACLES - unused))
 
 
 def test_the_scan_sees_a_definition_only_tests_call(tmp_path):

@@ -40,15 +40,6 @@ def test_chebyshev_recursion_for_rho():
             k - 1)
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (3, 2)])
-def test_series_consistency(n, p):
-    assert red.gp_expansion_consistency(n, p, 3)
-
-
-def test_gp_u_symmetry():
-    assert red.gp_u_symmetry(3, 2)
-
-
 def test_representative_independence():
     assert red.representative_independence(3, 2)
 
