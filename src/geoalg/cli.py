@@ -245,6 +245,20 @@ def _bool_case(value):
     return bool(value), repr(value), "expected truthy"
 
 
+def _folded(**halves):
+    """The verdict of a case that folds several checks, each a thunk
+    giving (ok, left, right), run in order up to the first that fails:
+    that half's verdict with its name before its left side, or the first
+    half's when all pass."""
+    first = None
+    for name, half in halves.items():
+        ok, left, right = half()
+        if not ok:
+            return ok, f"{name}: {left}", right
+        first = first or (ok, left, right)
+    return first
+
+
 def _pair_verdict(lhs, rhs):
     """An oracle's value against the structure constants': when they agree
     the report carries (and prints) one value for both sides."""
@@ -262,8 +276,10 @@ def _suite_goldman(args):
     graph = fatgraph.canonical_disc_graph(n)
     alg = dn_algebra.an_algebra(n)
     geo = fatgraph.geodesic_functions(n)
-    cases = [("perimeter", lambda: _bool_case(
-        fatgraph.perimeter_identity(n) and fatgraph.clashed_hole_coords()))]
+    cases = [("perimeter", lambda: _folded(
+        perimeter_identity=lambda: _bool_case(fatgraph.perimeter_identity(n)),
+        clashed_hole_coords=lambda: _bool_case(
+            fatgraph.clashed_hole_coords())))]
     fields = {}  # geodesic -> its shear gradient and Hamiltonian field
 
     def field(i, j):
@@ -359,8 +375,13 @@ def _suite_yangian(args):
         def inner():
             rep = dn_algebra.semiclassical_reflection_check(
                 dn_algebra.dn_algebra(n), order)
-            return rep["ok"], f"{len(rep['mismatches'])} mismatches", \
-                f"{rep['checked']} entries"
+            if rep["ok"]:
+                return True, "0 mismatches", f"{rep['checked']} entries"
+            ji, pl, (k, k2), residual = rep["first"]
+            return False, (
+                f"{len(rep['mismatches'])} mismatches of {rep['checked']} "
+                f"entries; first {(ji, pl)} at lam^-{k} mu^-{k2}, lhs - rhs:"
+            ), residual
         return inner
 
     return [(f"reflection-limit n={n} order={o}", run(n, o)) for n, o in specs]
@@ -370,14 +391,18 @@ def _suite_centers(args):
     seed = _given(args.seed, 0)
     cases = []
 
+    def invariance(flags):
+        return all(flags), f"invariance flags {flags}", "all True"
+
     def an_case(n):
         def run():
             cs = centers_mod.centers_An(n)
             rep = centers_mod.centrality_report(dn_algebra.an_algebra(n),
                                                 cs.coefficients)
-            ok = rep["ok"] and all(
-                centers_mod.braid_invariance("A", cs.coefficients, n))
-            return ok, rep, "all brackets zero"
+            return _folded(
+                centrality=lambda: (rep["ok"], rep, "all brackets zero"),
+                braid=lambda: invariance(centers_mod.braid_invariance(
+                    "A", cs.coefficients, n)))
         return run
 
     for n in (2, 3):
@@ -386,9 +411,10 @@ def _suite_centers(args):
     def dnp_case(n, p):
         def run():
             cs = centers_mod.centers_Dnp(n, p, seed=seed)
-            ok, left, right = _rank_case(cs, (n * p) // 2)
-            return ok and all(centers_mod.braid_invariance(
-                "Dp", cs.coefficients, n, p)), left, right
+            return _folded(
+                rank=lambda: _rank_case(cs, (n * p) // 2),
+                braid=lambda: invariance(centers_mod.braid_invariance(
+                    "Dp", cs.coefficients, n, p)))
         return run
 
     for n, p in ((2, 2), (3, 2), (2, 3)):
@@ -404,9 +430,8 @@ def _suite_centers(args):
         cases.append((f"det-coefficient relations n={n}", relation_case(n)))
 
     def invariance_case():
-        cs = centers_mod.corrected_d3_casimirs()
-        flags = centers_mod.braid_invariance("D", cs, 3)
-        return all(flags), f"invariance flags {flags}", "all True"
+        return invariance(centers_mod.braid_invariance(
+            "D", centers_mod.corrected_d3_casimirs(), 3))
 
     cases.append(("involution casimirs n=3", invariance_case))
     return cases
@@ -423,9 +448,10 @@ def _rank_case(cs, want):
 
 def _suite_reduction(args):
     cases = [
-        ("commuting square n=3", lambda: _bool_case(
-            reductions.th_dn_check(3)["ok"]
-            and braid_mod.combination_transform_check(3)["ok"])),
+        ("commuting square n=3", lambda: _folded(
+            th_dn_check=lambda: _bool_case(reductions.th_dn_check(3)["ok"]),
+            combination_transform_check=lambda: _bool_case(
+                braid_mod.combination_transform_check(3)["ok"]))),
         ("generating-series sum", lambda: _bool_case(
             reductions.dn_sum()["ok"])),
         ("resolution identity", lambda: _bool_case(
@@ -458,7 +484,10 @@ def _suite_frobenius(args):
 
     def all_ones(m):
         rep = frobenius.all_ones_report(m)
-        return _bool_case(rep["char_poly_ok"] and all(rep["level_p"].values()))
+        flags = rep["level_p"]
+        return _folded(
+            char_poly=lambda: _bool_case(rep["char_poly_ok"]),
+            level_p=lambda: (all(flags.values()), flags, "all True"))
 
     for m in (2, 3):
         cases.append((f"all-ones tail m={m}", lambda m=m: all_ones(m)))

@@ -19,8 +19,9 @@ an id pair is {G_x, G_y} = sum c G_u G_v as a tuple of term tuples
 (c, m, u, v), built once from the (c, x, y) lists of _structure_constant
 with no Expr: m is the packed monomial of G_u G_v, constants are folded
 into c, id 0 is the factor 1, and d/dG_u of a term is c G_v.  Readers:
-_pair_bracket (a row's Expr), jacobi_check, the Stokes realization
-(sum c v[u] v[v] at floats) and representative_independence.
+_pair_bracket (a row's Expr), jacobi_check, the reflection form, the
+Stokes realization (sum c v[u] v[v] at floats) and
+representative_independence.
 
 The same structure constants are packaged as a generating-function
 identity: with
@@ -30,10 +31,12 @@ identity: with
 A0 upper-triangular with unit diagonal, the bracket of two matrix entries
 of Gcal is a rational-kernel quadratic expression, the entry of a
 classical twisted reflection equation.  The generating-function form and
-the reflection form are one entrywise check (generating_bracket): both
-sides are Exprs in lam, mu, the kernels are the entries of
-classical_r_matrix over lam - mu and over 1/lam - mu, and the sides are
-compared coefficient by coefficient up to lam^-order mu^-order.
+the reflection form are one entrywise check (generating_bracket), made
+coefficient by coefficient of lam^-K mu^-K', 0 <= K, K' <= order: the
+kernels are the entries of classical_r_matrix over lam - mu and over
+1/lam - mu, and each coefficient of either side is an integer form
+sum c G_u G_v keyed by table ids, the left one read off the table's rows,
+with no Expr in lam and mu.
 """
 
 from __future__ import annotations
@@ -283,9 +286,11 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
 # ---------------------------------------------------------------------------
 # generating-function / semiclassical reflection form
 # ---------------------------------------------------------------------------
-# Series are Exprs in the spectral symbols lam, mu.  The kernels reach
-# positive powers of mu, so the kernel side is cut to the window lam^-a
-# mu^-b, 0 <= a, b <= order, early in lam (per lam side), in mu at the end.
+# Gcal and the kernels are Exprs in the spectral symbols lam, mu; the check
+# reads them as (level or power, coefficient) terms.  The kernels reach
+# positive powers of mu, so the kernel side is cut to the window lam^-K
+# mu^-K', 0 <= K, K' <= order, in lam per lam side and in mu where a lam
+# side meets Gcal(mu).
 
 
 def gcal_entry(level, i: int, j: int, order: int, var="lam") -> Expr:
@@ -317,80 +322,139 @@ def _kernels(n: int, order: int) -> tuple:
             {ab: r[ab, ab[::-1]].subst(to_inverse) * over_t for ab in idx})
 
 
+def _gcal_atoms(table: _Table, n: int, top: int) -> dict:
+    """{(i, j): the coefficients of lam^0 .. lam^-top in Gcal_{i,j}(lam)},
+    each (factor, id) for factor * G_id (id 0: the factor 1) or None for
+    0; A0 is 1 on the diagonal, G[i,j,0] above it and 0 below.  Built
+    level by level, so that symbols are interned in order of level."""
+    def atom(i, j, k):
+        f, u = table.canonical(i, j, k)
+        return f, u or 0  # u None: the constant G[i,i,0] = 2
+    idx = list(itertools.product(range(1, n + 1), repeat=2))
+    out = {(i, j): [(1, 0) if i == j else atom(i, j, 0) if i < j else None]
+           for i, j in idx}
+    for k in range(1, top + 1):
+        for i, j in idx:
+            out[i, j].append(atom(i, j, k))
+    return out
+
+
 def _reflection_tables(alg: GenAlgebra, order: int):
-    """The Gcal entries and lam sides that generating_bracket combines.
-
-    Gcal(lam) to lam^-order, Gcal(mu) to mu^-order (the bracket side) and
-    to mu^-2order (the kernel side: a power (mu/lam)^r with r <= order
-    meets mu^-(b+r)).  A term of the reflection form is (kernel *
+    """(table, gens, mus, sides), built once per check for
+    generating_bracket.  A term of the reflection form is (kernel *
     Gcal(lam)) * Gcal(mu), and its lam side reads three of the four
-    indices: the four families of lam sides are built once per check,
-    keyed by those three, and cut to lam^-order .. lam^0 at once.  The
-    cut is exact, as Gcal(mu) holds no lam.
-    """
+    indices: *sides* holds the four families of lam sides keyed by those
+    three, each a list of (K, b, c, u) for c G_u lam^-K mu^b, cut to
+    0 <= K <= order here (exact, as Gcal(mu) holds no lam), from the
+    kernel terms of _kernels.  mus[x, y][b] lists (K', f, v) for the atom
+    f G_v of Gcal_{x,y}(mu) at level K' + b, 0 <= K' <= order: the mu
+    window.  gens[x, y] lists (K, f, u) for the generator atoms of
+    Gcal_{x,y} to level order, which the left side brackets."""
     n = alg.n
-    rng = range(1, n + 1)
-    idx = list(itertools.product(rng, repeat=2))
-    glam = {ij: gcal_entry(alg.canonical, *ij, order, "lam") for ij in idx}
-    gmu = {ij: gcal_entry(alg.canonical, *ij, order, "mu") for ij in idx}
-    gmu2 = {ij: gcal_entry(alg.canonical, *ij, 2 * order, "mu") for ij in idx}
-    rt, tt = _kernels(n, order)
-    side = lambda k, g: (k * g).window("lam", -order, 0)
-    abc = list(itertools.product(rng, repeat=3))
-    return glam, gmu, gmu2, (
-        {(a, b, c): side(rt[a, b], glam[b, c]) for a, b, c in abc},
-        {(a, b, c): side(rt[a, b], glam[c, a]) for a, b, c in abc},
-        {(a, b, c): side(tt[a, b], glam[c, b]) for a, b, c in abc},
-        {(a, b, c): side(tt[a, b], glam[a, c]) for a, b, c in abc})
+    table = _table(alg)
+    rt, tt = [{ab: [(dict(m).get("lam", 0), dict(m).get("mu", 0), c)
+                    for m, c in kernel.terms()] for ab, kernel in k.items()}
+              for k in _kernels(n, order)]
+    atoms = _gcal_atoms(table, n, order)
+
+    def side(kernel, g):
+        return [(k - a, b, c * atom[0], atom[1]) for a, b, c in kernel
+                for k, atom in enumerate(g) if atom and 0 <= k - a <= order]
+
+    abc = list(itertools.product(range(1, n + 1), repeat=3))
+    sides = (
+        {(a, b, c): side(rt[a, b], atoms[b, c]) for a, b, c in abc},
+        {(a, b, c): side(rt[a, b], atoms[c, a]) for a, b, c in abc},
+        {(a, b, c): side(tt[a, b], atoms[c, b]) for a, b, c in abc},
+        {(a, b, c): side(tt[a, b], atoms[a, c]) for a, b, c in abc})
+    bs = {t[1] for family in sides for terms in family.values() for t in terms}
+    gens = {ij: [(k, *a) for k, a in enumerate(g) if a and a[1]]
+            for ij, g in atoms.items()}
+    deep = _gcal_atoms(table, n, order + max(bs, default=0))
+    mus = {ij: {b: [(k2, *g[k2 + b]) for k2 in range(max(0, -b), order + 1)
+                    if g[k2 + b]] for b in bs} for ij, g in deep.items()}
+    return table, gens, mus, sides
 
 
-def generating_bracket(alg: GenAlgebra, ji, pl, order: int, tables):
-    """Both sides of the generating-function bracket identity.
+def generating_bracket(tables, ji, pl):
+    """Both sides of the generating-function bracket identity, up to
+    lam^-order mu^-order, as dicts {(K, K', u, v): c} of the nonzero
+    terms c G_u G_v lam^-K mu^-K', u <= v; *tables* is
+    _reflection_tables(alg, order), built once for many entries.
 
-    Left: {Gcal_{j,i}(lam), Gcal_{p,l}(mu)} by Leibniz from the structure
-    constants (lam and mu are not generators).  Right: minus entry
-    ((j,p),(i,l)) of the reflection form
+    Left: {Gcal_{j,i}(lam), Gcal_{p,l}(mu)} (lam and mu are not
+    generators), the table row of each pair of generator atoms times
+    their factors.  Right: minus entry ((j,p),(i,l)) of the reflection
+    form
 
         [r/(lam-mu), G1 G2] + G1 rT1/(lam^-1-mu) G2 - G2 rT1/(lam^-1-mu) G1,
 
     that is r~(j,p) G_pi(lam) G_jl(mu) - r~(l,i) G_jl(lam) G_pi(mu)
-    + t~(i,p) G_jp(lam) G_il(mu) - t~(l,j) G_li(lam) G_pj(mu).  Returns
-    (lhs, rhs) up to lam^-order mu^-order: the left side has no other
-    terms, the right side is one dot of the four lam sides (already cut
-    in lam) with their Gcal(mu), cut in mu.  *tables* is
-    _reflection_tables(alg, order), built once for many entries.
+    + t~(i,p) G_jp(lam) G_il(mu) - t~(l,j) G_li(lam) G_pj(mu), each lam
+    side meeting its Gcal(mu) in the mu window.
     """
-    glam, gmu, gmu2, (s1, s2, s3, s4) = tables
+    table, gens, mus, (s1, s2, s3, s4) = tables
     j, i = ji
     p, l = pl
-    lhs = bracket(alg, glam[j, i], gmu[p, l])
-    rhs = dot([(-1, s1[j, p, i], gmu2[j, l]), (1, s2[l, i, j], gmu2[p, i]),
-               (-1, s3[i, p, j], gmu2[i, l]), (1, s4[l, j, i], gmu2[p, j])])
-    return lhs, rhs.window("mu", -order, 0)
+    rows, row = table.rows, table.row
+    lhs = {}
+    ys = gens[pl]
+    for k, fx, x in gens[ji]:
+        for k2, fy, y in ys:
+            for c, _, u, v in rows.get((x, y)) or row(x, y):
+                lhs[k, k2, u, v] = c * fx * fy
+    rhs = {}
+    get = rhs.get
+    for sign, side, mu in ((-1, s1[j, p, i], mus[j, l]),
+                           (1, s2[l, i, j], mus[p, i]),
+                           (-1, s3[i, p, j], mus[i, l]),
+                           (1, s4[l, j, i], mus[p, j])):
+        for k, b, c, u in side:
+            c *= sign
+            for k2, f, v in mu[b]:
+                key = (k, k2, u, v) if u <= v else (k, k2, v, u)
+                rhs[key] = get(key, 0) + c * f
+    return lhs, {key: c for key, c in rhs.items() if c}
+
+
+def _series(table: _Table, form: dict) -> Expr:
+    """The Expr of a generating_bracket side."""
+    g = [ONE] + [E(gen(*t)) for t in table.triples[1:]]
+    return dot((c, g[u] * g[v], E("lam", -k) * E("mu", -k2))
+               for (k, k2, u, v), c in form.items())
 
 
 def semiclassical_reflection_check(alg: GenAlgebra, order: int):
     """Entrywise comparison of the bracket with the reflection form.
 
     Compares {Gcal(lam) (x), Gcal(mu)} with the reflection form entry by
-    entry (generating_bracket), to the requested series order.  With the
-    commutator and exchange terms oriented as there, the reflection form
-    is the exact entrywise *negative* of the bracket (the orientation
-    that makes the hbar^0 term of the quantum R-matrix come out as
-    -(lam-mu) on the diagonal tensor part); the check compares against
-    the orientation-corrected side and reports the global sign
-    separately.  Returns a report dict.
+    entry (generating_bracket), coefficient by coefficient of
+    lam^-K mu^-K', 0 <= K, K' <= order, as integer forms over table ids
+    with no Expr in lam and mu.  With the commutator and exchange terms
+    oriented as there, the reflection form is the exact entrywise
+    *negative* of the bracket (the orientation that makes the hbar^0 term
+    of the quantum R-matrix come out as -(lam-mu) on the diagonal tensor
+    part); the check compares against the orientation-corrected side and
+    reports the global sign separately.  Returns a report dict whose
+    "mismatches" lists the failing entries ((j,i), (p,l)) and whose
+    "first" is None or (j,i), (p,l), (K, K') and lhs - rhs at the first
+    one's lowest differing lam^-K mu^-K', an Expr.
     """
     n = alg.n
     tables = _reflection_tables(alg, order)
     mismatches = []
-    checked = 0
+    first = None
     for j, i, p, l in itertools.product(range(1, n + 1), repeat=4):
-        lhs, rhs = generating_bracket(alg, (j, i), (p, l), order, tables)
-        checked += 1
+        lhs, rhs = generating_bracket(tables, (j, i), (p, l))
         if lhs != rhs:
-            mismatches.append(((j, i), (p, l), lhs, rhs))
-    return {"checked": checked, "mismatches": mismatches,
+            mismatches.append(((j, i), (p, l)))
+            if first is None:
+                diff = {key: lhs.get(key, 0) - rhs.get(key, 0)
+                        for key in lhs.keys() | rhs.keys()}
+                low = min(key[:2] for key, c in diff.items() if c)
+                first = (j, i), (p, l), low, _series(tables[0], {
+                    key: c for key, c in diff.items() if key[:2] == low})
+    return {"checked": n ** 4, "mismatches": mismatches, "first": first,
             "ok": not mismatches, "printed_orientation_sign": -1}
 
 

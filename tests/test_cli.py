@@ -3,6 +3,7 @@
 import argparse
 import collections
 import contextlib
+import functools
 import io
 import json
 import os
@@ -12,15 +13,16 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geoalg import (braid, centers, cli, dn_algebra, fatgraph, frobenius,
-                    ks_calculus)
+                    ks_calculus, reductions)
 from geoalg.cli import main
-from geoalg.poly_core import E, Expr, ZERO
+from geoalg.poly_core import E, Expr, ZERO, dot, gen
 
 
 def _json_lines(capsys):
@@ -355,31 +357,48 @@ def _unfolded_dnp_substitution(b, n, p):
             for s in centers.generator_symbols(dn_algebra.dnp_algebra(n, p))}
 
 
-@pytest.mark.parametrize("suite,module,name,mutant,case", [
+@pytest.mark.parametrize("suite,module,name,mutant,case,named", [
     pytest.param("goldman", fatgraph, "_reduce_quadratic",
                  lambda old: lambda e, var, csum: e, "perimeter",
-                 id="clashed hole"),
+                 "clashed_hole_coords: False", id="clashed hole"),
+    pytest.param("goldman", fatgraph, "perimeter_identity",
+                 lambda old: lambda n: False, "perimeter",
+                 "perimeter_identity: False", id="perimeter"),
     pytest.param("reduction", braid, "combination_transform_check",
                  lambda old: lambda n: {"ok": False}, "commuting square n=3",
+                 "combination_transform_check: False",
                  id="combination transform"),
+    pytest.param("reduction", reductions, "th_dn_check",
+                 lambda old: lambda n: {"ok": False}, "commuting square n=3",
+                 "th_dn_check: False", id="commuting square"),
     pytest.param("centers", centers, "_an_substitution",
                  lambda old: lambda b, n: {s: 2 * e
                                            for s, e in old(b, n).items()},
-                 "level-0 centers n=2", id="level-0 invariance"),
+                 "level-0 centers n=2", "braid: invariance flags [False",
+                 id="level-0 invariance"),
     pytest.param("centers", centers, "_dnp_substitution",
                  lambda old: _unfolded_dnp_substitution,
-                 "level-p centers (2,2)", id="level-p invariance"),
+                 "level-p centers (2,2)", "braid: invariance flags [False",
+                 id="level-p invariance"),
+    pytest.param("frobenius", frobenius, "level_p_condition",
+                 lambda old: lambda st, p: {**old(st, p),
+                                            "full_period": False},
+                 "all-ones tail m=2", "level_p: {'tail_power_identity': True",
+                 id="all-ones level-p"),
 ])
 def test_a_folded_check_fails_its_verify_case(suite, module, name, mutant,
-                                              case, monkeypatch, capsys):
+                                              case, named, monkeypatch,
+                                              capsys):
     # each claim check runs inside the verdict of the case that checks the
-    # same object: breaking it fails that case, by its value, not a crash
+    # same object: breaking it fails that case, by its value, not a crash,
+    # and the report names the half that failed
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     assert main(["verify", "--suite", suite]) == 1
     failed = {r["case"]: r["left"] for r in _json_lines(capsys)
               if r["status"] == "fail"}
     assert case in failed
     assert not failed[case].startswith("exception")
+    assert named in failed[case], failed[case]
 
 
 def test_level_p_centers_fail_a_wrong_rank():
@@ -501,6 +520,51 @@ def test_yangian_level_without_n_is_read(capsys):
     assert main(["verify", "--suite", "yangian", "--level", "1"]) == 0
     assert [r["case"] for r in _json_lines(capsys)] == [
         "reflection-limit n=2 order=1", "reflection-limit n=3 order=1"]
+
+
+def _plant_reflection_row(monkeypatch, capsys, extra):
+    """{G[1,2,0], G[1,3,1]} with the (c, x, y) terms *extra* added, in a
+    table of dn_algebra(3) dropped when the test ends: the row reaches one
+    reflection entry, ((1,2),(1,3)), at lam^0 mu^-1."""
+    monkeypatch.setattr(dn_algebra, "_table",
+                        functools.cache(dn_algebra._Table))
+    alg = dn_algebra.dn_algebra(3)
+    table = dn_algebra._table(alg)
+    a, b = (1, 2, 0), (1, 3, 1)
+    key = table.canonical(*a)[1], table.canonical(*b)[1]
+    table.rows[key] = table.compile(
+        dn_algebra._structure_constant(alg, a, b) + extra)
+    assert main(["verify", "--suite", "yangian", "--n", "3"]) == 1
+    (rep,) = _json_lines(capsys)
+    return rep
+
+
+def test_a_failing_reflection_report_names_its_first_mismatch(monkeypatch,
+                                                             capsys):
+    # the constant 1 = 1/4 * G[1,1,0]^2 added
+    rep = _plant_reflection_row(monkeypatch, capsys,
+                                [(Fraction(1, 4), (1, 1, 0), (1, 1, 0))])
+    assert rep["left"] == ("1 mismatches of 81 entries; first ((1, 2), "
+                           "(1, 3)) at lam^-0 mu^-1, lhs - rhs:")
+    assert rep["right"] == "mu^-1 [1 terms; lowest: mu^-1 · 1]"
+
+
+def test_a_long_reflection_residual_is_cut(monkeypatch, capsys):
+    # nine products added: the residual is cut to the failing width and
+    # names its lowest term
+    extra = [(1, (2, 3, k), (3, 2, k2)) for k in (1, 2, 3)
+             for k2 in (1, 2, 3)]
+    residual = dot([(1, E(gen(*x)) * E(gen(*y)), E("mu", -1))
+                    for _, x, y in extra])
+    monkeypatch.setattr(cli, "_FAIL_CHARS", 80)
+    rep = _plant_reflection_row(monkeypatch, capsys, extra)
+    assert rep["left"] == ("1 mismatches of 81 entries; first ((1, 2), "
+                           "(1, 3)) at lam^-0 mu^-1, lhs - rhs:")
+    assert len(str(residual)) > 80
+    assert rep["right"] == cli._cut(residual, str(residual))
+    assert rep["right"].startswith(str(residual)[:80] + "…")
+    assert rep["right"].endswith(
+        "[9 terms; lowest: G[2,3,1]*G[3,2,1]*mu^-1 · 1]")
 
 
 # -- the exit-code contract under random command lines -----------------------

@@ -307,8 +307,7 @@ def test_jacobi_suite_builds_each_row_once(monkeypatch):
                                    ((2, 2), (1, 3))])
 def test_generating_function_identity(ji, pl):
     alg = dn_algebra(3)
-    lhs, rhs = generating_bracket(alg, ji, pl, 2,
-                                  dn._reflection_tables(alg, 2))
+    lhs, rhs = generating_bracket(dn._reflection_tables(alg, 2), ji, pl)
     assert lhs == rhs
 
 
@@ -341,10 +340,11 @@ def test_reflection_check_catches_a_short_kernel(monkeypatch, dropped):
     assert not rep["ok"] and rep["mismatches"]
 
 
-@pytest.mark.parametrize("n,order", [(3, 2), (4, 1)])
+@pytest.mark.parametrize("n,order", [(3, 2), (4, 1), (2, 3), (4, 2)])
 def test_shared_lam_sides_give_the_windowed_full_product(n, order):
     # the right side restated: the four kernel products in full, then the
-    # window lam^-a mu^-b, 0 <= a, b <= order, and the global sign
+    # window lam^-a mu^-b, 0 <= a, b <= order, and the global sign; both
+    # integer forms of every entry, read back as Exprs, equal it
     alg = dn_algebra(n)
     tables = dn._reflection_tables(alg, order)
     rt, tt = dn._kernels(n, order)
@@ -358,8 +358,50 @@ def test_shared_lam_sides_give_the_windowed_full_product(n, order):
                 + tt[i, p] * glam[j, p] * gmu2[i, l]
                 - tt[l, j] * glam[l, i] * gmu2[p, j])
         want = -full.window("lam", -order, 0).window("mu", -order, 0)
-        _, rhs = generating_bracket(alg, (j, i), (p, l), order, tables)
-        assert rhs == want
+        lhs, rhs = generating_bracket(tables, (j, i), (p, l))
+        assert dn._series(tables[0], rhs) == want
+        assert dn._series(tables[0], lhs) == want
+
+
+def _mutated_atoms(monkeypatch, change):
+    # every Gcal atom list passed through change(i, j, atoms)
+    true_atoms = dn._gcal_atoms
+    monkeypatch.setattr(dn, "_gcal_atoms", lambda table, n, top: {
+        (i, j): change(i, j, g) for (i, j), g in true_atoms(
+            table, n, top).items()})
+
+
+def _mutated_tables(monkeypatch, change):
+    # every check's (table, gens, mus, sides) passed through change
+    true_tables = dn._reflection_tables
+    monkeypatch.setattr(dn, "_reflection_tables", lambda alg, order: change(
+        *true_tables(alg, order)))
+
+
+@pytest.mark.parametrize("mutant", [
+    # the lam window stopping at K = order - 1 (order 2)
+    lambda mp: _mutated_tables(mp, lambda table, gens, mus, sides: (
+        table, gens, mus, tuple({key: [t for t in side if t[0] < 2]
+                                 for key, side in family.items()}
+                                for family in sides))),
+    # the mu window shifted by one: level K' + b read at mu^-(K'+1)
+    lambda mp: _mutated_tables(mp, lambda table, gens, mus, sides: (
+        table, gens, {xy: {b: [(k2 + 1, f, v) for k2, f, v in terms]
+                           for b, terms in by_b.items()}
+                      for xy, by_b in mus.items()}, sides)),
+    # Gcal's diagonal A0 read as the constant G[i,i,0] = 2
+    lambda mp: _mutated_atoms(mp, lambda i, j, g: [(2, 0)] + g[1:]
+                              if i == j else g),
+    # the level-0 atom of i < j dropped
+    lambda mp: _mutated_atoms(mp, lambda i, j, g: [None] + g[1:]
+                              if i < j else g),
+], ids=["lam window short", "mu window shifted", "diagonal 2",
+        "no upper level 0"])
+def test_reflection_check_catches_a_wrong_coefficient_bookkeeping(
+        monkeypatch, mutant):
+    mutant(monkeypatch)
+    rep = semiclassical_reflection_check(dn_algebra(3), 2)
+    assert not rep["ok"] and rep["mismatches"]
 
 
 @pytest.mark.parametrize("delta", [1, -1])
