@@ -17,10 +17,17 @@ id from 1 up; one index canonicalization, (i, j, k) -> (factor, id or
 None for the constant 2), also serves GenAlgebra.canonical.  The row of
 an id pair is {G_x, G_y} = sum c G_u G_v as a tuple of term tuples
 (c, m, u, v), built once from the (c, x, y) lists of _structure_constant
-with no Expr: m is the packed monomial of G_u G_v, constants are folded
-into c, id 0 is the factor 1, and d/dG_u of a term is c G_v.  Readers:
-_pair_bracket (a row's Expr), jacobi_check, the reflection form, the
-Stokes realization (sum c v[u] v[v] at floats) and
+with no Expr: constants are folded into c, id 0 is the factor 1, and
+d/dG_u of a term is c G_v.  m is the compact key of G_u G_v, the sum of
+the units 1 << 2 id of its factors (0 for id 0): two bits per table id,
+so its width follows the table, not every symbol the process has
+interned, and it holds the multiplicity 3 of the cubes that Jacobiators
+reach.  A row's terms are ordered by the packed monomial of G_u G_v, so
+sums over them do not depend on the order of table ids.  At unequal
+canonical levels the closed form of {G_y, G_x} is the negated closed
+form of {G_x, G_y}, so a row whose mirror is built is its negation.
+Readers: _pair_bracket (a row's Expr), jacobi_check, the reflection
+form, the Stokes realization (sum c v[u] v[v] at floats) and
 representative_independence.
 
 The same structure constants are packaged as a generating-function
@@ -125,7 +132,7 @@ class _Table:
         self.index = {}        # (i, j, k) -> (factor, id or None)
         self.triples = [None]  # id -> canonical triple (id 0: the factor 1)
         self.units = [0]       # id -> packed monomial of G_id
-        self.monos = {}        # packed monomial -> its one copy in the rows
+        self.keys = [0]        # id -> compact key 1 << 2 id of G_id
         self.rows = {}         # (x, y) -> the row of {G_x, G_y}
 
     def canonical(self, i: int, j: int, k: int) -> tuple:
@@ -148,15 +155,22 @@ class _Table:
                 hit = self.index[i, j, k] = 1, len(self.triples)
                 self.triples.append((i, j, k))
                 self.units.append(_symbol(gen(i, j, k))[0])
+                self.keys.append(1 << 2 * hit[1])
             self.index[a] = hit
         return hit
 
     def row(self, x: int, y: int) -> tuple:
-        """The row of {G_x, G_y}, built on first use."""
+        """The row of {G_x, G_y}, built on first use: the negated mirror
+        row when that is built and the canonical levels differ (where
+        _structure_constant negates the swapped closed form), else
+        compiled from the closed form."""
         row = self.rows.get((x, y))
         if row is None:
-            row = self.rows[x, y] = self.compile(_structure_constant(
-                self.alg, self.triples[x], self.triples[y]))
+            a, b = self.triples[x], self.triples[y]
+            mirror = self.rows.get((y, x)) if a[2] != b[2] else None
+            row = self.rows[x, y] = (
+                self.compile(_structure_constant(self.alg, a, b))
+                if mirror is None else _negated(mirror))
         return row
 
     def pair(self, a, b) -> tuple:
@@ -166,18 +180,38 @@ class _Table:
 
     def compile(self, terms) -> tuple:
         """The row of sum c G_x G_y over (c, x, y), x and y index triples."""
-        units, share = self.units, self.monos.setdefault
+        keys = self.keys
         index, canonical = self.index.get, self.canonical
-        acc = {}  # packed monomial -> [c, u, v], u <= v
+        acc = {}  # compact key -> [c, u, v], u <= v
         for c, a, b in terms:
             fa, u = index(a) or canonical(*a)
             fb, v = index(b) or canonical(*b)
             u, v = u or 0, v or 0
             if u > v:
                 u, v = v, u
-            acc.setdefault(units[u] + units[v], [0, u, v])[0] += c * fa * fb
-        return tuple((_rat(c), share(m, m), u, v)
-                     for m, (c, u, v) in sorted(acc.items()) if c)
+            acc.setdefault(keys[u] + keys[v], [0, u, v])[0] += c * fa * fb
+        units = self.units  # terms in the order of their packed monomials
+        out = sorted((units[u] + units[v], c, m, u, v)
+                     for m, (c, u, v) in acc.items() if c)
+        return tuple((_rat(c), m, u, v) for _, c, m, u, v in out)
+
+    def packed(self, key: int) -> int:
+        """The packed monomial of the compact key *key*: digit i (bits
+        2i, 2i + 1) is the multiplicity of G_i, and id 0 has none."""
+        units = self.units
+        mono, i = 0, 0
+        key >>= 2
+        while key:
+            i += 1
+            if key & 3:
+                mono += (key & 3) * units[i]
+            key >>= 2
+        return mono
+
+
+def _negated(row: tuple) -> tuple:
+    """The row -{G_x, G_y} of a row {G_x, G_y}."""
+    return tuple((-c, m, u, v) for c, m, u, v in row)
 
 
 @cache
@@ -187,8 +221,10 @@ def _table(alg: GenAlgebra) -> _Table:
 
 def _pair_bracket(alg: GenAlgebra, a, b) -> Expr:
     """{G^(m)_{j,i}, G^(k)_{p,l}}: the Expr of the table's row."""
-    t = _table(alg).pair(a, b)
-    return _expr({m: c for c, m, _, _ in t}, 2)  # exponents are <= 2
+    table = _table(alg)
+    units = table.units
+    return _expr({units[u] + units[v]: c for c, _, u, v in table.pair(a, b)},
+                 2)  # exponents are <= 2
 
 
 def _structure_constant(alg: GenAlgebra, a, b) -> list:
@@ -258,9 +294,11 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
     Each term is sum_w d{G_x,G_y}/dG_w {G_w,G_z}, read off the table's
     rows: a term c G_u G_v of {G_x,G_y} meets each term k2 m2 of
     {G_u,G_z} as c k2 on G_v m2 (and of {G_v,G_z} as c k2 on G_u m2),
-    summed in one dict keyed by the packed monomial.  Generators
-    suffice: the Jacobiator of a biderivation is a derivation in each
-    argument, so Jacobi on the generators implies it on every polynomial.
+    summed in one dict keyed by the compact key (a cube G_u^3 is the
+    widest); only a nonzero Jacobiator is turned into packed monomials.
+    Generators suffice: the Jacobiator of a biderivation is a derivation
+    in each argument, so Jacobi on the generators implies it on every
+    polynomial.
     """
     table = _table(alg)
     x, y, z = (table.canonical(*t)[1] for t in (a, b, c))
@@ -268,19 +306,24 @@ def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:
         return ZERO
     acc = {}
     get = acc.get
-    rows, row, units = table.rows, table.row, table.units
+    rows, row, keys = table.rows, table.row, table.keys
     for x, y, z in ((x, y, z), (y, z, x), (z, x, y)):
         for c, _, u, v in rows.get((x, y)) or row(x, y):
-            # d/dG_w of c G_u G_v is c times the other factor, w = u, v
-            for w, other in ((u, v), (v, u)):
-                if not w:  # the factor 1
-                    continue
-                m = units[other]
-                for k2, m2, _, _ in rows.get((w, z)) or row(w, z):
-                    mono = m + m2
-                    acc[mono] = get(mono, 0) + c * k2
-    out = {m: c for m, c in acc.items() if c}
-    return _normalized(out, 3) if out else ZERO
+            # d/dG_w of c G_u G_v is c times the other factor, w = u, v;
+            # u <= v, and id 0 (the factor 1) has no partial
+            if u:
+                m = keys[v]
+                for k2, m2, _, _ in rows.get((u, z)) or row(u, z):
+                    key = m + m2
+                    acc[key] = get(key, 0) + c * k2
+            if v:
+                m = keys[u]
+                for k2, m2, _, _ in rows.get((v, z)) or row(v, z):
+                    key = m + m2
+                    acc[key] = get(key, 0) + c * k2
+    if not any(acc.values()):
+        return ZERO
+    return _normalized({table.packed(m): c for m, c in acc.items() if c}, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,11 @@ def representative_independence(n: int, p: int) -> bool:
            if not (k == 0 and i > j)]
     for a in idx:
         i, j, k = a
-        shifted = (i, j, k - p)
         for b in idx:
-            if terms(a, b) != terms(shifted, b):
-                return False
-            if terms(b, a) != terms(b, shifted):
+            i2, j2, k2 = b
+            base = terms(a, b)
+            if (terms((i, j, k - p), b) != base
+                    or terms(a, (i2, j2, k2 - p)) != base):
                 return False
     return True
 
@@ -150,13 +150,14 @@ def th_dn_check(n: int) -> dict:
     red = reduction_substitution(n, cap)
     gm0 = _braid.LambdaMatrix.generic(n, cap)
     fam0 = gm0.levels()
+    reduced = {t: fam0[t].subst(red) for t in generator_tuples(n, levels)}
     gens = [_braid.adjacent(i) for i in range(1, n)]
     gens += [_braid.wrap(), _braid.wrap(True)]
     for b in gens:
         fam1 = _braid.act_frakDn(b, gm0).levels()
         dsub = _braid.Dn_substitution(b, n)
-        bad = sum(fam1[t].subst(red) != fam0[t].subst(red).subst(dsub)
-                  for t in generator_tuples(n, levels))
+        bad = sum(fam1[t].subst(red) != r.subst(dsub)
+                  for t, r in reduced.items())
         report["checks"].append(
             {"generator": (b.kind, b.i, b.inverse), "mismatches": bad})
         report["ok"] = report["ok"] and bad == 0

@@ -523,17 +523,18 @@ def test_yangian_level_without_n_is_read(capsys):
 
 
 def _plant_reflection_row(monkeypatch, capsys, extra):
-    """{G[1,2,0], G[1,3,1]} with the (c, x, y) terms *extra* added, in a
-    table of dn_algebra(3) dropped when the test ends: the row reaches one
-    reflection entry, ((1,2),(1,3)), at lam^0 mu^-1."""
+    """The closed form of {G[1,2,0], G[1,3,1]} in dn_algebra(3) with the
+    (c, x, y) terms *extra* added, and so the negated terms in that of
+    {G[1,3,1], G[1,2,0]}, in tables dropped when the test ends: the two
+    rows reach two reflection entries, the first ((1,2),(1,3)) at
+    lam^0 mu^-1."""
     monkeypatch.setattr(dn_algebra, "_table",
                         functools.cache(dn_algebra._Table))
     alg = dn_algebra.dn_algebra(3)
-    table = dn_algebra._table(alg)
     a, b = (1, 2, 0), (1, 3, 1)
-    key = table.canonical(*a)[1], table.canonical(*b)[1]
-    table.rows[key] = table.compile(
-        dn_algebra._structure_constant(alg, a, b) + extra)
+    true_form = dn_algebra._structure_constant
+    monkeypatch.setattr(dn_algebra, "_structure_constant", lambda *args: (
+        true_form(*args) + (extra if args == (alg, a, b) else [])))
     assert main(["verify", "--suite", "yangian", "--n", "3"]) == 1
     (rep,) = _json_lines(capsys)
     return rep
@@ -544,7 +545,7 @@ def test_a_failing_reflection_report_names_its_first_mismatch(monkeypatch,
     # the constant 1 = 1/4 * G[1,1,0]^2 added
     rep = _plant_reflection_row(monkeypatch, capsys,
                                 [(Fraction(1, 4), (1, 1, 0), (1, 1, 0))])
-    assert rep["left"] == ("1 mismatches of 81 entries; first ((1, 2), "
+    assert rep["left"] == ("2 mismatches of 81 entries; first ((1, 2), "
                            "(1, 3)) at lam^-0 mu^-1, lhs - rhs:")
     assert rep["right"] == "mu^-1 [1 terms; lowest: mu^-1 · 1]"
 
@@ -558,7 +559,7 @@ def test_a_long_reflection_residual_is_cut(monkeypatch, capsys):
                     for _, x, y in extra])
     monkeypatch.setattr(cli, "_FAIL_CHARS", 80)
     rep = _plant_reflection_row(monkeypatch, capsys, extra)
-    assert rep["left"] == ("1 mismatches of 81 entries; first ((1, 2), "
+    assert rep["left"] == ("2 mismatches of 81 entries; first ((1, 2), "
                            "(1, 3)) at lam^-0 mu^-1, lhs - rhs:")
     assert len(str(residual)) > 80
     assert rep["right"] == cli._cut(residual, str(residual))

@@ -17,7 +17,8 @@ from geoalg.dn_algebra import (
     generator_tuples, jacobi_check, semiclassical_reflection_check,
     _pair_bracket,
 )
-from geoalg.poly_core import E, ONE, ZERO, const, dot, gen, parse_gen
+from geoalg.poly_core import (E, ONE, ZERO, _expr, _rat, const, dot, gen,
+                              parse_gen)
 
 
 def test_canonical_storage():
@@ -146,6 +147,73 @@ def test_rows_match_the_dot_built_structure_constants(alg, level):
         assert _pair_bracket(alg, a, b) == want, (a, b)
         assert _row_views(alg, dn._table(alg).pair(a, b)) == (
             want, want.gradient()), (a, b)
+
+
+def _packed_compile(table, terms):
+    """The row of *terms* as compiled when keyed by packed monomial:
+    (c, u, v) per term, sorted by the packed monomial of G_u G_v."""
+    acc = {}
+    for c, a, b in terms:
+        fa, u = table.canonical(*a)
+        fb, v = table.canonical(*b)
+        u, v = sorted((u or 0, v or 0))
+        acc.setdefault(table.units[u] + table.units[v],
+                       [0, u, v])[0] += c * fa * fb
+    return [(_rat(c), u, v) for _, (c, u, v) in sorted(acc.items()) if c]
+
+
+@pytest.mark.parametrize("alg, level", [
+    (an_algebra(5), 0), (dn_algebra(3), 3), (dnp_algebra(3, 4), 3)])
+def test_compact_keys_keep_the_packed_rows(alg, level):
+    # two tables with ids in generator order and reversed: in one of them
+    # the order of table ids runs against that of symbol ids
+    reach = generator_tuples(alg.n, 2 * level)
+    tables = dn._Table(alg), dn._Table(alg)
+    for table, order in zip(tables, (reach, reach[::-1])):
+        for t in order:
+            table.canonical(*t)
+    assert any(table.units != sorted(table.units) for table in tables)
+    gens = generator_tuples(alg.n, level)
+    for table in tables:
+        for a, b in itertools.product(gens, repeat=2):
+            terms = dn._structure_constant(alg, a, b)
+            row = table.compile(terms)
+            assert [(type(c), c, u, v) for c, _, u, v in row] == [
+                (type(c), c, u, v)
+                for c, u, v in _packed_compile(table, terms)], (a, b)
+            assert all(m == table.keys[u] + table.keys[v]
+                       for _, m, u, v in row), (a, b)
+
+
+class _Reads(list):
+    """A list that records the indices read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def test_compact_keys_decode_to_packed_monomials():
+    # multiplicities 0..3 on three ids, the cube G_u^3 of a Jacobiator
+    # the widest
+    table = dn._Table(dn_algebra(3))
+    for t in generator_tuples(3, 2):
+        table.canonical(*t)
+    names = [gen(*t) for t in table.triples[1:]]
+    ids = [1, 7, len(names)]
+    table.units = _Reads(table.units)
+    for es in itertools.product(range(4), repeat=3):
+        key = sum(e * table.keys[i] for e, i in zip(es, ids))
+        want = ONE
+        for e, i in zip(es, ids):
+            want = want * E(names[i - 1]) ** e
+        assert _expr({table.packed(key): 1}, 3) == want, es
+    assert 0 not in table.units.read
+    assert table.units.read == set(ids)
 
 
 def test_bracket_leibniz():
@@ -286,12 +354,21 @@ def test_a_failing_jacobi_report_names_its_lowest_term(monkeypatch):
         assert rep["right"] == "0"
 
 
+def _count_builds(monkeypatch):
+    """The lists of rows compiled and of rows derived from their mirrors,
+    filled as the table builds them."""
+    compiled, derived = [], []
+    compile_row, negated = dn._Table.compile, dn._negated
+    monkeypatch.setattr(dn._Table, "compile", lambda self, terms: (
+        compiled.append(terms) or compile_row(self, terms)))
+    monkeypatch.setattr(dn, "_negated", lambda row: (
+        derived.append(row) or negated(row)))
+    return compiled, derived
+
+
 def test_jacobi_suite_builds_each_row_once(monkeypatch):
     _fresh_tables(monkeypatch)
-    built = []
-    compile_row = dn._Table.compile
-    monkeypatch.setattr(dn._Table, "compile", lambda self, terms: (
-        built.append(terms) or compile_row(self, terms)))
+    compiled, derived = _count_builds(monkeypatch)
     cases = cli._suite_jacobi(argparse.Namespace(n=3, level=2))
     assert all(run()[0] for _, run in cases)
     table = dn._table(dn_algebra(3))
@@ -300,7 +377,28 @@ def test_jacobi_suite_builds_each_row_once(monkeypatch):
     keys = {(table.canonical(*x)[1], table.canonical(*y)[1])
             for x, y in inner}
     assert len(cases) == 1330 and keys <= set(table.rows)
-    assert len(built) == len(table.rows)
+    assert derived and len(compiled) + len(derived) == len(table.rows)
+
+
+@pytest.mark.parametrize("alg, level", [(dn_algebra(3), 3),
+                                        (dnp_algebra(3, 4), 3)])
+def test_mirror_rows_match_the_closed_form(monkeypatch, alg, level):
+    # every ordered pair of ids, its row built after the mirror row:
+    # derived from it at unequal canonical levels, compiled at equal ones
+    _, derived = _count_builds(monkeypatch)
+    table = dn._Table(alg)
+    ids = sorted({table.canonical(*t)[1]
+                  for t in generator_tuples(alg.n, level)} - {None})
+    unequal = 0
+    for x, y in itertools.product(ids, repeat=2):
+        table.rows.pop((x, y), None)
+        table.row(y, x)
+        want = table.compile(dn._structure_constant(
+            alg, table.triples[x], table.triples[y]))
+        assert table.row(x, y) == want, (x, y)
+        unequal += table.triples[x][2] != table.triples[y][2]
+        assert len(derived) == unequal, (x, y)
+    assert unequal
 
 
 @pytest.mark.parametrize("ji,pl", [((1, 2), (2, 3)), ((1, 3), (3, 1)),
