@@ -17,10 +17,12 @@ monomial's nonzero digits rather than a row as wide as every symbol in use.
 ``str`` prints the terms in an order fixed by the value alone: by their
 monomials as ``terms()`` decodes them, fewer letters first, then
 lexicographically, so the text does not depend on the order in which
-symbols were first used.  A value of ``_VECTOR_TERMS`` terms or more finds
-that order by one numpy argsort over a byte key per monomial and reads its
-letters off the sorted exponent rows; a smaller one sorts the tuples of
-``terms()``.  Both share the text assembly.
+symbols were first used.  A value of ``_VECTOR_TERMS`` terms or more is
+printed with no Python work per term: its letters are read off blocks of
+exponent rows, one ``np.lexsort`` over a sparse key (the letter count,
+then the number of each distinct letter) orders the monomials, and one
+join assembles per-coefficient prefixes and the texts of the distinct
+letters.  A smaller value sorts the tuples of ``terms()``.
 
 A sum of products goes through ``dot``: it multiplies the monomials of
 each pair straight into one dict and normalizes once, where a chain of
@@ -48,7 +50,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import inf
 from typing import Iterable, Mapping, Union
 
@@ -456,16 +458,11 @@ class Expr:
     def __str__(self) -> str:
         if not self._d:
             return "0"
-        if len(self._d) < _VECTOR_TERMS:
-            terms = sorted(self.terms(), key=_mono_sort_key)
-            bodies = ["*".join([_factor(v, e) for v, e in mono])
-                      for mono, _ in terms]
-            coeffs = [c for _, c in terms]
-        else:
-            bodies, order = _sorted_bodies(list(self._d))
-            coeffs = list(self._d.values())
-            coeffs = [coeffs[i] for i in order]
-        return _join_terms(bodies, coeffs)
+        if len(self._d) >= _VECTOR_TERMS:
+            return _vector_str(self._d)
+        terms = sorted(self.terms(), key=_mono_sort_key)
+        return _join_terms(["*".join([_factor(v, e) for v, e in mono])
+                            for mono, _ in terms], [c for _, c in terms])
 
     __repr__ = __str__
 
@@ -575,14 +572,21 @@ def _checked(bound: int) -> int:
     return bound
 
 
-def _exponents(monos) -> tuple:
-    """The exponents of each monomial of *monos*, as one flat array that
-    holds a row of len(_NAMES) or fewer entries (indexed by symbol id)
-    per monomial, and the row length."""
+def _width(monos) -> int:
+    """The number of digits, at most len(_NAMES), past which every
+    monomial of *monos* is 0."""
     # a monomial's top nonzero digit lies in the last two fields its bit
     # length reaches into
-    n = min(len(_NAMES),
-            max(max(monos), -min(monos)).bit_length() // _BITS + 1)
+    return min(len(_NAMES),
+               max(max(monos), -min(monos)).bit_length() // _BITS + 1)
+
+
+def _exponents(monos, n: int | None = None) -> tuple:
+    """The exponents of each monomial of *monos*, as one flat array that
+    holds a row of n entries (indexed by symbol id; by default the fewest
+    that hold every nonzero one) per monomial, and the row length."""
+    if n is None:
+        n = _width(monos)
     bias = _BIASES[n]
     # biased digits are e + 2^15 in [0, 2^16); flipping their top bit
     # leaves e as a 16-bit two's complement number
@@ -635,15 +639,19 @@ def _decode_all(monos) -> list:
 
 # -- printing ----------------------------------------------------------------
 #
-# str's term order is in the module docstring.  Per term, the vector path
-# (_sorted_bodies) and sorting the digit-walked tuples of terms() cross at
-# about 64 terms: the tuples are 1.6-2.5x quicker at 16 terms, 1.2-1.4x at
-# 32, even at 64, and the vector path is 1.2-1.4x quicker at 128.  The cut
-# also keeps passes on small values (at most 30 terms each in `verify
-# --suite all`, `ks` and `jacobi`) from ever filling numpy's buffers, which
-# would raise their peak memory.
+# str's term order is in the module docstring.  Per value, the vector path
+# (_vector_str) and sorting the digit-walked tuples of terms() cross at
+# about 30 terms.  On the values `verify --suite goldman --n 7` prints, the
+# tuples take 89 us at 16-31 terms (24 on average) against 96, and the
+# vector path is 1.7x quicker at 32-47 (171 against 103 us), 2.2x at
+# 64-127 and 3.7x at 128-511.  The cut also keeps passes on small values
+# (at most 30 terms each in `verify --suite all`, 10 in `ks` and none in
+# `jacobi`) from ever filling numpy's buffers, which would raise their
+# peak memory.
 
-_VECTOR_TERMS = 64
+_VECTOR_TERMS = 32
+# monomials whose dense exponent rows exist at once while str reads letters
+_BLOCK = 1 << 12
 _NAME_COLUMNS: dict = {}  # row width n -> (ids 0..n-1 by name, their names)
 
 
@@ -656,54 +664,92 @@ def _factor(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-class _Factors(dict):
-    """Letter code -> the letter's text, each made on its first lookup
-    (quicker than collecting the distinct codes first)."""
-
-    def __init__(self, names):
-        super().__init__()
-        self._names = names
-
-    def __missing__(self, code):
-        e = ((code & _MASK) ^ _LIMIT) - _LIMIT  # the uint16 read as signed
-        text = self[code] = _factor(self._names[code >> _BITS], e)
-        return text
-
-
-def _sorted_bodies(monos) -> tuple:
-    """The printed letters of each monomial of *monos* ("x*y^-2"), in the
-    order _mono_sort_key puts them, and that order (indices into monos)."""
-    flat, n = _exponents(monos)
+def _vector_str(d: dict) -> str:
+    """str of a value of _VECTOR_TERMS terms or more, with no Python work
+    per term: one sparse lexsort orders the monomials, and the text is one
+    join over per-coefficient prefixes and a table of the distinct
+    letters."""
+    monos = list(d)
+    m = len(monos)
+    n = _width(monos)
     cols = _NAME_COLUMNS.get(n)
     if cols is None:
         ids = sorted(range(n), key=_NAMES.__getitem__)
         cols = _NAME_COLUMNS[n] = (np.array(ids, np.intp),
                                    [_NAMES[i] for i in ids])
     perm, names = cols
-    rows = np.frombuffer(flat, np.int16).reshape(-1, n)[:, perm]
-    del flat
-    # the key of a row: its letter count, then its exponents in name order
-    # as big-endian uint16s.  An exponent is biased by 2^15 - 1, to
-    # 0..2^16-2, which leaves 2^16-1 for 0 (no letter): a missing letter
-    # sorts after any present one, as a later name does in terms()
-    key = np.empty((len(monos), n + 1), ">u2")
-    absent = rows == 0
-    key[:, 0] = n - absent.sum(axis=1)
-    biased = rows.view(np.uint16) + np.uint16(_LIMIT - 1)
-    biased[absent] = _MASK
-    del absent
-    key[:, 1:] = biased
-    del biased
-    order = np.argsort(key.view(f"V{2 * (n + 1)}").ravel())
-    counts = key[order, 0].tolist()
-    del key
-    rows = rows[order]
-    at = np.flatnonzero(rows)
-    # one code per letter: its column, then its exponent as a uint16
-    codes = (at % n << _BITS | rows.ravel()[at].view(np.uint16)).tolist()
-    del rows, at
-    texts = map(_Factors(names).__getitem__, codes)
-    return ["*".join(islice(texts, k)) for k in counts], order.tolist()
+    # every letter in printed order within its monomial: the monomial, the
+    # rank of its name and its exponent, read off a block of rows at a time
+    # so that no dense row exists for the whole value at once
+    parts = []
+    for start in range(0, m, _BLOCK):
+        flat, _ = _exponents(monos[start:start + _BLOCK], n)
+        rows = np.frombuffer(flat, np.int16).reshape(-1, n)[:, perm].ravel()
+        at = np.flatnonzero(rows != 0).astype(np.int32)
+        mono = at // np.int32(n)
+        parts.append((mono + np.int32(start), at - mono * np.int32(n),
+                      rows[at]))
+    mono, rank, exps = map(np.concatenate, zip(*parts))
+    del parts
+    count = np.bincount(mono, minlength=m)
+    slot = np.arange(len(mono), dtype=np.int32)
+    slot -= (np.cumsum(count) - count).astype(np.int32)[mono]
+    # number the distinct letters in (name rank, exponent) order, from a
+    # code in a wide int.  Where a table of every (name, exponent) pair in
+    # range would outnumber the letters, a sort compacts the codes instead
+    lo = int(exps.min())
+    span = int(exps.max()) - lo + 1
+    code = rank.astype(np.int64) * span + (exps - np.int64(lo))
+    del rank, exps
+    if n * span <= len(code):
+        seen = np.zeros(n * span, bool)
+        seen[code] = True
+        distinct = np.flatnonzero(seen)
+        letter = (np.cumsum(seen) - 1)[code]
+    else:
+        distinct, letter = np.unique(code, return_inverse=True)
+    del code
+    # the key of a monomial: its letter count, then its letters' numbers.
+    # In one letter count the first difference is where the letter tuples
+    # of terms() differ too, so the padding (0) is never compared
+    k = int(count.max())
+    key = np.zeros((k + 1, m), np.min_scalar_type(max(k, len(distinct))))
+    key[0] = count
+    key.ravel()[(slot + 1) * np.int64(m) + mono] = letter
+    order = np.lexsort(key[::-1])
+    # the text: per term in printed order, its prefix (" - 2*"), then its
+    # letters, so a term's prefix follows every piece of the terms before
+    # it.  Each distinct letter is printed once with a trailing "*" (at
+    # index 2i of texts) and once without (2i + 1), then each distinct
+    # coefficient's prefix
+    texts = []
+    for c in distinct.tolist():
+        r, e = divmod(c, span)
+        text = _factor(names[r], e + lo)
+        texts += (text + "*", text)
+    coeffs = list(d.values())
+    prefix = {}
+    for c in dict.fromkeys(coeffs):
+        a = abs(c)
+        prefix[c] = len(texts)
+        texts.append((" - " if c < 0 else " + ") + ("" if a == 1 else f"{a}*"))
+    ahead = count[order]
+    where = np.empty(m, np.intp)
+    where[order] = np.arange(m) + np.cumsum(ahead) - ahead
+    ix = np.empty(m + len(mono), np.intp)
+    last = np.ones(len(mono), bool)
+    last[:-1] = mono[1:] != mono[:-1]
+    ix[where[mono] + slot + 1] = 2 * letter + last
+    del mono, slot, letter, last
+    ix[where] = np.fromiter(map(prefix.__getitem__, coeffs), np.intp, m)
+    # the first term has no " + " before it, and a constant no "*"
+    c = coeffs[order[0]]
+    text = texts[ix[0]][3:] if count[order[0]] else str(abs(c))
+    ix[0] = len(texts)
+    texts.append("-" + text if c < 0 else text)
+    pieces = np.array(texts, object)[ix].tolist()
+    del ix
+    return "".join(pieces)
 
 
 def _join_terms(bodies, coeffs) -> str:

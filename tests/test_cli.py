@@ -4,6 +4,7 @@ import argparse
 import collections
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -185,6 +186,20 @@ def test_reports_match_their_golden_copy(command, capsys):
     assert main(shlex.split(command)) == 0
     assert [[r["case"], r["status"], r["left"]]
             for r in _json_lines(capsys)] == GOLDEN[command]
+
+
+DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_large_reports_match_their_digest(command, capsys):
+    # every report in full, ms aside, one sorted-key JSON line each: the
+    # texts run to megabytes, so only their sha256 is pinned
+    assert main(shlex.split(command)) == 0
+    text = "\n".join(json.dumps({k: v for k, v in r.items() if k != "ms"},
+                                sort_keys=True) for r in _json_lines(capsys))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[command]
 
 
 def test_geodesic_at_point(capsys):

@@ -295,6 +295,11 @@ def test_parse_round_trips_str(a):
     assert str(parse(text)) == text
 
 
+TOP = 2 ** 15 - 1
+# "late*" are first used after 300 other symbols (in the printer test)
+PRINTED = ("h", "x", "G[1,2,0]", "late_z", "late_a", "late_m")
+
+
 def reference_str(e: Expr) -> str:
     """The printing contract, from terms() alone: terms ordered by their
     name-sorted letter tuples, fewer letters first; a coefficient of +-1 is
@@ -324,7 +329,8 @@ def test_str_matches_reference_printer(a, b, c, k):
 
 def test_str_of_casimirs_matches_reference_printer():
     sizes = []
-    for e in centers.centers_An(6).coefficients:
+    for e in centers.centers_An(5).coefficients + \
+            centers.centers_An(6).coefficients:
         assert str(e) == reference_str(e)
         sizes.append(len(list(e.terms())))
     # both the per-term and the vector path print a coefficient
@@ -338,6 +344,39 @@ def test_str_orders_the_largest_exponents():
              + E("x", top) * E("z", -k) for k in range(-30, 30)), ONE)
     assert len(list(e.terms())) >= _VECTOR_TERMS
     assert str(e) == reference_str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.booleans(),
+       st.booleans())
+def test_vector_printer_matches_reference_printer(seed, letters, wide,
+                                                  constant):
+    # values past the vector cut over names interned early ("h" is the
+    # first symbol) and late (ids past 300, so their rows are wide and
+    # mostly empty), up to *letters* letters a term, +-1 and Fraction
+    # coefficients, maybe a constant, maybe +-(2^15 - 1) beside small
+    # exponents; each is printed negated too, so a first term is negative
+    for i in range(300):
+        E(f"pad{i}")
+    rng = random.Random(seed)
+    names = rng.sample(PRINTED, rng.randint(3, len(PRINTED)))
+    small = [k for k in range(-40, 41) if k]
+    exponents = small + [TOP, -TOP] * 40 if wide else small
+
+    def coeff():
+        return rng.choice((1, -1, Fraction(rng.randint(-9, 9) or 1,
+                                           rng.randint(1, 6))))
+
+    terms, size = {}, _VECTOR_TERMS + rng.randrange(_VECTOR_TERMS)
+    while len(terms) < size:
+        mono = sorted(rng.sample(names, rng.randint(1, letters)))
+        terms[tuple((v, rng.choice(exponents)) for v in mono)] = coeff()
+    if constant:
+        terms[()] = coeff()
+    e = Expr(terms)
+    assert len(e) >= _VECTOR_TERMS
+    for value in (e, -e):
+        assert str(value) == reference_str(value)
 
 
 @settings(max_examples=12, deadline=None)
