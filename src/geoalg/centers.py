@@ -6,8 +6,10 @@ generating polynomial, expanded by Mat.det_by_power graded by lam:
 * level-0 algebra: det(lam A + lam^-1 A^T) with A the upper-triangular
   unit-diagonal generator matrix, palindromic in lam, so its Casimirs
   are read from the powers >= n % 2 alone.  That cut (det_by_power's lo)
-  is exact: each row reaches lam^1 at most, so a minor of the last k
-  rows below lam^(n % 2 - (n - k)) cannot reach lam^(n % 2);
+  is exact: each row reaches lam^1 at most, so a block of a minor on k
+  of the rows below lam^(n % 2 - (n - k)) cannot reach lam^(n % 2) in
+  any term of the determinant, and neither can a pair of complementary
+  half-minor blocks whose powers sum below lam^(n % 2);
 * level-p algebra: det Gp(lam) of the finite generating matrix;
 * reduced n x n algebra: det of the lam-combination of the structure
   matrices Rhat, Shat, Ahat, Ahat^T, which factors as

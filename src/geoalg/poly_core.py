@@ -913,6 +913,33 @@ def rational_rank(rows) -> int:
     return len(pivots)
 
 
+def _half_minors(rows, tops, floor, n) -> dict:
+    """Every minor of *rows* (k rows of n entries, each {power: Expr})
+    on k of the n columns, as {cols: {power: Expr}} keyed by the sorted
+    columns.  Minors of the last j rows are built from those of the last
+    j - 1 by expansion along row k - j.  A block of power q is skipped
+    when q < *floor* - (the highest power of each row above the minor,
+    *tops*, summed); *floor* is the one for the minor of all k rows."""
+    k = len(rows)
+    minors = {(): {0: ONE}} if floor - sum(tops) <= 0 else {}
+    for j in range(1, k + 1):
+        row, least = rows[k - j], floor - sum(tops[:k - j])
+        bigger = {}
+        for cols in combinations(range(n), j):
+            parts = {}
+            for pos, c in enumerate(cols):
+                minor = minors.get(cols[:pos] + cols[pos + 1:], {})
+                for (e, x), (q, y) in product(row[c].items(), minor.items()):
+                    if e + q >= least:
+                        parts.setdefault(e + q, []).append(
+                            (-1 if pos % 2 else 1, x, y))
+            if parts:
+                bigger[cols] = {p: v for p, terms in parts.items()
+                                if (v := dot(terms))}
+        minors = bigger
+    return minors
+
+
 class Mat:
     """Dense matrix over Expr (used for SL(2) words, 𝒢(λ), Stokes data)."""
 
@@ -993,40 +1020,41 @@ class Mat:
 
     def det_by_power(self, name: str | None = None, lo: int | None = None):
         """The determinant as {k: its nonzero coefficient of name^k}, by
-        Laplace expansion along the top row over the minors of the bottom
-        rows, each size built from the one below.  Entries are split once
-        by coeffs_in (with no name, one block of power 0) and a minor is
-        {power: Expr}, one dot per power.  With *lo*, only powers >= lo
-        are kept, and a minor's block of power q is skipped when q < lo -
-        (the highest power of name in each row above it, summed): each
-        term of the determinant takes one entry from each of those rows."""
+        Laplace's expansion along the top h = floor(n/2) rows:
+
+            det = sum over h-sets S of columns of
+                  (-1)^(h(h-1)/2 + sum S) det[top, S] det[bottom, S^c],
+
+        with the minors of each half built by _half_minors.  Entries are
+        split once by coeffs_in (with no name, one block of power 0) and
+        a minor is {power: Expr}, so each power p is one dot over the
+        pairs of blocks q + q' = p.  With *lo*, only powers >= lo are
+        kept: no pair with q + q' < lo is formed, and inside a half a
+        block of power q is skipped when q < lo - (the highest power of
+        name in each row outside its minor, summed), as each term of the
+        determinant takes one entry from each of those rows.  Of the two
+        near-even splits, the top floor(n/2) rows take no more monomial
+        products than the top ceil(n/2) on every centers matrix."""
         n, m = self.shape
         if n != m:
             raise ValueError("square matrices only")
         rows = [[x.coeffs_in(name) if name else {0: x} if x else {}
                  for x in row] for row in self.rows]
-        tops = [max((max(x) for x in row if x), default=-inf) for row in rows]
-        # floors[k]: the lowest power a minor of the last k rows may keep
-        floors = [-inf if lo is None else lo - sum(tops[:n - k])
-                  for k in range(n + 1)]
-        # minors of the last k rows, keyed by their (sorted) columns
-        minors = {(): {0: ONE}} if floors[0] <= 0 else {}
-        for k in range(1, n + 1):
-            row, floor = rows[n - k], floors[k]
-            bigger = {}
-            for cols in combinations(range(n), k):
-                parts = {}
-                for pos, c in enumerate(cols):
-                    minor = minors.get(cols[:pos] + cols[pos + 1:], {})
-                    for (e, x), (q, y) in product(row[c].items(),
-                                                  minor.items()):
-                        if e + q >= floor:
-                            parts.setdefault(e + q, []).append(
-                                (-1 if pos % 2 else 1, x, y))
-                bigger[cols] = {p: v for p, terms in parts.items()
-                                if (v := dot(terms))}
-            minors = bigger
-        return minors.get(tuple(range(n)), {})
+        if not all(any(row) for row in rows):
+            return {}
+        tops = [max(max(x) for x in row if x) for row in rows]
+        lo = -inf if lo is None else lo
+        h = n // 2
+        top = _half_minors(rows[:h], tops[:h], lo - sum(tops[h:]), n)
+        bottom = _half_minors(rows[h:], tops[h:], lo - sum(tops[:h]), n)
+        parts = {}
+        for cols, upper in top.items():
+            lower = bottom.get(tuple(c for c in range(n) if c not in cols), {})
+            sign = -1 if (h * (h - 1) // 2 + sum(cols)) % 2 else 1
+            for (q, x), (r, y) in product(upper.items(), lower.items()):
+                if q + r >= lo:
+                    parts.setdefault(q + r, []).append((sign, x, y))
+        return {p: v for p, terms in parts.items() if (v := dot(terms))}
 
     def __str__(self):
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]"

@@ -3,7 +3,8 @@
 Coefficients mix ints and Fractions, exponents may be negative.  `dot` is
 checked as the sum of its products, `gradient` against `sympy.diff`, `at`
 against sympy's evaluation and `jacobian_rank` against the rank of the
-`gradient`/`subst` Jacobian.  Also the representations themselves: an
+`gradient`/`subst` Jacobian, and `Mat.det_by_power` against a Leibniz sum
+over permutations on plain tuples.  Also the representations themselves: an
 integral result is stored as an int, `as_rational()` always hands back a
 Fraction, monomials decode to name-sorted letters whatever order their
 symbols were first used in, and an exponent past the packed range raises
@@ -12,6 +13,7 @@ instead of wrapping.
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 import sympy
@@ -411,6 +413,74 @@ def test_det_by_power_is_the_det_graded(data):
     lo = data.draw(st.integers(-8, 8), label="lo")
     assert m.det_by_power("lam", lo) == {k: c for k, c in full.items()
                                           if k >= lo}
+
+
+def leibniz_by_power(entries) -> dict:
+    """{k: {exponents of NAMES: coefficient}} of lam^k in the determinant
+    of the matrix whose entries are lists of (power of lam, exponents of
+    NAMES, coefficient) terms: the sum over permutations p of sign(p)
+    times the product of entries[i][p(i)], taken one term of each entry
+    at a time on plain tuples and dicts (no Expr, dot or coeffs_in).
+    Rows are placed in order, so permutations that share their first
+    rows share that part of the product."""
+    n, out = len(entries), {}
+
+    def place(i, used, sign, k, exps, coeff):
+        if i == n:
+            part = out.setdefault(k, {})
+            part[exps] = part.get(exps, 0) + sign * coeff
+            return
+        for j in range(n):
+            if j not in used:
+                # each used column right of j is one more inversion
+                s = sign * (-1) ** sum(c > j for c in used)
+                for q, e, c in entries[i][j]:
+                    place(i + 1, used | {j}, s, k + q,
+                          tuple(map(add, exps, e)), coeff * c)
+
+    place(0, frozenset(), 1, 0, (0, 0, 0), 1)
+    out = {k: {e: c for e, c in part.items() if c} for k, part in out.items()}
+    return {k: part for k, part in out.items() if part}
+
+
+def leibniz_terms(c: Expr) -> dict:
+    """{exponents of NAMES: coefficient} of an Expr in NAMES."""
+    return {tuple(dict(mono).get(s, 0) for s in NAMES): v
+            for mono, v in c.terms()}
+
+
+@pytest.mark.parametrize("n", range(8))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_det_by_power_matches_a_leibniz_sum(n, data):
+    # test_det_by_power_is_the_det_graded compares det_by_power with det(),
+    # which is det_by_power itself, so it is no oracle; this one is.  Odd n
+    # gives halves of unequal size; n = 6 and 7 (5,040 permutations) have
+    # single-term entries with int coefficients, to stay under a second.
+    # Entries carry several powers of lam, some are zero, a row may be
+    # zero, and lo runs past both ends of the powers.
+    most = 1 if n >= 6 else 2 if n == 5 else 3
+    coeff = st.integers(-3, 3) if n >= 6 else rationals  # Fractions are slow
+    term = st.tuples(st.integers(-2, 2), st.tuples(*[st.integers(-2, 2)] * 3),
+                     coeff.filter(bool))
+    entries = [[data.draw(st.lists(term, min_size=1, max_size=most))
+                for _ in range(n)] for _ in range(n)]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in data.draw(st.sets(cells, max_size=n)) if n else ():
+        entries[i][j] = []
+    if n and data.draw(st.integers(0, 3)) == 0:
+        entries[data.draw(st.integers(0, n - 1))] = [[]] * n
+    m = Mat([[sum((const(c) * E("lam", q) * E("x", a) * E("y", b)
+                   * E("z", d) for q, (a, b, d), c in entry), ZERO)
+              for entry in row] for row in entries])
+    want = leibniz_by_power(entries)
+    got = m.det_by_power("lam")
+    assert {k: leibniz_terms(c) for k, c in got.items()} == want
+    low, high = min(want, default=0), max(want, default=0)
+    lo = data.draw(st.integers(low - 2, high + 2), label="lo")
+    got = m.det_by_power("lam", lo)
+    assert {k: leibniz_terms(c) for k, c in got.items()} == {
+        k: part for k, part in want.items() if k >= lo}
 
 
 def test_terms_are_sorted_by_name_not_by_first_use():
