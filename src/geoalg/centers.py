@@ -21,9 +21,10 @@ invariance under every braid generator by exact substitution
 (braid_invariance) of the level-0 and level-p centers and of the
 reference Casimirs that the reduced ones are tied to; independence by
 the exact rational rank of the Jacobian of the coefficient map at
-rational points.  A rank at one point is a deterministic lower bound on
-the generic rank (a minor that is nonzero at a point is a nonzero
-polynomial), so reaching floor(np/2) at any point certifies
+integer points, where Expr.at stays in ints.  A rank at one point is a
+deterministic lower bound on the generic rank (a minor that is nonzero
+at a point is a nonzero polynomial, and an integer point is as good as a
+rational one), so reaching floor(np/2) at any point certifies
 independence with no probability.
 """
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .poly_core import Mat, E, ZERO, ONE, const, gen, ghat, rational_rank
 from .dn_algebra import dnp_algebra, bracket
@@ -52,12 +52,11 @@ class CenterSet:
 
 
 def _random_point(symbols, rng) -> dict:
-    return {s: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-            for s in symbols}
+    return {s: rng.randint(-9, 9) for s in symbols}
 
 
 def jacobian_rank(coeffs, symbols, point) -> int:
-    """Rank of d(coeffs)/d(symbols) evaluated at a rational point."""
+    """Rank of d(coeffs)/d(symbols) evaluated at a point of rationals."""
     rows = []
     for c in coeffs:
         grad = c.gradient()
@@ -98,8 +97,8 @@ def generator_symbols(alg) -> list:
 
 def centers_Dnp(n: int, p: int, seed: int = 0) -> CenterSet:
     """Coefficients of det Gp(lam); independence count floor(np/2)
-    certified by the exact Jacobian rank at random rational points,
-    including the all-ones assignment."""
+    certified by the exact Jacobian rank at the all-ones assignment and
+    four random integer points, entries in [-9, 9] drawn from *seed*."""
     coeffs = []
     for k, c in sorted(build_Gp(n, p).mat.det_by_power("lam").items()):
         c = c - c.at({s: 0 for s in c.symbols()})  # drop constants

@@ -57,7 +57,8 @@ from fractions import Fraction
 from . import braid as braid_mod
 from . import centers as centers_mod
 from . import dn_algebra, fatgraph, frobenius, ks_calculus, reductions
-from .poly_core import Expr, _mono_sort_key, const, gen, parse, parse_gen
+from .poly_core import (ONE, Expr, _mono_sort_key, const, dot, gen, parse,
+                        parse_gen)
 
 _BRAID_TOKEN = re.compile(
     r"b(?:(?P<n1>n1)|(?P<i>[0-9]+),(?P<j>[0-9]+)|(?P<i1>[0-9])(?P<j1>[0-9]))")
@@ -274,26 +275,24 @@ def _pair_verdict(lhs, rhs):
 def _suite_goldman(args):
     n = _given(args.n, 4)
     graph = fatgraph.canonical_disc_graph(n)
-    alg = dn_algebra.an_algebra(n)
     geo = fatgraph.geodesic_functions(n)
     cases = [("perimeter", lambda: _folded(
         perimeter_identity=lambda: _bool_case(fatgraph.perimeter_identity(n)),
         clashed_hole_coords=lambda: _bool_case(
             fatgraph.clashed_hole_coords())))]
-    fields = {}  # geodesic -> its shear gradient and Hamiltonian field
+    table = dn_algebra._table(dn_algebra.an_algebra(n))
+    forms = {name: fatgraph._shear_form(f, graph) for name, f in geo.items()}
 
-    def field(i, j):
-        name = gen(i, j, 0)
-        if name not in fields:
-            grad = fatgraph.shear_gradient(geo[name], graph)
-            fields[name] = grad, fatgraph.hamiltonian_field(grad, graph)
-        return fields[name]
+    def value(u):  # the geodesic function of table id u; id 0 is 1
+        return geo[gen(*table.triples[u])] if u else ONE
 
     def pair_case(a, b):
         def run():
-            lhs = fatgraph.gradient_pairing(field(*a)[0], field(*b)[1])
-            rhs = dn_algebra.bracket(alg, alg.canonical(*a, 0),
-                                     alg.canonical(*b, 0)).subst(geo)
+            lhs = fatgraph._form_bracket(forms[gen(*a, 0)],
+                                         forms[gen(*b, 0)])
+            # the row {G_a, G_b} = sum c G_u G_v that bracket reads
+            rhs = dot([(c, value(u), value(v))
+                       for c, _, u, v in table.pair((*a, 0), (*b, 0))])
             return _pair_verdict(lhs, rhs)
         return run
 

@@ -355,9 +355,10 @@ def test_explicit_zeros_are_used(capsys):
         [r["left"] for r in zero]
 
 
-@pytest.mark.parametrize("seed", [2, 8])
+@pytest.mark.parametrize("seed", [2, 19])
 def test_level_p_centers_take_the_generic_rank(seed, capsys):
-    # one of the five points of (n, p) = (2, 3) has rank 2 at these seeds
+    # one or more of the five points of (n, p) = (2, 3) has rank 2 at
+    # these seeds
     assert main(["verify", "--suite", "centers", "--seed", str(seed)]) == 0
     case = [r for r in _json_lines(capsys)
             if r["case"] == "level-p centers (2,3)"][0]
@@ -372,7 +373,25 @@ def _unfolded_dnp_substitution(b, n, p):
             for s in centers.generator_symbols(dn_algebra.dnp_algebra(n, p))}
 
 
+def _first_vertex_reversed(graph):
+    orders = graph.vertex_orders
+    return fatgraph.FatGraph(graph.n, (orders[0][::-1],) + orders[1:])
+
+
+# a failing pair case prints its oracle's value with its size and lowest term
+_PAIR_FAILS = "goldman-vs-constants (1, 2)x(1, 3)", " terms; lowest: "
+
+
 @pytest.mark.parametrize("suite,module,name,mutant,case,named", [
+    pytest.param("goldman", fatgraph, "canonical_disc_graph",
+                 lambda old: lambda n: _first_vertex_reversed(old(n)),
+                 *_PAIR_FAILS, id="goldman pi reversed at a vertex"),
+    pytest.param("goldman", fatgraph, "_DENOM", lambda old: old // 2,
+                 *_PAIR_FAILS, id="goldman 1/2 for 1/4"),
+    pytest.param("goldman", dn_algebra._Table, "pair",
+                 lambda old: lambda table, a, b: dn_algebra._negated(
+                     old(table, a, b)),
+                 *_PAIR_FAILS, id="goldman right side row negated"),
     pytest.param("goldman", fatgraph, "_reduce_quadratic",
                  lambda old: lambda e, var, csum: e, "perimeter",
                  "clashed_hole_coords: False", id="clashed hole"),
@@ -406,7 +425,8 @@ def test_a_folded_check_fails_its_verify_case(suite, module, name, mutant,
                                               capsys):
     # each claim check runs inside the verdict of the case that checks the
     # same object: breaking it fails that case, by its value, not a crash,
-    # and the report names the half that failed
+    # and the report names the half that failed (a pair case: the size and
+    # lowest term of its oracle's value)
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     assert main(["verify", "--suite", suite]) == 1
     failed = {r["case"]: r["left"] for r in _json_lines(capsys)

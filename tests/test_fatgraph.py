@@ -7,7 +7,7 @@ import pytest
 
 from geoalg import fatgraph
 from geoalg.dn_algebra import an_algebra, bracket
-from geoalg.poly_core import ONE, ZERO, const
+from geoalg.poly_core import ONE, ZERO, const, dot
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -40,53 +40,64 @@ def test_goldman_matches_structure_constants(n):
 
 def test_goldman_rejects_foreign_variables():
     graph = fatgraph.canonical_disc_graph(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nope"):
         fatgraph.goldman_bracket(fatgraph.E("nope"), ONE, graph)
     with pytest.raises(ValueError, match="nope"):
-        fatgraph.shear_gradient(fatgraph.E("s1") * fatgraph.E("nope"), graph)
+        fatgraph.goldman_bracket(
+            ONE, fatgraph.E("s1") * fatgraph.E("nope"), graph)
 
 
-def test_gradient_pairing_is_the_goldman_bracket():
-    n = 4
+def _vertex_cyclic_contraction(f, g, graph):
+    """{f, g} from formal partials alone: the shear partial d/dX is
+    (u/2) d/du on u = e^{X/2}, and the bivector is written out as
+    df_a dg_b - dg_a df_b over the cyclically consecutive edges (a, b) at
+    every vertex."""
+    def shear(e):
+        grad = e.gradient()
+        return {v: grad.get(v, ZERO) * fatgraph.E(v) * const(Fraction(1, 2))
+                for v in graph.edge_vars()}
+
+    df, dg = shear(f), shear(g)
+    out = ZERO
+    for order in graph.vertex_orders:
+        for a, b in zip(order, order[1:] + order[:1]):
+            out = out + df[a] * dg[b] - dg[a] * df[b]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_goldman_bracket_is_the_vertex_cyclic_contraction(n):
     graph = fatgraph.canonical_disc_graph(n)
     geo = list(fatgraph.geodesic_functions(n).values())
-    # products and constants too, not only the geodesics themselves
-    values = geo + [geo[0] * geo[3] - geo[2], const(Fraction(3, 2)) + geo[5]]
-    grads = [fatgraph.shear_gradient(f, graph) for f in values]
-    fields = [fatgraph.hamiltonian_field(dg, graph) for dg in grads]
-    for f, df, xf in zip(values, grads, fields):
-        assert set(df) == set(graph.edge_vars())
-        for g, dg, xg in zip(values, grads, fields):
-            pair = fatgraph.gradient_pairing(df, xg)
-            assert pair == fatgraph.goldman_bracket(f, g, graph)
-            assert pair == -fatgraph.gradient_pairing(dg, xf)
-    assert any(fatgraph.gradient_pairing(grads[0], xg) for xg in fields)
-
-
-def test_hamiltonian_field_pairing_is_the_vertex_cyclic_sum():
-    n = 5
-    graph = fatgraph.canonical_disc_graph(n)
-    grads = [fatgraph.shear_gradient(f, graph)
-             for f in fatgraph.geodesic_functions(n).values()]
-    fields = [fatgraph.hamiltonian_field(dg, graph) for dg in grads]
-
-    def cyclic_sum(df, dg):
-        # the bivector written out: df_a dg_b - dg_a df_b over the
-        # cyclically consecutive edges (a, b) at every vertex
-        out = ZERO
-        for order in graph.vertex_orders:
-            for a, b in zip(order, order[1:] + order[:1]):
-                out = out + df[a] * dg[b] - dg[a] * df[b]
-        return out
-
-    nonzero = 0
-    for df, xf in zip(grads, fields):
-        for dg, xg in zip(grads, fields):
-            pair = fatgraph.gradient_pairing(df, xg)
-            assert pair == cyclic_sum(df, dg)
-            assert pair == -fatgraph.gradient_pairing(dg, xf)
+    s1, s2 = fatgraph.E("s1"), fatgraph.E("s2", -3)
+    # products, Fraction constants and bare monomials, not only geodesics
+    values = geo + [geo[0] * geo[-1] - geo[1],
+                    const(Fraction(3, 2)) + const(Fraction(1, 3)) * geo[-1],
+                    s1 - s2, ZERO]
+    nonzero = fractional = 0
+    for f in values:
+        for g in values:
+            pair = fatgraph.goldman_bracket(f, g, graph)
+            assert pair == _vertex_cyclic_contraction(f, g, graph)
+            assert pair == -fatgraph.goldman_bracket(g, f, graph)
             nonzero += not pair.is_zero()
-    assert nonzero
+            fractional += any(type(c) is Fraction for _, c in pair.terms())
+    assert nonzero and fractional
+
+
+def test_goldman_bracket_keeps_the_exponent_bound():
+    # as in dot: operand bounds that sum past +-(2^15 - 1) defer to the
+    # products, which raise OverflowError only when they leave the range
+    graph = fatgraph.canonical_disc_graph(3)
+    s1, s2 = fatgraph.E("s1", 20000), fatgraph.E("s2", 20000)
+    # s2 follows s1 at the vertex: {s1^a, s2^b} = a b / 4 s1^a s2^b
+    assert fatgraph.goldman_bracket(s1, s2, graph) == \
+        const(20000 * 20000 // 4) * s1 * s2
+    for x, y in [(s1, s1 * fatgraph.E("s2")), (s2 * s1, s2)]:
+        with pytest.raises(OverflowError):
+            dot([(1, x, y)])
+        with pytest.raises(OverflowError):
+            fatgraph.goldman_bracket(x, y, graph)
 
 
 def test_geodesic_positive_at_real_points():
