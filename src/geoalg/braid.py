@@ -282,11 +282,12 @@ def combination_matrix(n: int, c_r: Expr, c_s: Expr, c_a: Expr, c_at: Expr,
     * Ahat upper-triangular with unit diagonal and Ghat_ij above it.
 
     The reduction law's level matrices (reductions.dn_reduce) weight Rhat
-    by -rho_k, and the Casimir generating matrix
-    (centers.dn_generating_matrix) by -(lam - 1).  The wrap braid
-    generator pins that sign: with the opposite one the reduction's
-    commuting square fails and the determinant is not invariant.  The
-    adjacent generators cannot see it.
+    by -rho_k, and the Casimir generating matrix M by -(lam - 1); det M
+    is expanded by the matrix determinant lemma from the weights
+    (-1, c_S, lam + 1, -(1 + lam^-1)), c_S = 0 and 1 (centers.centers_Dn).
+    The wrap braid generator pins that sign: with the opposite one the
+    reduction's commuting square fails and the determinant is not
+    invariant.  The adjacent generators cannot see it.
     """
     def entry(i, j):
         terms = [(1, c_s, fam[i, i] * fam[j, j])]

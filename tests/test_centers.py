@@ -1,10 +1,12 @@
 """Central elements: centrality, independence counts, reference relations."""
 
+from math import comb
+
 import pytest
 
 from geoalg import braid, centers
 from geoalg.dn_algebra import an_algebra, dnp_algebra
-from geoalg.poly_core import E
+from geoalg.poly_core import E, ONE, ZERO, const
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -55,17 +57,37 @@ def test_periodic_centers_braid_invariant():
     assert all(flags), flags
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_reduced_center_count(n):
     cs = centers.centers_Dn(n)
     assert len(cs.coefficients) == n
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_reduced_centers_braid_invariant(n):
     cs = centers.centers_Dn(n)
     flags = centers.braid_invariance("D", cs.coefficients, n)
     assert all(flags), flags
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reduced_centers_match_the_undivided_determinant(n):
+    # det M of the whole generating matrix, M = -(lam-1) Rhat
+    # + (lam+1) Shat + (lam^2-1) Ahat - (lam - lam^-1) Ahat^T, equals
+    # (lam-1)^(n-1) Q power by power, Q rebuilt from c_1..c_n
+    lam = E("lam")
+    m = braid.combination_matrix(n, ONE - lam, lam + ONE, lam * lam - ONE,
+                                 E("lam", -1) - lam, braid.ghat_family(n))
+    sign = (-1) ** (n + 1)
+    q = {n + 1: ONE, -n: const(sign)}
+    for i, c in enumerate(centers.centers_Dn(n).coefficients, 1):
+        q[i], q[1 - i] = c, sign * c
+    want = {}
+    for j in range(n):  # the coefficient of lam^j in (lam-1)^(n-1)
+        w = comb(n - 1, j) * (-1) ** (n - 1 - j)
+        for k, c in q.items():
+            want[k + j] = want.get(k + j, ZERO) + w * c
+    assert {k: v for k, v in want.items() if v} == m.det_by_power("lam")
 
 
 @pytest.mark.parametrize("n", [2, 3])
