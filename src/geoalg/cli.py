@@ -689,7 +689,7 @@ def cmd_reduce(args) -> int:
     if args.k is not None:
         _reject_unread(args, ["seed", "n", "level_p"], "by reduce --k")
     else:
-        _reject_unread(args, ["seed", "dn"], "by reduce without --k")
+        _reject_unread(args, ["seed"], "by reduce without --k")
     reports = []
     if args.k is not None:
         rmap = reductions.dn_reduce(args.k)
@@ -797,9 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduction maps")
     common(p)
-    # names the D_n reduction of --k; None (not False) when not given, so
-    # that _reject_unread sees it
-    p.add_argument("--dn", action="store_true", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--level-p", dest="level_p", type=int, default=None)
     p.set_defaults(func=cmd_reduce)

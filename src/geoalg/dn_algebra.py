@@ -22,8 +22,9 @@ d/dG_u of a term is c G_v.  m is the compact key of G_u G_v, the sum of
 the units 1 << 2 id of its factors (0 for id 0): two bits per table id,
 so its width follows the table, not every symbol the process has
 interned, and it holds the multiplicity 3 of the cubes that Jacobiators
-reach.  A row's terms are ordered by the packed monomial of G_u G_v, so
-sums over them do not depend on the order of table ids.  At unequal
+reach.  A row's terms are ordered by their compact keys.  The exact
+readers sum them into dicts, where order is immaterial; only the float
+sums of the Stokes realization follow it.  At unequal
 canonical levels the closed form of {G_y, G_x} is the negated closed
 form of {G_x, G_y}, so a row whose mirror is built is its negation.
 Readers: _pair_bracket (a row's Expr), jacobi_check, the reflection
@@ -190,10 +191,8 @@ class _Table:
             if u > v:
                 u, v = v, u
             acc.setdefault(keys[u] + keys[v], [0, u, v])[0] += c * fa * fb
-        units = self.units  # terms in the order of their packed monomials
-        out = sorted((units[u] + units[v], c, m, u, v)
-                     for m, (c, u, v) in acc.items() if c)
-        return tuple((_rat(c), m, u, v) for _, c, m, u, v in out)
+        return tuple((_rat(c), m, u, v)
+                     for m, (c, u, v) in sorted(acc.items()) if c)
 
     def packed(self, key: int) -> int:
         """The packed monomial of the compact key *key*: digit i (bits
@@ -271,20 +270,15 @@ def _generator_partials(alg: GenAlgebra, f: Expr) -> list:
     return out
 
 
-def _leibniz_terms(alg: GenAlgebra, f: Expr, g: Expr) -> list:
-    """The triples (1, df/dG_a * dg/dG_b, {G_a, G_b}) that dot sums to
-    {f, g}."""
+def bracket(alg: GenAlgebra, f: Expr, g: Expr) -> Expr:
+    """Leibniz extension of the structure constants to polynomials: one dot
+    over the triples (1, df/dG_a * dg/dG_b, {G_a, G_b})."""
     dfs = _generator_partials(alg, f)
     if not dfs:
-        return []
+        return ZERO
     dgs = _generator_partials(alg, g)
-    return [(1, df * dg, _pair_bracket(alg, a, b))
-            for a, df in dfs for b, dg in dgs]
-
-
-def bracket(alg: GenAlgebra, f: Expr, g: Expr) -> Expr:
-    """Leibniz extension of the structure constants to polynomials."""
-    return dot(_leibniz_terms(alg, f, g))
+    return dot([(1, df * dg, _pair_bracket(alg, a, b))
+                for a, df in dfs for b, dg in dgs])
 
 
 def jacobi_check(alg: GenAlgebra, a, b, c) -> Expr:

@@ -6,11 +6,13 @@ symmetric form G = S + S^T and the reflection matrices
     M_k = 1 - E_k G,       (E_k)_{ij} = delta_{ik} delta_{kj},
 
 which realize the monodromies of an n-dimensional Fuchsian system.  The
+reflections multiply to S M_1 ... M_n = -S^T (product_identity).  The
 product of a trailing run of reflections M_h = M_nt ... M_n plays the role
 of the clashed-hole monodromy: it has a block structure with an identity
-head and the tail -St^{-1} St^T built from the trailing principal Stokes
-block St, and it intertwines G via G M_h = M_h^{-T} G.  Every exact
-identity here reads its powers from clash_monodromy(s, nt, k).  The family
+head and a tail that is the reflection product of the trailing principal
+Stokes block St, equal to -St^{-1} St^T by the product identity for St,
+and it intertwines G via G M_h = M_h^{-T} G.  Every exact identity here
+reads its powers from clash_monodromy(s, nt, k).  The family
 
     G^{(k)} = G M_h^k
 
@@ -89,17 +91,6 @@ class StokesMatrix:
                 for i in range(nt - 1, self.n)]
         return StokesMatrix(Mat(rows))
 
-    def inverse(self) -> Mat:
-        """Exact inverse via the terminating geometric series of 1 - S."""
-        n = self.n
-        nil = Mat.identity(n) + self.mat.scale(const(-1))
-        out = Mat.identity(n)
-        power = Mat.identity(n)
-        for _ in range(n - 1):
-            power = power * nil
-            out = out + power
-        return out
-
 
 def all_ones_stokes(m: int) -> StokesMatrix:
     return StokesMatrix.from_rows(
@@ -134,9 +125,9 @@ def monodromies(s: StokesMatrix):
 
 
 def product_identity(s: StokesMatrix) -> bool:
-    """S M_1 M_2 ... M_n = -S^T."""
-    return prod(monodromies(s), start=s.mat) == s.mat.transpose().scale(
-        const(-1))
+    """S M_1 M_2 ... M_n = -S^T: the reflection product tail_matrix(s) is
+    -S^{-1} S^T, certified by one multiplication."""
+    return s.mat * tail_matrix(s) == s.mat.transpose().scale(const(-1))
 
 
 def clash_monodromy(s: StokesMatrix, nt: int, k: int) -> Mat:
@@ -150,8 +141,10 @@ def clash_monodromy(s: StokesMatrix, nt: int, k: int) -> Mat:
 
 
 def tail_matrix(st: StokesMatrix) -> Mat:
-    """-St^{-1} St^T for a trailing Stokes block St."""
-    return (st.inverse() * st.mat.transpose()).scale(const(-1))
+    """M_1 M_2 ... M_m, the reflection product of a trailing Stokes block
+    St of size m; it equals -St^{-1} St^T exactly when product_identity(St)
+    holds, so no inverse is formed."""
+    return prod(monodromies(st), start=Mat.identity(st.n))
 
 
 @dataclass(frozen=True)
@@ -168,8 +161,14 @@ class ClashReport:
 
 
 def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
-    """Block structure of M_h: identity head, tail -St^{-1} St^T, and the
-    intertwining G M_h = M_h^{-T} G.
+    """Block structure of M_h: identity head, tail -St^{-1} St^T for the
+    trailing block St, and the intertwining G M_h = M_h^{-T} G.
+
+    The tail verdict compares the lower block of M_h with the reflection
+    product of St (tail_matrix) and certifies that product as -St^{-1}
+    St^T by product_identity(St): a multiplication, not an inverse.  The
+    ordered product of monodromies(St) is independent of clash_monodromy,
+    so a fault in the order or range of its factors fails here.
 
     G M_h = (M_n ... M_nt)^T G holds for any symmetric G, as G M_k =
     M_k^T G for each factor.  The reversed product is M_h^{-1} only when
@@ -183,7 +182,8 @@ def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
                   for i in range(h) for j in range(h))
     zero_ok = all(mh[i, j].is_zero() for i in range(h) for j in range(h, n))
     lower = Mat([[mh[i, j] for j in range(h, n)] for i in range(h, n)])
-    tail_ok = lower == tail_matrix(s.trailing_block(nt))
+    st = s.trailing_block(nt)
+    tail_ok = lower == tail_matrix(st) and product_identity(st)
     g = s.symmetrization()
     mh_inv = clash_monodromy(s, nt, -1)
     inter_ok = (mh * mh_inv == Mat.identity(n)
@@ -222,7 +222,8 @@ def characteristic_polynomial(m: Mat) -> Expr:
 def level_p_condition(st: StokesMatrix, p: int) -> dict:
     """Periodicity of the clash monodromy from its tail block.
 
-    Checks (-St^{-1} St^T)^p = 1 and nondegeneracy of St + St^T; when both
+    Checks (-St^{-1} St^T)^p = 1, the tail read as St's reflection
+    product (tail_matrix), and nondegeneracy of St + St^T; when both
     hold, the reflection product of ANY Stokes matrix with trailing block St
     has order p, which is certified on a symbolic head of size 2.
     """
@@ -413,8 +414,8 @@ def realization_suite(trials: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def teich_stokes(n: int, shears=None) -> StokesMatrix:
-    """The unipotent matrix of geodesic functions, optionally at a point.
+def teich_stokes(n: int, shears: dict) -> StokesMatrix:
+    """The unipotent matrix of geodesic functions at a point.
 
     *shears* binds the half-variables s1..sn, t1..t(n-3) (exponentials of
     half shear coordinates); unbound variables stay symbolic.
@@ -426,10 +427,7 @@ def teich_stokes(n: int, shears=None) -> StokesMatrix:
             if i == j:
                 row.append(ONE)
             elif i < j:
-                e = geodesic_function(n, i, j)
-                if shears:
-                    e = e.subst(shears)
-                row.append(e)
+                row.append(geodesic_function(n, i, j).subst(shears))
             else:
                 row.append(ZERO)
         rows.append(row)

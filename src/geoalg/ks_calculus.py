@@ -158,15 +158,6 @@ class TraceExpr:
     def __init__(self, terms=None):
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
-    @staticmethod
-    def tr(letters, sign=1) -> "TraceExpr":
-        """sign * Tr(letters): the empty word has trace 2 and a pure H-power
-        word the Casimir parameter TrH|k|, both scalar."""
-        c, w = _normalize(_encode(letters))
-        if len(w) > 1:
-            return TraceExpr({w: c * sign})
-        return TraceExpr({(): Expr({_scalar_monomial(w): c * sign})})
-
     def __add__(self, other: "TraceExpr") -> "TraceExpr":
         d = dict(self.terms)
         for k, v in other.terms.items():

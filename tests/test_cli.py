@@ -171,7 +171,7 @@ def test_centers_output(capsys):
 
 
 def test_reduce_streams(capsys):
-    assert main(["reduce", "--dn", "--k", "2"]) == 0
+    assert main(["reduce", "--k", "2"]) == 0
     reports = _json_lines(capsys)
     assert len(reports) == 4
 
@@ -531,7 +531,6 @@ def test_braid_suite_below_three_points_exit_2(n, capsys):
      "--seed"),
     (["stokes", "--n", "3"], "--n"),
     (["stokes", "--point", "a4star", "--seed", "1"], "--seed"),
-    (["reduce", "--dn", "--level-p", "2"], "--dn"),
 ])
 def test_options_not_read_exit_2(argv, option, capsys):
     # an option the command would not read is refused, not dropped
@@ -641,8 +640,8 @@ _COMMANDS = st.one_of(
     st.tuples(st.just(["centers"]),
               _opt("--alg", st.sampled_from(["an", "dn", "dnp"])),
               _opt("--n", _SIZE), _opt("--p", _PERIOD), _opt("--seed", _SEED)),
-    st.tuples(st.just(["reduce"]), st.sampled_from([[], ["--dn"]]),
-              _opt("--k", _SIZE), _opt("--level-p", _SIZE), _opt("--n", _SIZE)),
+    st.tuples(st.just(["reduce"]), _opt("--k", _SIZE),
+              _opt("--level-p", _SIZE), _opt("--n", _SIZE)),
     st.tuples(st.just(["geodesic"]), _opt("--n", _SIZE),
               st.tuples(_SIZE, _SIZE).map(
                   lambda ij: ["--i", str(ij[0]), "--j", str(ij[1])]),

@@ -149,24 +149,25 @@ def test_rows_match_the_dot_built_structure_constants(alg, level):
             want, want.gradient()), (a, b)
 
 
-def _packed_compile(table, terms):
-    """The row of *terms* as compiled when keyed by packed monomial:
-    (c, u, v) per term, sorted by the packed monomial of G_u G_v."""
+def _reference_row(table, terms):
+    """The nonzero terms (type(c), c, u, v), u <= v, of *terms* as one
+    sum c G_u G_v, accumulated by id pair rather than by compact key."""
     acc = {}
     for c, a, b in terms:
         fa, u = table.canonical(*a)
         fb, v = table.canonical(*b)
-        u, v = sorted((u or 0, v or 0))
-        acc.setdefault(table.units[u] + table.units[v],
-                       [0, u, v])[0] += c * fa * fb
-    return [(_rat(c), u, v) for _, (c, u, v) in sorted(acc.items()) if c]
+        pair = tuple(sorted((u or 0, v or 0)))
+        acc[pair] = acc.get(pair, 0) + c * fa * fb
+    rats = {pair: _rat(c) for pair, c in acc.items()}
+    return {(type(c), c, *pair) for pair, c in rats.items() if c}
 
 
 @pytest.mark.parametrize("alg, level", [
     (an_algebra(5), 0), (dn_algebra(3), 3), (dnp_algebra(3, 4), 3)])
 def test_compact_keys_keep_the_packed_rows(alg, level):
     # two tables with ids in generator order and reversed: in one of them
-    # the order of table ids runs against that of symbol ids
+    # the order of table ids runs against that of symbol ids, and neither
+    # changes a row's terms or their compact-key order
     reach = generator_tuples(alg.n, 2 * level)
     tables = dn._Table(alg), dn._Table(alg)
     for table, order in zip(tables, (reach, reach[::-1])):
@@ -178,11 +179,12 @@ def test_compact_keys_keep_the_packed_rows(alg, level):
         for a, b in itertools.product(gens, repeat=2):
             terms = dn._structure_constant(alg, a, b)
             row = table.compile(terms)
-            assert [(type(c), c, u, v) for c, _, u, v in row] == [
-                (type(c), c, u, v)
-                for c, u, v in _packed_compile(table, terms)], (a, b)
+            assert {(type(c), c, u, v) for c, _, u, v in row} == (
+                _reference_row(table, terms)), (a, b)
             assert all(m == table.keys[u] + table.keys[v]
                        for _, m, u, v in row), (a, b)
+            keys = [m for _, m, _, _ in row]
+            assert keys == sorted(set(keys)), (a, b)
 
 
 class _Reads(list):
@@ -243,9 +245,9 @@ def _composed_jacobi(alg, a, b, c):
     """The Jacobiator composed of whole-polynomial Leibniz brackets:
     {{f,g},h} + {{g,h},f} + {{h,f},g} for the generators f, g, h."""
     f, g, h = (alg.canonical(*t) for t in (a, b, c))
-    return dot(dn._leibniz_terms(alg, bracket(alg, f, g), h)
-               + dn._leibniz_terms(alg, bracket(alg, g, h), f)
-               + dn._leibniz_terms(alg, bracket(alg, h, f), g))
+    return (bracket(alg, bracket(alg, f, g), h)
+            + bracket(alg, bracket(alg, g, h), f)
+            + bracket(alg, bracket(alg, h, f), g))
 
 
 def _jacobi_triples(alg, level):

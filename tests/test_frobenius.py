@@ -1,11 +1,13 @@
 """Stokes-matrix realization: reflections, clash block, numeric brackets."""
 
+import argparse
 from fractions import Fraction
+from math import prod
 import random
 
 import pytest
 
-from geoalg import frobenius as fro
+from geoalg import cli, frobenius as fro
 from geoalg.poly_core import E, Mat, ONE, const
 
 
@@ -60,6 +62,36 @@ def test_intertwining_needs_involutions(monkeypatch):
         assert not fro.clash_block(_rand(4), nt).intertwining_ok, nt
 
 
+# faults in the factors of M_h or of the tail, each as a wrapper of the
+# function it breaks; the order and range of the tail's product are read
+# independently of clash_monodromy, so none passes the tail verdict
+TAIL_MUTANTS = {
+    # M_n ... M_nt = M_h^-1 in place of M_h
+    "clash_monodromy reversed": (
+        fro, "clash_monodromy", lambda f: lambda s, nt, k: f(s, nt, -k)),
+    "trailing_block one row late": (
+        fro.StokesMatrix, "trailing_block",
+        lambda f: lambda self, nt: f(self, nt + 1)),
+    "tail_matrix reversed": (
+        fro, "tail_matrix", lambda f: lambda st: prod(
+            fro.monodromies(st)[::-1], start=Mat.identity(st.n))),
+    # M_k^T = 1 - G E_k, G symmetric
+    "monodromies column form": (
+        fro, "monodromies", lambda f: lambda s: [m.transpose() for m in f(s)]),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_MUTANTS)
+def test_tail_verdict_catches_a_mutant(name, monkeypatch):
+    target, attr, mutant = TAIL_MUTANTS[name]
+    monkeypatch.setattr(target, attr, mutant(getattr(target, attr)))
+    for nt in (2, 3):
+        assert not fro.clash_block(_rand(4), nt).tail_ok, nt
+    cases = dict(cli._suite_frobenius(argparse.Namespace(seed=None)))
+    ok, *_ = cases["monodromy identities"]()
+    assert not ok
+
+
 def test_clash_inverse():
     s = _rand(5)
     for k in (1, 2, 3):
@@ -75,11 +107,6 @@ def test_gk_mirror(k):
 def test_gk_level_zero_is_symmetrization():
     s = _rand(7)
     assert fro.gk_family(s, 2, 0) == s.symmetrization()
-
-
-def test_unipotent_inverse():
-    s = fro.StokesMatrix.symbolic(4)
-    assert s.mat * s.inverse() == Mat.identity(4)
 
 
 @pytest.mark.parametrize("m", [2, 3])
