@@ -90,6 +90,21 @@ def test_reduced_centers_match_the_undivided_determinant(n):
     assert {k: v for k, v in want.items() if v} == m.det_by_power("lam")
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_reference_relations(n):
+    rep = centers.dn_relation_check(n)
+    assert rep["ok"], rep["relations"]
+
+
+def test_reference_invariance_profiles():
+    assert centers.braid_invariance(
+        "D", centers.corrected_d3_casimirs(), 3) == [True, True, True]
+    assert centers.braid_invariance(
+        "D", centers.printed_d3_casimirs(), 3) == [False, True, False]
+    assert centers.braid_invariance(
+        "D", centers.printed_d2_casimirs(), 2) == [True, True]
+
+
 def test_rational_rank():
     assert centers.rational_rank([[1, 2], [2, 4]]) == 1
     assert centers.rational_rank([[1, 0], [0, 1]]) == 2
