@@ -15,6 +15,10 @@ view).  Exit code 0 = all pass, 1 = at least one failing case, 2 = usage
 error; an option that the command would not read (say `verify --suite
 frobenius --n 7`, or any `verify --p`) is a usage error, not dropped.
 
+Every report reaches standard output through `_write`, and every JSON
+report line, made in the parent or in a worker, is made by `_json_line`:
+`json.dumps(report)` and a newline, byte for byte.
+
 A `verify` run builds the cases of its suites into one list and may run
 them in forked workers, one per CPU beyond the first.  Cases that share
 work share a key (a `ks` pair's is its index pattern, memoized per
@@ -24,10 +28,14 @@ reports still come in case order, each as soon as it and every earlier one
 are done, and they are the ones a serial run gives apart from `ms`.  Each
 `ms` is its own case's time, so the `ms` of a split run can add up to more
 than its wall time, and the workers' memory is not in the parent's
-`ru_maxrss`.  The run stays in one process with one CPU, without `os.fork`,
-or with fewer than 64 cases.  Python 3.12 and later warn
-(DeprecationWarning) when a process that has threads forks, and numpy's
-BLAS pool is such a thread; Python 3.11 does not warn.
+`ru_maxrss`.  The parent takes a line a worker sends only if it decodes
+as one JSON object with a report's six keys followed by its newline and
+nothing else, and relays it as it came; after any other line, or none,
+it runs that worker's remaining cases itself.  The run stays in one
+process with one CPU, without `os.fork`, or with fewer than 64 cases.
+Python 3.12 and later warn (DeprecationWarning) when a process that has
+threads forks, and numpy's BLAS pool is such a thread; Python 3.11 does
+not warn.
 
 Braid words
 -----------
@@ -127,19 +135,34 @@ def _run_case(suite, case_id, fn):
     return clock.report(suite, case_id, left, right, status)
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _json_line(rep):
+    """`json.dumps(rep) + "\\n"` for a report of _Stopwatch.report, byte for
+    byte: its five string fields and its float `ms`, in that order."""
+    return (f'{{"suite": {_encode(rep["suite"])}, '
+            f'"case": {_encode(rep["case"])}, '
+            f'"status": {_encode(rep["status"])}, '
+            f'"left": {_encode(rep["left"])}, '
+            f'"right": {_encode(rep["right"])}, "ms": {rep["ms"]!r}}}\n')
+
+
 def _emit(reports, fmt):
     return _write(((rep, None) for rep in reports), fmt)
 
 
 def _write(reports, fmt):
     """Write each (report, the JSON line a worker sent it as, or None) of
-    *reports*, a sent line as is; return the exit code."""
+    *reports* to stdout, and return the exit code.  With `--format json` a
+    sent line goes out as it came and any other report as _json_line
+    makes it; `--format text` formats the report itself."""
     failed = 0
     for rep, sent in reports:
         if rep["status"] == "fail":
             failed += 1
         if fmt == "json":
-            sys.stdout.write(sent or json.dumps(rep) + "\n")
+            sys.stdout.write(sent or _json_line(rep))
         else:
             line = f"[{rep['status']:>7}] {rep['suite']}::{rep['case']} ({rep['ms']} ms)"
             if rep["status"] == "fail":
@@ -164,13 +187,14 @@ def _cpus():
 
 def _work(jobs, fd, inherited):
     """A worker's life: close the pipe ends *inherited* from the parent,
-    then write one report per job, as one JSON line on *fd*."""
+    then write one report per job on *fd*, as the line _json_line makes,
+    flushed as soon as it is written."""
     try:
         for pipe in inherited:
             os.close(pipe)
         with open(fd, "w") as out:
             for job in jobs:
-                out.write(json.dumps(_run_case(*job[:3])) + "\n")
+                out.write(_json_line(_run_case(*job[:3])))
                 out.flush()
     finally:
         os._exit(0)
@@ -184,18 +208,36 @@ def _owners(jobs, width):
             for i, job in enumerate(jobs)]
 
 
+_decode = json.JSONDecoder().raw_decode
+_KEYS = {"suite", "case", "status", "left", "right", "ms"}
+
+
+def _sent_report(line):
+    """The report a worker sent as *line*, or None unless the line is one
+    JSON object with a report's six keys, followed by its newline and
+    nothing else (a line cut before its newline is refused)."""
+    try:
+        rep, end = _decode(line)
+    except ValueError:
+        return None
+    if (end == len(line) - 1 and line[end] == "\n"
+            and isinstance(rep, dict) and rep.keys() == _KEYS):
+        return rep
+    return None
+
+
 def _in_order(jobs, owners, pipes):
     """Every job's (report, line) in job order.  A job of owner 0 or of a
     worker with no pipe runs here (line None); the others are read from
-    their worker's pipe.  A pipe that ends early or sends a line that does
-    not parse is closed, and that worker's remaining jobs run here."""
+    their worker's pipe, each line checked by _sent_report.  A pipe that
+    ends early or sends a line that it refuses is closed, and that
+    worker's remaining jobs run here."""
     for job, k in zip(jobs, owners):
         report = line = None
         if k in pipes:
             line = pipes[k].readline()
-            try:  # a line cut before its newline is an unparsed one
-                report = json.loads(line if line.endswith("\n") else "")
-            except ValueError:
+            report = _sent_report(line)
+            if report is None:
                 pipes.pop(k).close()
         yield (report, line) if report else (_run_case(*job[:3]), None)
 
@@ -296,12 +338,11 @@ def _suite_goldman(args):
             return _pair_verdict(lhs, rhs)
         return run
 
-    all_pairs = [(i, j) for i in range(1, n + 1)
-                 for j in range(i + 1, n + 1)]
-    pairs = [(a, b) for idx, a in enumerate(all_pairs)
-             for b in all_pairs[idx:]]
-    for a, b in pairs:
-        cases.append((f"goldman-vs-constants {a}x{b}", pair_case(a, b)))
+    labeled = [((i, j), str((i, j))) for i in range(1, n + 1)
+               for j in range(i + 1, n + 1)]
+    cases += [(f"goldman-vs-constants {la}x{lb}", pair_case(a, b))
+              for idx, (a, la) in enumerate(labeled)
+              for b, lb in labeled[idx:]]
     return cases
 
 
@@ -319,9 +360,10 @@ def _suite_ks(args):
             return _pair_verdict(lhs, rhs)
         return run
 
-    return [(f"ks-vs-constants {a}x{b}", pair_case(a, b),
+    labeled = [(g, str(g)) for g in gens]  # labels made once, not per case
+    return [(f"ks-vs-constants {la}x{lb}", pair_case(a, b),
              ks_calculus._ranked(a, b)[1:])
-            for idx, a in enumerate(gens) for b in gens[idx:]]
+            for idx, (a, la) in enumerate(labeled) for b, lb in labeled[idx:]]
 
 
 def _suite_jacobi(args):
@@ -336,12 +378,13 @@ def _suite_jacobi(args):
             return res.is_zero(), res, "0"
         return run
 
+    labeled = [(g, str(g)) for g in gens]  # labels made once, not per case
     cases = []
-    for x in range(len(gens)):
-        for y in range(x + 1, len(gens)):
-            for z in range(y + 1, len(gens)):
-                a, b, c = gens[x], gens[y], gens[z]
-                cases.append((f"jacobi {a},{b},{c}", triple_case(a, b, c)))
+    for x, (a, la) in enumerate(labeled):
+        for y in range(x + 1, len(labeled)):
+            b, lb = labeled[y]
+            cases += [(f"jacobi {la},{lb},{lc}", triple_case(a, b, c))
+                      for c, lc in labeled[y + 1:]]
     return cases
 
 

@@ -428,9 +428,10 @@ def skein_reduce(e: TraceExpr) -> Expr:
 
 def _ranked(a, b) -> tuple:
     """The distinct M indices of a and b, increasing, and a, b by rank."""
-    index = sorted({a[0], a[1], b[0], b[1]})
-    rank = {x: r for r, x in enumerate(index, 1)}
-    return index, *((rank[i], rank[j], k) for i, j, k in (a, b))
+    (i, j, k), (p, q, l) = a, b
+    index = sorted({i, j, p, q})
+    rank = index.index  # ranks count from 1: one more than the position
+    return index, (rank(i) + 1, rank(j) + 1, k), (rank(p) + 1, rank(q) + 1, l)
 
 
 def generator_bracket(a, b, memo: dict) -> Expr:

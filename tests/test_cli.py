@@ -13,7 +13,6 @@ import shlex
 import subprocess
 import sys
 import time
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +61,45 @@ def test_failing_report_is_cut_with_its_term_count():
         "0", "z" * cli._FAIL_CHARS + "… [3000 chars]")
     assert set(rep) == set(passed) == {"suite", "case", "status", "left",
                                        "right", "ms"}
+
+
+# report text as it comes: cut marks, middle dots, lambdas, quotes,
+# backslashes, control characters and newlines among any other characters
+_REPORT_TEXT = st.text(st.one_of(st.sampled_from('…·λ"\\\n\t\x00\x1f\x7f'),
+                                 st.characters()))
+_MS = st.one_of(st.sampled_from([0.0, 1e-05, 123456.789]),
+                st.floats(0, 1e7).map(lambda x: round(x, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_REPORT_TEXT, _REPORT_TEXT,
+       st.sampled_from(["pass", "fail", "skipped"]), _REPORT_TEXT,
+       _REPORT_TEXT, _MS)
+def test_the_report_writer_is_json_dumps(suite, case, status, left, right,
+                                         ms):
+    # the keys in the order that _Stopwatch.report gives them
+    rep = {"suite": suite, "case": case, "status": status, "left": left,
+           "right": right, "ms": ms}
+    assert cli._json_line(rep) == json.dumps(rep) + "\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_report_line_is_canonical_json(cpus, monkeypatch):
+    (code, out), forks = _main_run(monkeypatch, _KS, cpus)
+    lines = out.splitlines(keepends=True)
+    assert (code, len(lines), forks) == (0, len(_ks_pairs()), cpus - 1)
+    for line in lines:
+        assert line == json.dumps(json.loads(line)) + "\n"
+
+
+def test_a_sent_line_must_be_one_whole_report():
+    line = cli._json_line(cli._run_case("ks", "c", lambda: (True, "0", "")))
+    assert cli._sent_report(line) == json.loads(line)
+    for bad in ["", "\n", line[:-1], line[:-2] + "\n", " " + line,
+                line[:-1] + " \n", line + line, line[:-1] + "{}\n",
+                '"pass"\n', "[1]\n", '{"status": "pass"}\n',
+                line.replace('"ms"', '"MS"'), "{garbled\n"]:
+        assert cli._sent_report(bad) is None, bad
 
 
 def test_verify_frobenius_seed5_passes(capsys):
@@ -682,9 +720,9 @@ def test_exit_code_contract(argv, strays):
 # -- split runs: forked workers give the serial run's reports ----------------
 
 
-def _verify_run(monkeypatch, argv, cpus):
-    """Exit code and reports, without `ms`, of main(argv) on *cpus* CPUs,
-    and the number of workers forked."""
+def _main_run(monkeypatch, argv, cpus):
+    """Exit code and standard output of main(argv) on *cpus* CPUs, and the
+    number of workers forked."""
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     forks = []
     fork = os.fork
@@ -696,10 +734,33 @@ def _verify_run(monkeypatch, argv, cpus):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    reports = [json.loads(line) for line in out.getvalue().splitlines()]
+    return (code, out.getvalue()), len(forks)
+
+
+def _verify_run(monkeypatch, argv, cpus):
+    """Exit code and reports, without `ms`, of main(argv) on *cpus* CPUs,
+    and the number of workers forked."""
+    (code, out), forks = _main_run(monkeypatch, argv, cpus)
+    reports = [json.loads(line) for line in out.splitlines()]
     for rep in reports:
         del rep["ms"]
-    return (code, reports), len(forks)
+    return (code, reports), forks
+
+
+def _log_pid(log):
+    """Append this process's id to the file *log*, shared by the parent
+    and its workers."""
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    os.write(fd, f"{os.getpid()}\n".encode())
+    os.close(fd)
+
+
+def _worker_pids(log):
+    """The ids of the processes that wrote to *log*, checked not to
+    include this one."""
+    pids = set(log.read_text().split())
+    assert str(os.getpid()) not in pids
+    return pids
 
 
 def _assert_no_child():
@@ -775,9 +836,7 @@ def test_a_split_ks_run_reduces_each_pattern_once(tmp_path, monkeypatch):
     original = ks_calculus.ks_bracket_symbolic
 
     def counted(w1, w2):
-        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+        _log_pid(log)
         return original(w1, w2)
     monkeypatch.setattr(ks_calculus, "ks_bracket_symbolic", counted)
     argv = ["verify", "--suite", "ks", "--n", "4", "--level", "2"]
@@ -835,35 +894,62 @@ def test_a_dead_worker_leaves_every_verdict(monkeypatch):
     _assert_no_child()
 
 
-def test_a_garbled_worker_line_is_run_again_here(monkeypatch):
+def test_a_garbled_worker_line_is_run_again_here(tmp_path, monkeypatch):
     serial, _ = _verify_run(monkeypatch, _KS, 1)
+    log = tmp_path / "garbled"
+
+    def garbled(rep):
+        _log_pid(log)
+        return "{garbled\n"
 
     def garble():  # this worker's own report lines stop parsing
-        cli.json = types.SimpleNamespace(dumps=lambda rep: "{garbled")
+        cli._json_line = garbled
     _plant_pair(monkeypatch, _worker_only(garble))
     for cpus in (2, 3):
         assert _verify_run(monkeypatch, _KS, cpus) == (serial, cpus - 1)
+    assert len(_worker_pids(log)) == 2  # one worker of each run garbled
     _assert_no_child()
 
 
-def test_a_line_cut_before_its_newline_is_run_again_here(monkeypatch):
+def test_a_line_cut_before_its_newline_is_run_again_here(tmp_path,
+                                                         monkeypatch):
     # the worker dies after sending the planted case's JSON, before its
     # newline: the text parses, but the parent must not relay it
     serial, _ = _verify_run(monkeypatch, _KS, 1)
     a, b = _ks_pairs()[_WORKER_CASE]
-    work, dumps = cli._work, json.dumps
+    log = tmp_path / "cut"
+    work, json_line = cli._work, cli._json_line
 
     def cut_work(jobs, fd, inherited):
         def cut(rep):
+            line = json_line(rep)
             if rep["case"] == f"ks-vs-constants {a}x{b}":
-                os.write(fd, dumps(rep).encode())
+                _log_pid(log)
+                os.write(fd, line[:-1].encode())
                 os._exit(0)
-            return dumps(rep)
-        cli.json = types.SimpleNamespace(dumps=cut)
+            return line
+        cli._json_line = cut
         work(jobs, fd, inherited)
     monkeypatch.setattr(cli, "_work", cut_work)
     for cpus in (2, 3):
         assert _verify_run(monkeypatch, _KS, cpus) == (serial, cpus - 1)
+    assert len(_worker_pids(log)) == 2  # one worker of each run cut
+    _assert_no_child()
+
+
+def test_a_split_text_run_matches_the_serial_run(monkeypatch):
+    a, b = _plant_pair(monkeypatch, lambda rhs: rhs + 1)
+    argv = _KS + ["--format", "text"]
+
+    def masked(cpus):
+        (code, out), forks = _main_run(monkeypatch, argv, cpus)
+        return (code, re.sub(r"\([0-9.e-]+ ms\)", "(ms)", out)), forks
+    serial, forks = masked(1)
+    assert serial[0] == 1 and forks == 0
+    assert f"[   fail] ks::ks-vs-constants {a}x{b} (ms)\n" in serial[1]
+    assert serial[1].count("[   pass] ks::") == len(_ks_pairs()) - 1
+    for cpus in (2, 3):
+        assert masked(cpus) == (serial, cpus - 1)
     _assert_no_child()
 
 
