@@ -5,14 +5,16 @@ symmetric form G = S + S^T and the reflection matrices
 
     M_k = 1 - E_k G,       (E_k)_{ij} = delta_{ik} delta_{kj},
 
-which realize the monodromies of an n-dimensional Fuchsian system.  The
-reflections multiply to S M_1 ... M_n = -S^T (product_identity).  The
-product of a trailing run of reflections M_h = M_nt ... M_n plays the role
-of the clashed-hole monodromy: it has a block structure with an identity
-head and a tail that is the reflection product of the trailing principal
-Stokes block St, equal to -St^{-1} St^T by the product identity for St,
-and it intertwines G via G M_h = M_h^{-T} G.  Every exact identity here
-reads its powers from clash_monodromy(s, nt, k).  The family
+which realize the monodromies of an n-dimensional Fuchsian system.  No
+exact identity here forms an M_k: _reflected applies them to rows of
+rationals or Exprs by the rank-one update row M_k = row - row_k G_k.  The
+reflections multiply to S M_1 ... M_n = -S^T (product_identity, the one
+product, which certifies _reflected).  The product of a trailing run of
+reflections M_h = M_nt ... M_n plays the role of the clashed-hole
+monodromy: it has a block structure with an identity head and a tail that
+is the reflection product of the trailing principal Stokes block St, equal
+to -St^{-1} St^T by the product identity for St, and it intertwines G via
+G M_h = M_h^{-T} G.  The family
 
     G^{(k)} = G M_h^k
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 
@@ -110,18 +111,28 @@ def random_stokes(n: int, rng) -> StokesMatrix:
 
 
 # ---------------------------------------------------------------------------
-# monodromies and the clash block
+# reflections and the clash block
 # ---------------------------------------------------------------------------
 
 
-def monodromies(s: StokesMatrix):
-    """M_1, ..., M_n, each M_k = 1 - E_k G a reflection, all from one
-    G = S + S^T.  M_k^2 = 1 + (G_kk - 2) E_k G, so each is an involution
-    because StokesMatrix enforces a unit diagonal (G_kk = 2)."""
-    g = s.symmetrization()
-    n = s.n
-    return [Mat([[(ONE if i == j else ZERO) - (g[i, j] if i == k else ZERO)
-                  for j in range(n)] for i in range(n)]) for k in range(n)]
+def _reflected(rows, g, order):
+    """*rows* times M_r = 1 - E_r G for each r of *order* in turn, *g* the
+    rows of G: row M_r = row - row_r G_r (row itself when row_r = 0), on
+    rationals or Exprs alike.  M_r^2 = 1 + (G_rr - 2) E_r G, so each is an
+    involution because StokesMatrix enforces a unit diagonal (G_rr = 2)."""
+    for r in order:
+        rows = [[x - c * y for x, y in zip(row, g[r])] if (c := row[r])
+                else row for row in rows]
+    return rows
+
+
+def _clash_order(s: StokesMatrix, nt: int, k: int) -> list:
+    """The reflections of M_h^k in the order _reflected applies them: nt..n,
+    |k| times, reversed for k < 0, as M_h^{-1} = M_n ... M_nt."""
+    if not 1 <= nt <= s.n:
+        raise ValueError(f"clash start {nt} out of range 1..{s.n}")
+    step = range(nt - 1, s.n)
+    return [*(step if k >= 0 else step[::-1])] * abs(k)
 
 
 def product_identity(s: StokesMatrix) -> bool:
@@ -131,20 +142,17 @@ def product_identity(s: StokesMatrix) -> bool:
 
 
 def clash_monodromy(s: StokesMatrix, nt: int, k: int) -> Mat:
-    """M_h^k for M_h = M_nt M_{nt+1} ... M_n and any integer k; each factor
-    is an involution, so M_h^{-1} = M_n ... M_nt."""
-    if not 1 <= nt <= s.n:
-        raise ValueError(f"clash start {nt} out of range 1..{s.n}")
-    ms = monodromies(s)[nt - 1:]
-    step = prod(ms if k >= 0 else ms[::-1], start=Mat.identity(s.n))
-    return prod([step] * abs(k), start=Mat.identity(s.n))
+    """M_h^k for M_h = M_nt M_{nt+1} ... M_n and any integer k."""
+    return Mat(_reflected(Mat.identity(s.n).rows, s.symmetrization().rows,
+                          _clash_order(s, nt, k)))
 
 
 def tail_matrix(st: StokesMatrix) -> Mat:
     """M_1 M_2 ... M_m, the reflection product of a trailing Stokes block
     St of size m; it equals -St^{-1} St^T exactly when product_identity(St)
     holds, so no inverse is formed."""
-    return prod(monodromies(st), start=Mat.identity(st.n))
+    return Mat(_reflected(Mat.identity(st.n).rows, st.symmetrization().rows,
+                          range(st.n)))
 
 
 @dataclass(frozen=True)
@@ -167,13 +175,13 @@ def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
     The tail verdict compares the lower block of M_h with the reflection
     product of St (tail_matrix) and certifies that product as -St^{-1}
     St^T by product_identity(St): a multiplication, not an inverse.  The
-    ordered product of monodromies(St) is independent of clash_monodromy,
-    so a fault in the order or range of its factors fails here.
+    tail's order of reflections is read independently of _clash_order, so
+    a fault in the order or range of M_h's factors fails here.
 
-    G M_h = (M_n ... M_nt)^T G holds for any symmetric G, as G M_k =
-    M_k^T G for each factor.  The reversed product is M_h^{-1} only when
-    every M_k is an involution, so the intertwining verdict also requires
-    M_h M_n ... M_nt = 1.
+    The intertwining is the mirror rule at k = 1.  G M_h = (M_n ...
+    M_nt)^T G holds for any symmetric G, as G M_r = M_r^T G, and the
+    reversed product is M_h^{-1} only when every M_r is an involution, so
+    the verdict also requires that M_n ... M_nt undoes M_h.
     """
     mh = clash_monodromy(s, nt, 1)
     n = s.n
@@ -184,26 +192,18 @@ def clash_block(s: StokesMatrix, nt: int) -> ClashReport:
     lower = Mat([[mh[i, j] for j in range(h, n)] for i in range(h, n)])
     st = s.trailing_block(nt)
     tail_ok = lower == tail_matrix(st) and product_identity(st)
-    g = s.symmetrization()
-    mh_inv = clash_monodromy(s, nt, -1)
-    inter_ok = (mh * mh_inv == Mat.identity(n)
-                and g * mh == mh_inv.transpose() * g)
+    undone = _reflected(mh.rows, s.symmetrization().rows,
+                        _clash_order(s, nt, -1))
+    inter_ok = Mat(undone) == Mat.identity(n) and gk_mirror_check(s, nt, 1)
     return ClashReport(head_ok, zero_ok, tail_ok, inter_ok)
 
 
-# ---------------------------------------------------------------------------
-# the level-graded generator family G^{(k)} = G M_h^k
-# ---------------------------------------------------------------------------
-
-
-def gk_family(s: StokesMatrix, nt: int, k: int) -> Mat:
-    """G^{(k)} = G M_h^k, M_h^k = clash_monodromy(s, nt, k)."""
-    return s.symmetrization() * clash_monodromy(s, nt, k)
-
-
 def gk_mirror_check(s: StokesMatrix, nt: int, k: int) -> bool:
-    """G^{(-k)} = (G^{(k)})^T, the mirror rule of the level grading."""
-    return gk_family(s, nt, -k) == gk_family(s, nt, k).transpose()
+    """G^{(-k)} = (G^{(k)})^T, the mirror rule of the level grading, each
+    G^{(k)} = G M_h^k the rows of G reflected in _clash_order."""
+    g = s.symmetrization().rows
+    gk = [Mat(_reflected(g, g, _clash_order(s, nt, x))) for x in (k, -k)]
+    return gk[1] == gk[0].transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +228,14 @@ def level_p_condition(st: StokesMatrix, p: int) -> dict:
     has order p, which is certified on a symbolic head of size 2.
     """
     m = st.n
-    tail = tail_matrix(st)
-    power = Mat.identity(m)
+    g = st.symmetrization().rows
+    power = Mat.identity(m).rows
     partial = Mat.zero(m)
     for _ in range(p):
-        partial = partial + power
-        power = power * tail
+        partial = partial + Mat(power)
+        power = _reflected(power, g, range(m))
     report = {
-        "tail_power_identity": power == Mat.identity(m),
+        "tail_power_identity": Mat(power) == Mat.identity(m),
         "nondegenerate": not st.symmetrization().det().is_zero(),
         "partial_sum_zero": partial == Mat.zero(m),
         "full_period": None,
@@ -316,9 +316,7 @@ def _gk_values(g, nt: int, rank: int, top: int) -> dict:
     rows, out = g[:rank], {}
     for k in range(top + 1):
         if k:
-            for r in range(nt - 1, len(g)):
-                rows = [[x - row[r] * y for x, y in zip(row, g[r])]
-                        for row in rows]
+            rows = _reflected(rows, g, range(nt - 1, len(g)))
         out.update(((i + 1, j + 1, k), row[j])
                    for i, row in enumerate(rows) for j in range(rank))
     return out

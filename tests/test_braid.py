@@ -15,22 +15,6 @@ def test_symbol_matrix_shape():
     assert a[0, 1] == E("G[1,2,0]")
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_braid_relations_level0(n):
-    rep = braid.verify_relations("A", n)
-    assert rep["ok"], rep["checks"]
-
-
-def test_braid_relations_graded():
-    rep = braid.verify_relations("frakD", 3)
-    assert rep["ok"], rep["checks"]
-
-
-def test_braid_relations_periodic():
-    rep = braid.verify_relations("D", 3)
-    assert rep["ok"], rep["checks"]
-
-
 def test_unknown_flavor():
     with pytest.raises(ValueError):
         braid.verify_relations("X", 3)

@@ -15,6 +15,27 @@ def _rand(seed=0, n=4):
     return fro.random_stokes(n, random.Random(seed))
 
 
+def _rationals(s):
+    """The rows of G = S + S^T as Fractions."""
+    return [[x.as_rational() for x in row] for row in s.symmetrization().rows]
+
+
+def _reflection(g, r):
+    """M_r = 1 - E_r G as an explicit Mat, from the rows g of G."""
+    n = len(g)
+    return Mat([[(1 if i == j else 0) - (g[r][j] if i == r else 0)
+                 for j in range(n)] for i in range(n)])
+
+
+def _clash_reference(g, nt, k):
+    """M_h^k, M_h = M_nt ... M_n, as ordered products of explicit
+    reflections; M_h^-1 = M_n ... M_nt."""
+    n = len(g)
+    ms = [_reflection(g, r) for r in range(nt - 1, n)]
+    step = prod(ms if k >= 0 else ms[::-1], start=Mat.identity(n))
+    return prod([step] * abs(k), start=Mat.identity(n))
+
+
 def test_reflections_symbolic():
     s = fro.StokesMatrix.symbolic(3)
     assert fro.product_identity(s)
@@ -49,16 +70,13 @@ def test_clash_block_symbolic():
 
 
 def test_intertwining_needs_involutions(monkeypatch):
-    # M_k = 1 - 3 E_k G keeps G M_k = M_k^T G but not M_k^2 = 1, so the
-    # reversed product is no longer M_h^-1
-    def tripled(s):
-        g, n = s.symmetrization(), s.n
-        return [Mat.identity(n) - Mat([[3 * g[i, j] if i == k else 0
-                                        for j in range(n)] for i in range(n)])
-                for k in range(n)]
-
-    monkeypatch.setattr(fro, "monodromies", tripled)
+    # M_k = 1 - 3 E_k G keeps G M_k = M_k^T G, so the mirror rule still
+    # holds, but not M_k^2 = 1, so the reversed product is no longer M_h^-1
+    reflected = fro._reflected
+    monkeypatch.setattr(fro, "_reflected", lambda rows, g, order: reflected(
+        rows, [[3 * x for x in row] for row in g], order))
     for nt in (2, 3, 4):
+        assert fro.gk_mirror_check(_rand(4), nt, 1), nt
         assert not fro.clash_block(_rand(4), nt).intertwining_ok, nt
 
 
@@ -73,11 +91,14 @@ TAIL_MUTANTS = {
         fro.StokesMatrix, "trailing_block",
         lambda f: lambda self, nt: f(self, nt + 1)),
     "tail_matrix reversed": (
-        fro, "tail_matrix", lambda f: lambda st: prod(
-            fro.monodromies(st)[::-1], start=Mat.identity(st.n))),
+        fro, "tail_matrix", lambda f: lambda st: Mat(fro._reflected(
+            Mat.identity(st.n).rows, st.symmetrization().rows,
+            range(st.n)[::-1]))),
     # M_k^T = 1 - G E_k, G symmetric
     "monodromies column form": (
-        fro, "monodromies", lambda f: lambda s: [m.transpose() for m in f(s)]),
+        fro, "_reflected", lambda f: lambda rows, g, order: prod(
+            (_reflection(g, r).transpose() for r in order),
+            start=Mat(rows)).rows),
 }
 
 
@@ -105,8 +126,43 @@ def test_gk_mirror(k):
 
 
 def test_gk_level_zero_is_symmetrization():
-    s = _rand(7)
-    assert fro.gk_family(s, 2, 0) == s.symmetrization()
+    g = _rationals(_rand(7))
+    assert fro._gk_values(g, 2, len(g), 0) == {
+        (i + 1, j + 1, 0): x for i, row in enumerate(g)
+        for j, x in enumerate(row)}
+
+
+def _symbolic_head(tail, head=2):
+    """level_p_condition's Stokes matrix: a symbolic head of size *head*
+    over the trailing block *tail* (rows of rationals)."""
+    m = len(tail)
+    return fro.StokesMatrix(fro.StokesMatrix.symbolic(head + m).mat.subst(
+        {f"s_{head + i + 1}_{head + j + 1}": const(tail[i][j])
+         for i in range(m) for j in range(i + 1, m)}))
+
+
+@pytest.mark.parametrize("s", [_rand(3, 4), _rand(4, 5),
+                               _symbolic_head([[1, 1], [0, 1]]),
+                               _symbolic_head([[1, 2, -1], [0, 1, 3],
+                                               [0, 0, 1]])],
+                         ids=["rational 4", "rational 5", "symbolic head 2",
+                              "symbolic head 3"])
+def test_row_updates_match_explicit_reflections(s):
+    # the one routine against ordered products of explicit M_r = 1 - E_r G,
+    # on Expr rows and, for rational points, on rows of Fractions
+    n, g = s.n, s.symmetrization().rows
+    rational = all(x.is_rational() for row in g for x in row)
+    for gq in [g] + ([_rationals(s)] if rational else []):
+        for order in (range(n), range(n)[::-1], [2, 0, 2, 1]):
+            want = prod((_reflection(gq, r) for r in order), start=Mat(gq))
+            assert Mat(fro._reflected(gq, gq, order)) == want, list(order)
+    assert fro.tail_matrix(s) == _clash_reference(g, 1, 1)
+    for nt in range(1, n + 1):
+        for k in range(-3, 4):
+            mhk = _clash_reference(g, nt, k)
+            assert fro.clash_monodromy(s, nt, k) == mhk, (nt, k)
+            got = fro._reflected(g, g, fro._clash_order(s, nt, k))
+            assert Mat(got) == Mat(g) * mhk, (nt, k)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -180,11 +236,12 @@ def test_realization_gate_catches_swapped_powers(monkeypatch):
 def test_row_updates_give_the_gk_family(rank, clash, levels):
     for seed in range(6):
         s = _rand(seed, rank + clash)
-        g = [[x.as_rational() for x in row]
-             for row in s.symmetrization().rows]
+        g = _rationals(s)
         got = fro._gk_values(g, rank + 1, rank, 2 * levels)
-        want = {(i + 1, j + 1, k): fro.gk_family(s, rank + 1, k)[i, j]
-                .as_rational() for k in range(2 * levels + 1)
+        gk = [Mat(g) * _clash_reference(g, rank + 1, k)
+              for k in range(2 * levels + 1)]
+        want = {(i + 1, j + 1, k): gk[k][i, j].as_rational()
+                for k in range(2 * levels + 1)
                 for i in range(rank) for j in range(rank)}
         assert got == want, seed
 

@@ -202,8 +202,11 @@ def test_batched_oracle_matches_reference_2x2(seed):
 
 
 def _float_monodromies(s):
-    return [np.array([[float(x.as_rational()) for x in row] for row in m.rows])
-            for m in fro.monodromies(s)]
+    # M_r = 1 - E_r G in floats, from G = S + S^T
+    g = np.array([[float(x.as_rational()) for x in row]
+                  for row in s.symmetrization().rows])
+    eye = np.eye(s.n)
+    return [eye - np.outer(eye[r], g[r]) for r in range(s.n)]
 
 
 @pytest.mark.parametrize("seed", range(6))

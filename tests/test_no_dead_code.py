@@ -8,6 +8,8 @@ are reached by the language rather than by name.  The unused ones must
 be exactly the oracles the README lists: every claim check of the paper
 runs inside a `verify` case, so a new function or method that only tests
 call fails here, and so does a pinned oracle that gains a caller or goes.
+A module-level import whose module never reads the name it binds fails
+too.
 """
 
 import ast
@@ -65,12 +67,37 @@ def test_unused_definitions_are_pinned():
                                sorted(ORACLES - unused))
 
 
-def _scan_with(tmp_path, extra: str) -> set:
-    """unused_definitions of the `geoalg` modules and one more, extra.py."""
+def _bound(alias) -> str:
+    """The name an import binds: `import a.b` binds a."""
+    return alias.asname or alias.name.split(".")[0]
+
+
+def unused_imports(root=SRC) -> set:
+    """The module-level imports (`module.name`) whose module never reads
+    the name they bind; `from __future__` imports bind none."""
+    unused = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)
+                and not isinstance(sub.ctx, ast.Store)}
+        for top in tree.body:
+            if (isinstance(top, (ast.Import, ast.ImportFrom))
+                    and getattr(top, "module", None) != "__future__"):
+                unused |= {f"{path.stem}.{_bound(a)}" for a in top.names
+                           if _bound(a) not in read}
+    return unused
+
+
+def test_every_module_level_import_is_read():
+    assert unused_imports() == set()
+
+
+def _scan_with(tmp_path, extra: str, scan=unused_definitions) -> set:
+    """*scan* of the `geoalg` modules and one more, extra.py."""
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "extra.py").write_text(extra)
-    return unused_definitions(tmp_path)
+    return scan(tmp_path)
 
 
 def test_the_scan_sees_a_definition_only_tests_call(tmp_path):
@@ -93,3 +120,17 @@ def test_the_scan_sees_a_method_only_tests_call(tmp_path):
     # the dunder are used, run_extra (no caller) is not
     assert _scan_with(tmp_path, extra) == unused_definitions() | {
         "extra.run_extra", "extra.Extra.only_tests"}
+
+
+def test_the_scan_sees_an_import_its_module_never_reads(tmp_path):
+    extra = ("from __future__ import annotations\n"
+             "import json as js\n"
+             "import os.path\n"
+             "from fractions import Fraction\n"
+             "from math import inf, prod\n"
+             "\n"
+             "def run_extra(x: Fraction):\n"
+             "    return inf, os.sep\n")
+    # a name read in an annotation or through an attribute counts
+    assert _scan_with(tmp_path, extra, unused_imports) == unused_imports() | {
+        "extra.js", "extra.prod"}
