@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .poly_core import E, ZERO, ONE, const, gen, ghat, rational_rank
+from .poly_core import E, ZERO, ONE, const, ghat, rational_rank
 from .dn_algebra import dnp_algebra, bracket
 from .reductions import build_Gp
 from . import braid as _braid
@@ -259,11 +259,12 @@ def dn_relation_check(n: int) -> dict:
 def braid_invariance(flavor: str, coeffs, n: int, p: int = 0) -> list:
     """One flag per element of *coeffs*: every braid generator fixes it,
     exactly.  The generators are the adjacent ones, and the wrap too but
-    for flavor "A"; "Dp" reads the period *p*, and its substitution is
-    built from levels up to p + 2."""
+    for flavor "A", whose substitution is the level-graded one at cap 0;
+    "Dp" reads the period *p*, and its substitution is built from levels
+    up to p + 2."""
     gens = [_braid.adjacent(i) for i in range(1, n)]
     if flavor == "A":
-        subs = [_an_substitution(b, n) for b in gens]
+        subs = [_braid.frakDn_substitution(b, n, 0) for b in gens]
     elif flavor == "D":
         subs = [_braid.Dn_substitution(b, n) for b in gens + [_braid.wrap()]]
     elif flavor == "Dp":
@@ -271,13 +272,6 @@ def braid_invariance(flavor: str, coeffs, n: int, p: int = 0) -> list:
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     return [all(c.subst(sub) == c for sub in subs) for c in coeffs]
-
-
-def _an_substitution(b, n: int) -> dict:
-    """The level-0 action of *b* on the symbols G[i,j,0], i < j."""
-    a1 = _braid.act_matrix(b, _braid.LambdaMatrix.generic(n, 0)).mat
-    return {gen(i, j, 0): a1[i - 1, j - 1]
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
 def _dnp_substitution(b, n: int, p: int) -> dict:

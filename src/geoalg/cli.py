@@ -604,9 +604,7 @@ def _algebra(args):
         return dn_algebra.an_algebra(n)
     if args.alg == "dn":
         return dn_algebra.dn_algebra(n)
-    if args.alg == "dnp":
-        return dn_algebra.dnp_algebra(n, _given(args.p, 2))
-    raise SystemExit(2)
+    return dn_algebra.dnp_algebra(n, _given(args.p, 2))
 
 
 def cmd_bracket(args) -> int:

@@ -144,42 +144,6 @@ def _scalar_monomial(w) -> tuple:
     return ((f"TrH{w[0] - _H}", 1),) if w else ()
 
 
-class TraceExpr:
-    """Linear combination of cyclic trace words.
-
-    Keys are () for the scalar part, an Expr that may carry the TrH
-    parameters, or one cyclic word as the tuple of its int letter codes
-    in canonical rotation (as _normalize returns it), with a plain
-    rational coefficient.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    def __add__(self, other: "TraceExpr") -> "TraceExpr":
-        d = dict(self.terms)
-        for k, v in other.terms.items():
-            d[k] = d[k] + v if k in d else v
-        return TraceExpr(d)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TraceExpr) and self.terms == other.terms
-
-    def __repr__(self):
-        words = sorted((tuple(map(_letter, w)), v)
-                       for w, v in self.terms.items() if w)
-        bits = [f"({self.terms[()]})*1"] if () in self.terms else []
-        bits += [f"({v})*Tr(" + " ".join(
-            f"M{i}" if t == "M" else f"H^{i}" for t, i in w) + ")"
-            for w, v in words]
-        return " + ".join(bits) or "0"
-
-
 # ---------------------------------------------------------------------------
 # elementary brackets
 # ---------------------------------------------------------------------------
@@ -268,12 +232,16 @@ def _rule(a: int, b: int) -> tuple:
     return tuple((c, l1 + r2, l2 + r1) for c, l1, l2, r1, r2 in terms)
 
 
-def ks_bracket_symbolic(w1, w2) -> TraceExpr:
-    """{Tr w1, Tr w2} for two trace words (sequences of letters)."""
+def ks_bracket_symbolic(w1, w2) -> dict:
+    """{Tr w1, Tr w2} for two trace words (sequences of letters), as
+    {word: coefficient}: a cyclic word is the tuple of its int letter
+    codes in canonical rotation (as _normalize returns it) with a nonzero
+    rational coefficient, and the key () holds the scalar part, a nonzero
+    Expr that may carry the TrH parameters."""
     c1, w1 = _normalize(_encode(w1))
     c2, w2 = _normalize(_encode(w2))
     if len(w1) < 2 or len(w2) < 2:
-        return TraceExpr()  # scalars and Casimir parameters are central
+        return {}  # scalars and Casimir parameters are central
     raw = {}  # the rule coefficients (in halves) summed per raw word
     rotations = [(b, w2[q + 1:] + w2[:q]) for q, b in enumerate(w2)]
     for p, a in enumerate(w1):
@@ -287,17 +255,19 @@ def ks_bracket_symbolic(w1, w2) -> TraceExpr:
         s, w = _normalize(word) if c else (0, ())
         if s:
             sums[w] = sums.get(w, 0) + c * s
-    terms, scalars = {}, {}
+    out, scalars = {}, {}
     for w, s in sums.items():
+        if not s:
+            continue  # cancelled: _wick rejects a word with odd M count
         s *= c1 * c2
         coeff = Fraction(s, 2) if s & 1 else s // 2
         if len(w) > 1:
-            terms[w] = coeff
+            out[w] = coeff
         else:
             scalars[_scalar_monomial(w)] = coeff
     if scalars:
-        terms[()] = Expr(scalars)
-    return TraceExpr(terms)
+        out[()] = Expr(scalars)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +371,9 @@ def _wick(word, coeff, into) -> int:
     return r
 
 
-def skein_reduce(e: TraceExpr) -> Expr:
-    """Rewrite a TraceExpr as a polynomial in G[i,j,k] and TrH parameters.
+def skein_reduce(e: dict) -> Expr:
+    """Rewrite a {word: coefficient} sum, as ks_bracket_symbolic returns
+    it, as a polynomial in G[i,j,k] and TrH parameters.
 
     The key () holds the scalar part.  Each word's Wick sum is added as
     ints per denominator and packed monomial; each total is divided once
@@ -410,7 +381,7 @@ def skein_reduce(e: TraceExpr) -> Expr:
     r pairs has exponents at most r.
     """
     scalar, sums, bound = None, {}, 0
-    for word, coeff in e.terms.items():
+    for word, coeff in e.items():
         if word:
             bound = max(bound, _wick(word, coeff, sums))
         else:

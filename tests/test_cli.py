@@ -443,9 +443,9 @@ _PAIR_FAILS = "goldman-vs-constants (1, 2)x(1, 3)", " terms; lowest: "
     pytest.param("reduction", reductions, "th_dn_check",
                  lambda old: lambda n: {"ok": False}, "commuting square n=3",
                  "th_dn_check: False", id="commuting square"),
-    pytest.param("centers", centers, "_an_substitution",
-                 lambda old: lambda b, n: {s: 2 * e
-                                           for s, e in old(b, n).items()},
+    pytest.param("centers", braid, "frakDn_substitution",
+                 lambda old: lambda b, n, cap: old(b, n, cap) if cap else {
+                     s: 2 * e for s, e in old(b, n, cap).items()},
                  "level-0 centers n=2", "braid: invariance flags [False",
                  id="level-0 invariance"),
     pytest.param("centers", centers, "_dnp_substitution",

@@ -72,14 +72,74 @@ def _bound(alias) -> str:
     return alias.asname or alias.name.split(".")[0]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_SCOPES = _FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp,
+                        ast.GeneratorExp)
+
+
+def _parts(scope) -> tuple:
+    """(the nodes of *scope* its enclosing scope evaluates, its
+    parameters, the nodes it evaluates itself)."""
+    if isinstance(scope, _FUNCTIONS):
+        a = scope.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            x for x in (a.vararg, a.kwarg) if x]
+        outer = a.defaults + [d for d in a.kw_defaults if d]
+        if isinstance(scope, ast.Lambda):
+            return outer, params, [scope.body]
+        outer += scope.decorator_list + [
+            x for x in [scope.returns] + [p.annotation for p in params] if x]
+        return outer, params, scope.body
+    # a comprehension: its first iterable is read outside it
+    first = scope.generators[0]
+    return [first.iter], [], [first.target, *first.ifs] + [
+        x for x in ast.iter_child_nodes(scope) if x is not first]
+
+
+def _binds(nodes) -> set:
+    """The names *nodes* bind in their own scope: stored names (assignment
+    and loop targets), inner imports and nested definitions."""
+    out, todo = set(), list(nodes)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.add(_bound(node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(node.name)
+        if isinstance(node, _SCOPES + (ast.ClassDef,)):
+            continue  # the names bound inside are its own
+        todo += ast.iter_child_nodes(node)
+    return out
+
+
+def _module_reads(node, shadowed=frozenset()) -> set:
+    """The names *node* reads where no enclosing function, lambda or
+    comprehension binds them, so that they resolve to the module."""
+    if isinstance(node, ast.Name):
+        load = isinstance(node.ctx, ast.Load) and node.id not in shadowed
+        return {node.id} if load else set()
+    if isinstance(node, _SCOPES):
+        outer, params, inner = _parts(node)
+        inside = shadowed | {p.arg for p in params} | _binds(inner)
+        return set().union(*(_module_reads(x, shadowed) for x in outer),
+                           *(_module_reads(x, inside) for x in inner))
+    return set().union(*(_module_reads(x, shadowed)
+                         for x in ast.iter_child_nodes(node)))
+
+
 def unused_imports(root=SRC) -> set:
     """The module-level imports (`module.name`) whose module never reads
-    the name they bind; `from __future__` imports bind none."""
+    the name they bind where it resolves to the module: a read inside a
+    function, lambda or comprehension that binds the same name (a
+    parameter, an assignment or loop target, an inner import) does not
+    count.  `from __future__` imports bind none."""
     unused = set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
-        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)
-                and not isinstance(sub.ctx, ast.Store)}
+        read = _module_reads(tree)
         for top in tree.body:
             if (isinstance(top, (ast.Import, ast.ImportFrom))
                     and getattr(top, "module", None) != "__future__"):
@@ -130,7 +190,11 @@ def test_the_scan_sees_an_import_its_module_never_reads(tmp_path):
              "from math import inf, prod\n"
              "\n"
              "def run_extra(x: Fraction):\n"
-             "    return inf, os.sep\n")
-    # a name read in an annotation or through an attribute counts
+             "    return inf, os.sep\n"
+             "\n"
+             "def run_prod(prod):\n"
+             "    return prod\n")
+    # a name read in an annotation or through an attribute counts; one
+    # read where a parameter shadows it does not
     assert _scan_with(tmp_path, extra, unused_imports) == unused_imports() | {
         "extra.js", "extra.prod"}

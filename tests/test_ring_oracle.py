@@ -506,6 +506,15 @@ def test_largest_exponents_round_trip():
     assert dict(e.terms()) == {(("x", top), ("y", -top)): 1,
                                (("x", -top),): 1, (("y", top),): -3}
     assert str(e) == reference_str(e)
+    # symbols, gradient and at read the top digits too, on a value whose
+    # partials stay in range
+    f = E("x", top) * E("y", 1 - top) - 3 * E("y", top - 1)
+    assert f.symbols() == {"x", "y"}
+    assert f.gradient() == {
+        "x": top * E("x", top - 1) * E("y", 1 - top),
+        "y": -3 * (top - 1) * E("y", top - 2)
+        - (top - 1) * E("x", top) * E("y", -top)}
+    assert f.at({"x": 1, "y": 1}) == -2
     # the range is checked symbol by symbol, not on the sum of the bounds
     assert E("x", top) * E("x", -1) == E("x", top - 1)
     assert E("x", top) * E("x", -top) == ONE
