@@ -20,9 +20,13 @@ matrix is its cap-0 case.  One componentwise rule (`_exchange`, in
 `act_frakDn`) covers every generator at every cap, where the family has
 G_ii = 2; a shift s consumes levels k +- s, so the output is certified
 2|s| levels lower.  The matrix form B(lam) Gcal(lam) B(lam^-1)^T
-(`act_matrix`) is computed independently and checks it.  The reduced
-n x n algebra of entries Ghat[i,j] has its own tables (its diagonal is
-not constant and it has no swap symmetry), with cubic lines.
+(`act_matrix`) is computed independently and checks it: each inverse
+verdict of `verify_relations` applies a generator by the matrix form and
+its inverse by the componentwise rule.  The symbol substitutions
+(`frakDn_substitution`) read the rule on the canonical symbols, which
+hold every level.  The reduced n x n algebra of entries Ghat[i,j] has its
+own tables (its diagonal is not constant and it has no swap symmetry),
+with cubic lines.
 """
 
 from __future__ import annotations
@@ -198,20 +202,15 @@ def act_frakDn(b: BraidGen, gm: LambdaMatrix) -> LambdaMatrix:
     """
     n = len(gm.mat.rows)
     i, ip, s = _pair(b, n)
-    levels = gm.levels()
-
-    def get(a, c, k):
-        # negative levels resolve through the mirror G^(-k)_{a,c} = G^(k)_{c,a}
-        if k < 0:
-            a, c, k = c, a, -k
-        gm.certify(k)
-        return levels[a, c, k]
-
-    new = _exchange(get, i, ip, s)
     cap = gm.cert - 2 * abs(s)
     if cap < 0:
         raise CertificationError(
             "wrap generator needs input levels up to cap >= 2")
+    # levels 0..cap of the output read levels |k| <= gm.cert; a negative
+    # one resolves through the mirror G^(-k)_{a,c} = G^(k)_{c,a}
+    levels = gm.levels()
+    new = _exchange(lambda a, c, k: levels[(c, a, -k) if k < 0 else (a, c, k)],
+                    i, ip, s)
     return gcal_matrix(new, n, cap)
 
 
@@ -327,11 +326,11 @@ def combination_transform_check(n: int) -> dict:
 
 def frakDn_substitution(b: BraidGen, n: int, cap: int) -> dict:
     """Symbol substitution realizing the action on the level-graded
-    generators; covers canonical symbols up to level cap (cap - 2 for
-    the wrap generator)."""
-    out = act_frakDn(b, LambdaMatrix.generic(n, cap))
-    levels = out.levels()
-    return {gen(*t): levels[t] for t in generator_tuples(n, out.cert)}
+    generators: the exchange rule on the canonical symbols (every level),
+    read up to level cap, cap - 2 for the wrap as act_frakDn certifies."""
+    i, ip, s = _pair(b, n)
+    new = _exchange(dn_algebra(n).canonical, i, ip, s)
+    return {gen(*t): new(*t) for t in generator_tuples(n, cap - 2 * abs(s))}
 
 
 def Dn_substitution(b: BraidGen, n: int) -> dict:
@@ -351,71 +350,64 @@ def _apply(act, word, x):
     return x
 
 
-def verify_relations(flavor: str, n: int) -> dict:
-    """Exact symbolic verification of the braid relations.
+def _same(x, y):
+    """(verdict, name suffix): level-graded matrices are compared on their
+    jointly certified window, the reduced families entry by entry."""
+    if isinstance(x, LambdaMatrix):
+        window = min(x.cert, y.cert)
+        return x.window(window) == y.window(window), f" window<= {window}"
+    return x == y, ""
 
-    flavor "A": on the level-0 matrix (Gcal at cap 0), the adjacent RRR
-    relations and the order-n relation (beta_{n-1,n} ... beta_{1,2})^n =
-    Id in the matrix form, the inverses componentwise.  flavor "D":
-    componentwise RRR for all adjacent pairs mod n (wrap included).
-    flavor "frakD": RRR in the matrix form at cap 6, compared on the
-    jointly certified window, the inverses componentwise.
-    """
-    report = {"flavor": flavor, "n": n, "checks": [], "ok": True}
 
-    def record(name, ok):
-        report["checks"].append({"relation": name, "ok": bool(ok)})
-        report["ok"] = report["ok"] and bool(ok)
+def _rrr(pairs) -> list:
+    """The relations (name, b1 b2 b1, b2 b1 b2) of the pairs (b1, b2)."""
+    return [(f"RRR({b1.kind}{b1.i},{b2.kind}{b2.i})", [b1, b2, b1],
+             [b2, b1, b2]) for b1, b2 in pairs]
 
+
+def _flavor(flavor: str, n: int):
+    """(start, action, inverse action, relations, inverses) of a flavor."""
+    adj = [adjacent(i) for i in range(1, n)]
     if flavor == "A":
-        a0 = LambdaMatrix.generic(n, 0)
-        for i in range(2, n):
-            lhs = _apply(act_matrix,
-                         [adjacent(i - 1), adjacent(i), adjacent(i - 1)], a0)
-            rhs = _apply(act_matrix,
-                         [adjacent(i), adjacent(i - 1), adjacent(i)], a0)
-            record(f"RRR({i - 1},{i})", lhs == rhs)
-        word = [adjacent(i) for i in range(1, n)]
-        full = a0
-        for _ in range(n):
-            full = _apply(act_matrix, word, full)
-        record(f"(b_n-1,n...b_1,2)^{n}=Id", full == a0)
-        for i in range(1, n):
-            record(f"inverse({i})", _apply(
-                act_frakDn, [adjacent(i), adjacent(i, True)], a0) == a0)
-    elif flavor == "D":
-        f0 = ghat_family(n)
-
+        return (LambdaMatrix.generic(n, 0), act_matrix, act_frakDn,
+                _rrr(zip(adj, adj[1:])) + [
+                    (f"(b_n-1,n...b_1,2)^{n}=Id", adj * n, [])], adj)
+    if flavor == "D":
         def act(b, fam):
             return act_Dn(b, fam, n)
 
-        gens = [adjacent(i) for i in range(1, n)] + [wrap()]
-        for idx in range(n):
-            b1 = gens[idx]
-            b2 = gens[(idx + 1) % n]
-            lhs = _apply(act, [b1, b2, b1], f0)
-            rhs = _apply(act, [b2, b1, b2], f0)
-            record(f"RRR mod n ({idx})", lhs == rhs)
-        for b in gens:
-            record(f"inverse({b.kind}{b.i})",
-                   _apply(act, [b, b.inv()], f0) == f0)
-    elif flavor == "frakD":
+        gens = adj + [wrap()]
+        return (ghat_family(n), act, act,
+                _rrr(zip(gens, gens[1:] + gens[:1])), gens)
+    if flavor == "frakD":
         # the wrap's relation holds a word with two wraps, which consume
         # four levels: cap 6 compares it on lam^0 .. lam^-2
-        gm = LambdaMatrix.generic(n, 6)
-        pairs = [(adjacent(i), adjacent(i + 1)) for i in range(1, n - 1)]
-        pairs.append((adjacent(n - 1), wrap()))
-        for b1, b2 in pairs:
-            lhs = _apply(act_matrix, [b1, b2, b1], gm)
-            rhs = _apply(act_matrix, [b2, b1, b2], gm)
-            window = min(lhs.cert, rhs.cert)
-            record(f"RRR({b1.kind}{b1.i},{b2.kind}{b2.i}) window<= {window}",
-                   lhs.window(window) == rhs.window(window))
-        # componentwise inverses
-        for b in [adjacent(1), wrap()]:
-            f2 = _apply(act_frakDn, [b, b.inv()], gm)
-            record(f"inverse({b.kind}{b.i})",
-                   f2.window(f2.cert) == gm.window(f2.cert))
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return report
+        return (LambdaMatrix.generic(n, 6), act_matrix, act_frakDn,
+                _rrr(list(zip(adj, adj[1:])) + [(adj[-1], wrap())]),
+                [adjacent(1), wrap()])
+    raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def verify_relations(flavor: str, n: int) -> dict:
+    """Exact symbolic verification of the braid relations.
+
+    flavor "A": on the level-0 matrix (Gcal at cap 0) in the matrix form,
+    the adjacent RRR relations and the order-n relation (beta_{n-1,n} ...
+    beta_{1,2})^n = Id.  flavor "D": componentwise on the reduced family,
+    RRR for all adjacent pairs mod n (wrap included).  flavor "frakD":
+    on Gcal at cap 6 in the matrix form, the adjacent RRR relations and
+    the wrap's with adjacent(n-1).  An inverse verdict applies a
+    generator by the action, its inverse by the inverse action: for the
+    matrix flavors act_frakDn undoes act_matrix, so the componentwise
+    rule is checked against the adjoint action.
+    """
+    start, act, undo, relations, inverses = _flavor(flavor, n)
+    checks = []
+    for name, lhs, rhs in relations:
+        ok, window = _same(_apply(act, lhs, start), _apply(act, rhs, start))
+        checks.append({"relation": name + window, "ok": bool(ok)})
+    for b in inverses:
+        ok = _same(undo(b.inv(), act(b, start)), start)[0]
+        checks.append({"relation": f"inverse({b.kind}{b.i})", "ok": bool(ok)})
+    return {"flavor": flavor, "n": n, "checks": checks,
+            "ok": all(c["ok"] for c in checks)}

@@ -437,13 +437,16 @@ def _suite_centers(args):
     def invariance(flags):
         return all(flags), f"invariance flags {flags}", "all True"
 
+    def central(alg, coeffs):
+        rep = centers_mod.centrality_report(alg, coeffs)
+        return rep["ok"], rep, "all brackets zero"
+
     def an_case(n):
         def run():
             cs = centers_mod.centers_An(n)
-            rep = centers_mod.centrality_report(dn_algebra.an_algebra(n),
-                                                cs.coefficients)
             return _folded(
-                centrality=lambda: (rep["ok"], rep, "all brackets zero"),
+                centrality=lambda: central(dn_algebra.an_algebra(n),
+                                           cs.coefficients),
                 braid=lambda: invariance(centers_mod.braid_invariance(
                     "A", cs.coefficients, n)))
         return run
@@ -457,7 +460,9 @@ def _suite_centers(args):
             return _folded(
                 rank=lambda: _rank_case(cs, (n * p) // 2),
                 braid=lambda: invariance(centers_mod.braid_invariance(
-                    "Dp", cs.coefficients, n, p)))
+                    "Dp", cs.coefficients, n, p)),
+                centrality=lambda: central(dn_algebra.dnp_algebra(n, p),
+                                           cs.coefficients))
         return run
 
     for n, p in ((2, 2), (3, 2), (2, 3)):
@@ -760,10 +765,15 @@ def cmd_geodesic(args) -> int:
         raise ValueError("geodesic needs --n")
     e = fatgraph.geodesic_function(args.n, args.i, args.j)
     if args.at:
+        names = fatgraph.canonical_disc_graph(args.n).edge_vars()
         bindings = {}
         for piece in args.at.split(","):
-            name, _, val = piece.partition("=")
-            bindings[name.strip()] = const(Fraction(val.strip()))
+            name, eq, val = (part.strip() for part in piece.partition("="))
+            if not (eq and name in names) or name in bindings:
+                raise ValueError(
+                    f"--at piece {piece!r}: each piece binds one of the edge "
+                    f"variables {', '.join(names)} once, as name=value")
+            bindings[name] = const(Fraction(val))
         e = e.subst(bindings)
     report = clock.report("geodesic", f"G[{args.i},{args.j}] n={args.n}", e)
     return _emit([report], args.format)

@@ -74,7 +74,7 @@ _XI = E("h", -2)
 
 def rho_coeff(k: int) -> Expr:
     """(x^k - x^-k)/(x - x^-1) with x = h^2; Chebyshev-like stream."""
-    return sum((_X ** (k - 1 - j) * _XI ** j for j in range(k)), ZERO)
+    return sum((E("h", 2 * (k - 1 - 2 * j)) for j in range(k)), ZERO)
 
 
 def sigma_coeff(k: int) -> Expr:
@@ -141,27 +141,23 @@ def th_dn_check(n: int) -> dict:
     acting on the reduced generators, for every braid generator and every
     entry up to level 2.
 
-    The generic family carries levels 0..4 (cap): the wrap certifies two
-    levels fewer than its input (braid.act_frakDn), so level 2 is the
-    highest that every generator's output holds, and the one compared.
+    Each braid substitution is read up to level 4 (cap), the wrap's two
+    levels lower (braid.frakDn_substitution), so level 2 is the highest
+    that every generator's substitution holds, and the one compared.
     """
     cap, levels = 4, 2
-    report = {"n": n, "checks": [], "ok": True}
     red = reduction_substitution(n, cap)
-    gm0 = _braid.LambdaMatrix.generic(n, cap)
-    fam0 = gm0.levels()
-    reduced = {t: fam0[t].subst(red) for t in generator_tuples(n, levels)}
+    symbols = [gen(*t) for t in generator_tuples(n, levels)]
     gens = [_braid.adjacent(i) for i in range(1, n)]
-    gens += [_braid.wrap(), _braid.wrap(True)]
-    for b in gens:
-        fam1 = _braid.act_frakDn(b, gm0).levels()
+    checks = []
+    for b in gens + [_braid.wrap(), _braid.wrap(True)]:
+        acted = _braid.frakDn_substitution(b, n, cap)
         dsub = _braid.Dn_substitution(b, n)
-        bad = sum(fam1[t].subst(red) != r.subst(dsub)
-                  for t, r in reduced.items())
-        report["checks"].append(
-            {"generator": (b.kind, b.i, b.inverse), "mismatches": bad})
-        report["ok"] = report["ok"] and bad == 0
-    return report
+        bad = sum(acted[s].subst(red) != red[s].subst(dsub) for s in symbols)
+        checks.append({"generator": (b.kind, b.i, b.inverse),
+                       "mismatches": bad})
+    return {"n": n, "checks": checks,
+            "ok": not any(c["mismatches"] for c in checks)}
 
 
 def dn_sum() -> dict:

@@ -92,6 +92,19 @@ def test_wrap_relation_is_compared_below_level_zero(n):
     assert window and window[0] >= 2
 
 
+def test_an_inverse_verdict_fails_a_rule_that_does_not_undo_the_matrix(
+        monkeypatch):
+    # an inverse verdict applies act_matrix, then act_frakDn of the
+    # inverse: a componentwise rule that leaves the wrap out fails it
+    act = braid.act_frakDn
+    monkeypatch.setattr(braid, "act_frakDn", lambda b, gm: gm
+                        if b.kind == braid.WRAP else act(b, gm))
+    checks = {c["relation"]: c["ok"]
+              for c in braid.verify_relations("frakD", 3)["checks"]}
+    assert not checks["inverse(wrap0)"]
+    assert checks["inverse(adj1)"]
+
+
 def _generators(n):
     return [braid.adjacent(i, inv) for i in range(1, n)
             for inv in (False, True)] + [braid.wrap(), braid.wrap(True)]

@@ -240,11 +240,43 @@ def test_large_reports_match_their_digest(command, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[command]
 
 
+@pytest.mark.parametrize("n,counts", [(3, (4, 6, 4)), (4, (6, 8, 5))])
+def test_braid_suite_counts_its_relations(n, counts, capsys):
+    # flavors A, D, frakD: A has n - 2 RRR relations, the order-n one and
+    # n - 1 inverses; D an RRR relation and an inverse per generator, the
+    # wrap included; frakD n - 1 RRR relations and two inverses
+    assert main(["verify", "--suite", "braid", "--n", str(n)]) == 0
+    assert [r["right"] for r in _json_lines(capsys)] == [
+        f"{c} relations" for c in counts]
+
+
 def test_geodesic_at_point(capsys):
     assert main(["geodesic", "--n", "3", "--i", "1", "--j", "2",
                  "--at", "s1=1,s2=1,s3=1"]) == 0
     rep = _json_lines(capsys)[0]
     assert rep["left"] == "3"
+
+
+@pytest.mark.parametrize("at,named", [
+    ("s9=2", "'s9=2'"), ("=2", "'=2'"), ("s1=2,s1=3", "'s1=3'"),
+    ("s1=1,bogus", "'bogus'"), ("s1=1, s4=5", None)])
+def test_geodesic_at_reads_every_piece(at, named, capsys):
+    # a piece without '=', an empty name, a name that is no edge variable
+    # of the disc graph and a repeated name are usage errors, naming the
+    # piece; an edge variable that G[1,3] does not contain (s4 at n = 4)
+    # is bound and changes nothing
+    argv = ["geodesic", "--n", "4", "--i", "1", "--j", "3"]
+    if named is None:
+        assert main(argv + ["--at", "s1=1"]) == 0
+        plain = _json_lines(capsys)[0]["left"]
+        assert main(argv + ["--at", at]) == 0
+        assert _json_lines(capsys)[0]["left"] == plain
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--at", at])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err
 
 
 def test_stokes_random_point_at_n24(capsys):
@@ -452,6 +484,15 @@ _PAIR_FAILS = "goldman-vs-constants (1, 2)x(1, 3)", " terms; lowest: "
                  lambda old: _unfolded_dnp_substitution,
                  "level-p centers (2,2)", "braid: invariance flags [False",
                  id="level-p invariance"),
+    # rank and invariance read no bracket: only the centrality half sees
+    # a level-p row negated above level 0
+    pytest.param("centers", dn_algebra._Table, "pair",
+                 lambda old: lambda table, a, b: dn_algebra._negated(
+                     old(table, a, b))
+                 if table.alg.flavor == dn_algebra.FLAVOR_DP and a[2]
+                 else old(table, a, b),
+                 "level-p centers (2,2)", "centrality: ",
+                 id="level-p centrality"),
     pytest.param("frobenius", frobenius, "level_p_condition",
                  lambda old: lambda st, p: {**old(st, p),
                                             "full_period": False},
@@ -472,6 +513,8 @@ def test_a_folded_check_fails_its_verify_case(suite, module, name, mutant,
     assert case in failed
     assert not failed[case].startswith("exception")
     assert named in failed[case], failed[case]
+    if case.startswith("level-p"):  # the level-0 algebra is another one
+        assert not [c for c in failed if c.startswith("level-0")], failed
 
 
 def test_level_p_centers_fail_a_wrong_rank():

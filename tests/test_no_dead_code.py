@@ -2,7 +2,9 @@
 
 A top-level function or class of a `geoalg` module counts as used when
 some module names it outside its own definition: a call, an attribute
-(`centers.centers_An`), an import or a reference.  So does a method of a
+(`centers.centers_An`), an import or a reference.  A bare name counts
+only where it resolves to the module, not where an enclosing function,
+lambda or comprehension binds the same name.  So does a method of a
 top-level class (reported as `module.Class.method`), dunders aside, which
 are reached by the language rather than by name.  The unused ones must
 be exactly the oracles the README lists: every claim check of the paper
@@ -25,12 +27,11 @@ ORACLES = {"ks_calculus.ks_bracket_numeric"}
 
 
 def _names(node):
-    """Every name that *node* reads: loads, attributes and imports."""
+    """Every name that *node* reads, once per read: the loads that resolve
+    to the module, attributes and imports."""
+    yield from _module_reads(node)
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            if not isinstance(sub.ctx, ast.Store):
-                yield sub.id
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             yield sub.attr
         elif isinstance(sub, ast.alias):
             yield sub.name
@@ -115,19 +116,24 @@ def _binds(nodes) -> set:
     return out
 
 
-def _module_reads(node, shadowed=frozenset()) -> set:
+def _module_reads(node, shadowed=frozenset()):
     """The names *node* reads where no enclosing function, lambda or
-    comprehension binds them, so that they resolve to the module."""
+    comprehension binds them, so that they resolve to the module, once
+    per read."""
     if isinstance(node, ast.Name):
-        load = isinstance(node.ctx, ast.Load) and node.id not in shadowed
-        return {node.id} if load else set()
+        if isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+            yield node.id
+        return
     if isinstance(node, _SCOPES):
         outer, params, inner = _parts(node)
         inside = shadowed | {p.arg for p in params} | _binds(inner)
-        return set().union(*(_module_reads(x, shadowed) for x in outer),
-                           *(_module_reads(x, inside) for x in inner))
-    return set().union(*(_module_reads(x, shadowed)
-                         for x in ast.iter_child_nodes(node)))
+        for x in outer:
+            yield from _module_reads(x, shadowed)
+        for x in inner:
+            yield from _module_reads(x, inside)
+        return
+    for x in ast.iter_child_nodes(node):
+        yield from _module_reads(x, shadowed)
 
 
 def unused_imports(root=SRC) -> set:
@@ -139,7 +145,7 @@ def unused_imports(root=SRC) -> set:
     unused = set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
-        read = _module_reads(tree)
+        read = set(_module_reads(tree))
         for top in tree.body:
             if (isinstance(top, (ast.Import, ast.ImportFrom))
                     and getattr(top, "module", None) != "__future__"):
@@ -161,8 +167,14 @@ def _scan_with(tmp_path, extra: str, scan=unused_definitions) -> set:
 
 
 def test_the_scan_sees_a_definition_only_tests_call(tmp_path):
-    assert _scan_with(tmp_path, "def only_tests():\n    return 1\n") == (
-        unused_definitions() | {"extra.only_tests"})
+    extra = ("def only_tests():\n"
+             "    return 1\n"
+             "\n"
+             "def run_extra(only_tests):\n"
+             "    return only_tests\n")
+    # a read of a parameter that shadows the definition is no use of it
+    assert _scan_with(tmp_path, extra) == unused_definitions() | {
+        "extra.only_tests", "extra.run_extra"}
 
 
 def test_the_scan_sees_a_method_only_tests_call(tmp_path):
